@@ -7,15 +7,15 @@ generating function turns into a bit-level one through the substitution
 
     F(Z) = ((1 + Z)^m - 1) / (2^m - 1),
 
-applied per variable.  All arithmetic here is exact `Fraction`; the
-(2^m - 1)^h denominators cancel in the identities under test, which keeps
-every check a strict pass/fail.
+applied per variable.  All arithmetic here is exact (integers, or
+`Fraction` where a result needs it); the (2^m - 1)^h denominators cancel
+in the identities under test, which keeps every check a strict pass/fail.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .mds_enum import MdsParams, ProfileOutOfRangeError, binom, iowe, weight_distribution
 from .poly import SparsePoly
@@ -45,32 +45,43 @@ def bit_substitution_poly(m: int) -> SparsePoly:
     return SparsePoly(1, {(i,): Fraction(binom(m, i), den) for i in range(1, m + 1)})
 
 
+def pattern_weight_powers(m: int) -> Iterator[list[int]]:
+    """Integer coefficient lists of ((1+Z)^m - 1)^w for w = 0, 1, 2, ...
+
+    Entry b of the w-th list counts the ways w nonzero m-bit symbols
+    carry b set bits in total; it is (2^m - 1)^w times the coefficient of
+    Z^b in F(Z)^w, so callers stay in integers and divide once.
+    """
+    g = [binom(m, j) for j in range(m + 1)]
+    power = [1]
+    while True:
+        yield power
+        nxt = [0] * (len(power) + m)
+        for i, a in enumerate(power):
+            if a:
+                for j in range(1, m + 1):
+                    nxt[i + j] += a * g[j]
+        power = nxt
+
+
 def avg_binary_weights_from_distribution(weights: Sequence[int], m: int) -> list[Fraction]:
     """Averaged binary weight distribution from a symbol weight distribution.
 
-    Expands sum_h E(h)/(2^m-1)^h * ((1+X)^m - 1)^h; returns the
-    coefficient vector over binary weights 0..m*n.
+    Expands sum_h E(h)/(2^m-1)^h * ((1+X)^m - 1)^h over the common
+    denominator (2^m-1)^n; returns the coefficient vector over binary
+    weights 0..m*n.
     """
     n = len(weights) - 1
     den = (1 << m) - 1
-    g = [0] + [binom(m, i) for i in range(1, m + 1)]  # (1+X)^m - 1
-    out = [Fraction(0)] * (m * n + 1)
-    power = [1]  # g^0
-    for h in range(n + 1):
+    acc = [0] * (m * n + 1)
+    for h, power in zip(range(n + 1), pattern_weight_powers(m)):
         if weights[h]:
-            scale = Fraction(weights[h], den**h)
+            scale = weights[h] * den ** (n - h)
             for i, c in enumerate(power):
                 if c:
-                    out[i] += scale * c
-        if h < n:
-            nxt = [0] * (len(power) + m)
-            for i, a in enumerate(power):
-                if a:
-                    for j, b in enumerate(g):
-                        if b:
-                            nxt[i + j] += a * b
-            power = nxt
-    return out
+                    acc[i] += scale * c
+    top = den**n
+    return [Fraction(a, top) for a in acc]
 
 
 def avg_binary_wgf(params: MdsParams) -> list[Fraction]:

@@ -271,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--budget", type=int, default=None,
                        help="max codewords for exhaustive enumeration")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; results do not depend on it")
-        p.add_argument("--seed", type=int, default=7, help="seed for randomized checks")
 
     p = sub.add_parser("pwe", help="closed-form partition weight enumerator")
     add_common(p, partition=True, partition_required=True)
@@ -311,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of suites, or 'all' "
                         f"({', '.join(verify_mod.SUITES)})")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; results do not depend on it")
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=_cmd_verify)
     return parser
 

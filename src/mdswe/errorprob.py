@@ -29,6 +29,34 @@ sum_h coeff(h) F(g, h) with a pluggable F.  The shipped F is the union
 bound Q(sqrt(2 h (k/n) g)); tighter per-weight terms plug in without
 interface changes.
 
+Multiuser profiles
+------------------
+A per-user curve needs, for block u of a partition (n_1..n_p), the
+profile O_h = sum over the allowed codewords of total weight h of
+w_u / n_u, or its analogue on the averaged binary image (`binary_avg`).
+Both are one contraction of the product form
+
+    PWE(w_1..w_p) = f(w) prod_i C(n_i, w_i),   f(w) = E(w) / C(n, w),
+
+with w = sum_i w_i.  With G(Z) = (1+Z)^m - 1, block i contributes the
+integer table
+
+    B_i(w_i, b_i) = C(n_i, w_i) [Z^b_i] G(Z)^w_i,   times b_i for i = u,
+
+restricted by its condition.  The tables are convolved over
+(w, b) = (sum w_i, sum b_i), and the profile at total bit weight h is
+
+    O_h = sum_w conv(w, h) f(w) (2^m-1)^(n-w)  /  ((2^m-1)^n m n_u),
+
+exact integers up to that one division (the averaging factor
+(2^m-1)^-w of F(Z)^w is moved to the common denominator (2^m-1)^n).
+At m = 1, G(Z) = Z forces
+b_i = w_i and 2^m - 1 = 1, so the same contraction is the symbol
+profile.  A 'zero' block keeps w_i = 0; a 'full' block keeps w_i = n_i
+with every bit set, b_i = m n_i; an 'atmost' block with fraction a
+keeps w_i <= floor(a n_i).  No bit-level cap is needed on top of that
+one, since b_i <= m w_i <= m floor(a n_i) <= floor(a m n_i).
+
 Multiuser conditioning restricts the enumerator to codewords that are
 all-zero on some blocks and full-weight on others, exactly as the
 conditional quantities are defined; no Bayes renormalization is applied,
@@ -41,14 +69,15 @@ and term sums are accumulated smallest-first.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
-from .binary_avg import avg_binary_wgf, bit_substitution_poly, bits_per_symbol
-from .mds_enum import MdsParams, binom, pwgf, weight_distribution
+from .binary_avg import avg_binary_wgf, bits_per_symbol, pattern_weight_powers
+from .mds_enum import (MdsParams, _validate_profile, binom, fixed_support_count,
+                       weight_distribution)
 from .poly import SparsePoly
 
 
@@ -154,24 +183,27 @@ def make_union_bound(rate: float) -> BoundTerm:
     return term
 
 
+def _ml_sum(coeffs: dict[int, float], rate: float, gamma_db: float,
+            term: Optional[BoundTerm]) -> float:
+    if term is None:
+        term = make_union_bound(rate)
+    terms = [c * term(gamma_db, h) for h, c in coeffs.items() if c]
+    return min(1.0, max(0.0, math.fsum(sorted(terms))))
+
+
 def cep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
                  gamma_db: float, term: Optional[BoundTerm] = None) -> float:
     """Bound on ML codeword error probability: sum_h E~(h) F(g, h)."""
-    if term is None:
-        term = make_union_bound(k / n)
-    terms = [float(avg_weights[h]) * term(gamma_db, h)
-             for h in range(1, m * n + 1) if avg_weights[h]]
-    return min(1.0, max(0.0, math.fsum(sorted(terms))))
+    coeffs = {h: float(avg_weights[h]) for h in range(1, m * n + 1) if avg_weights[h]}
+    return _ml_sum(coeffs, k / n, gamma_db, term)
 
 
 def bep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
                  gamma_db: float, term: Optional[BoundTerm] = None) -> float:
     """Bound on average bit error probability: E~(h) -> (h/(mn)) E~(h)."""
-    if term is None:
-        term = make_union_bound(k / n)
-    terms = [float(Fraction(h, m * n) * avg_weights[h]) * term(gamma_db, h)
-             for h in range(1, m * n + 1) if avg_weights[h]]
-    return min(1.0, max(0.0, math.fsum(sorted(terms))))
+    coeffs = {h: float(Fraction(h, m * n) * avg_weights[h])
+              for h in range(1, m * n + 1) if avg_weights[h]}
+    return _ml_sum(coeffs, k / n, gamma_db, term)
 
 
 # -- multiuser conditioning -------------------------------------------------
@@ -261,7 +293,11 @@ def user_iowe(poly: SparsePoly, user: int) -> dict[tuple[int, int], Fraction]:
     return out
 
 
-def _check_user_conditions(sizes, user, conditions):
+def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
+                  conditions: Sequence[Condition], m: int) -> dict[int, Fraction]:
+    """Conditioned profile of one user at m bits per symbol (m = 1: symbol
+    level): total weight -> sum of the user's weight share, by the
+    product-form contraction in the module docstring."""
     if len(conditions) != len(sizes):
         raise ConditionCountMismatchError(
             f"{len(sizes)} blocks but {len(conditions)} conditions")
@@ -269,95 +305,45 @@ def _check_user_conditions(sizes, user, conditions):
         raise ValueError(f"user index {user} out of range for {len(sizes)} blocks")
     if conditions[user].kind in ("zero", "full"):
         raise ValueError("the user under study must have a free or atmost condition")
+    _validate_profile(params, sizes, [0] * len(sizes))
+    n, den = params.n, (1 << m) - 1
+    powers = list(islice(pattern_weight_powers(m), max(sizes) + 1))
+    state = {(0, 0): 1}  # (symbol weight, bit weight) -> integer count
+    for i, (size, cond) in enumerate(zip(sizes, conditions)):
+        lo, hi = _cap(cond, size)
+        block = {}
+        for w in range(lo, hi + 1):
+            for b, c in enumerate(powers[w]):
+                if i == user:
+                    c *= b
+                if c and (cond.kind != "full" or b == m * size):
+                    block[w, b] = binom(size, w) * c
+        nxt: dict[tuple[int, int], int] = {}
+        for (w0, b0), c0 in state.items():
+            for (w1, b1), c1 in block.items():
+                key = (w0 + w1, b0 + b1)
+                nxt[key] = nxt.get(key, 0) + c0 * c1
+        state = nxt
+    f = [fixed_support_count(params, w) * den ** (n - w) for w in range(n + 1)]
+    acc: dict[int, int] = {}
+    for (w, b), c in state.items():
+        acc[b] = acc.get(b, 0) + c * f[w]
+    scale = den**n * m * sizes[user]
+    return {h: Fraction(c, scale) for h, c in acc.items() if c}
 
 
-@functools.lru_cache(maxsize=256)
-def _user_symbol_profile(params: MdsParams, sizes: tuple[int, ...], user: int,
-                         conditions: tuple[Condition, ...]) -> dict[int, Fraction]:
-    """O_h for one user: sum_w (w/n_user) O_user(w, h), conditioned."""
-    poly = conditional_pwgf(pwgf(params, sizes), sizes, conditions)
-    ow = user_iowe(poly, user)
-    n_user = sizes[user]
-    out: dict[int, Fraction] = {}
-    for (w, h), c in ow.items():
-        if w:
-            out[h] = out.get(h, Fraction(0)) + Fraction(w, n_user) * c
-    return out
-
-
-@functools.lru_cache(maxsize=256)
-def _user_bit_profile(params: MdsParams, sizes: tuple[int, ...], user: int,
-                      conditions: tuple[Condition, ...]) -> dict[int, Fraction]:
-    """O~_h for one user at bit level, conditioned.
-
-    Pipeline: symbol PWGF -> per-variable substitution X_i -> F(Z_i) ->
-    binary-level condition filter -> collapse to (user bits, total bits).
-    The collapse is applied per block before expanding, which is exact:
-    zero blocks contribute 1, full blocks keep only the top coefficient
-    of F^n_i (namely (2^m-1)^-n_i at bit weight m*n_i), 'atmost' blocks
-    truncate their own F power before merging, and every remaining block
-    folds into the total-bits variable directly.
-    """
-    m = bits_per_symbol(params.q)
-    sym = conditional_pwgf(pwgf(params, sizes), sizes, conditions)
-    f = bit_substitution_poly(m)
-    f_y = SparsePoly(2, {(0, e): c for (e,), c in f.terms.items()})
-    f_xy = SparsePoly(2, {(e, e): c for (e,), c in f.terms.items()})
-    one = SparsePoly.one(2)
-    den = (1 << m) - 1
-
-    y_powers: dict[int, SparsePoly] = {0: one}
-    xy_powers: dict[int, SparsePoly] = {0: one}
-
-    def power(cache, base, e):
-        if e not in cache:
-            top = max(cache)
-            acc = cache[top]
-            for i in range(top + 1, e + 1):
-                acc = acc * base
-                cache[i] = acc
-        return cache[e]
-
-    def truncated(poly2: SparsePoly, var: int, hi: int) -> SparsePoly:
-        return poly2.filter_terms(lambda exps: exps[var] <= hi)
-
-    total = SparsePoly.zero(2)
-    for exps, c in sym.terms.items():
-        prod = SparsePoly(2, {(0, 0): Fraction(c)})
-        for i, w in enumerate(exps):
-            cond = conditions[i]
-            if i == user:
-                factor = power(xy_powers, f_xy, w)
-                if cond.kind == "atmost":
-                    factor = truncated(factor, 0, math.floor(cond.fraction * m * sizes[i]))
-            elif cond.kind == "full":
-                # only the all-bits-set pattern of a full block survives
-                factor = SparsePoly(2, {(0, m * sizes[i]): Fraction(1, den ** sizes[i])})
-            else:
-                factor = power(y_powers, f_y, w)
-                if cond.kind == "atmost":
-                    factor = truncated(factor, 1, math.floor(cond.fraction * m * sizes[i]))
-            prod = prod * factor
-        total = total + prod
-
-    n_user_bits = m * sizes[user]
-    out: dict[int, Fraction] = {}
-    for (w_b, h_b), coeff in total.terms.items():
-        if w_b:
-            out[h_b] = out.get(h_b, Fraction(0)) + Fraction(w_b, n_user_bits) * coeff
-    return out
+def _float_profile(params: MdsParams, sizes: Sequence[int], user: int,
+                   conditions: Sequence[Condition], m: int) -> dict[int, float]:
+    profile = _user_profile(params, sizes, user, conditions, m)
+    return {h: float(c) for h, c in profile.items()}
 
 
 def multiuser_sep(params: MdsParams, sizes: Sequence[int], user: int,
                   conditions: Sequence[Condition], p: float) -> float:
     """Symbol error probability of one user's block under BM decoding,
     restricted to codewords satisfying the per-block conditions."""
-    sizes, conditions = tuple(sizes), tuple(conditions)
-    _check_user_conditions(sizes, user, conditions)
-    profile = _user_symbol_profile(params, sizes, user, conditions)
-    tau = (params.d - 1) // 2
-    coeffs = {h: float(c) for h, c in profile.items()}
-    return _bm_sum(coeffs, params.n, params.q, tau, p)
+    coeffs = _float_profile(params, sizes, user, conditions, 1)
+    return _bm_sum(coeffs, params.n, params.q, (params.d - 1) // 2, p)
 
 
 def multiuser_bep(params: MdsParams, sizes: Sequence[int], user: int,
@@ -365,13 +351,8 @@ def multiuser_bep(params: MdsParams, sizes: Sequence[int], user: int,
                   term: Optional[BoundTerm] = None) -> float:
     """Average bit error probability of one user's block (ML bound form),
     restricted to codewords satisfying the per-block conditions."""
-    sizes, conditions = tuple(sizes), tuple(conditions)
-    _check_user_conditions(sizes, user, conditions)
-    if term is None:
-        term = make_union_bound(params.k / params.n)
-    profile = _user_bit_profile(params, sizes, user, conditions)
-    terms = [float(c) * term(gamma_db, h) for h, c in profile.items() if c]
-    return min(1.0, max(0.0, math.fsum(sorted(terms))))
+    coeffs = _float_profile(params, sizes, user, conditions, bits_per_symbol(params.q))
+    return _ml_sum(coeffs, params.k / params.n, gamma_db, term)
 
 
 # -- SNR sweeps ----------------------------------------------------------------
@@ -419,17 +400,19 @@ def bep_curve(params: MdsParams, gammas: Sequence[float],
 def multiuser_curve(params: MdsParams, sizes: Sequence[int], user: int,
                     conditions: Sequence[Condition], gammas: Sequence[float],
                     metric: str, term: Optional[BoundTerm] = None) -> ErrorCurve:
-    """Conditional per-user SEP (BM) or BEP (ML bound) over an SNR grid."""
-    sizes, conditions = tuple(sizes), tuple(conditions)
-    m = bits_per_symbol(params.q)
-    pts = []
-    for g in gammas:
-        if metric == "sep":
-            ch = channel_map(g, params.n, params.k, m)
-            pts.append((g, multiuser_sep(params, sizes, user, conditions, ch.p_symbol)))
-        elif metric == "bep":
-            pts.append((g, multiuser_bep(params, sizes, user, conditions, g, term)))
-        else:
-            raise ValueError(f"per-user metrics are sep and bep, not {metric!r}")
+    """Conditional per-user SEP (BM) or BEP (ML bound) over an SNR grid;
+    the profile is computed once and every point is evaluated from it."""
+    n, k, q = params.n, params.k, params.q
+    m = bits_per_symbol(q)
+    if metric == "sep":
+        coeffs = _float_profile(params, sizes, user, conditions, 1)
+        tau = (params.d - 1) // 2
+        pts = [(g, _bm_sum(coeffs, n, q, tau, channel_map(g, n, k, m).p_symbol))
+               for g in gammas]
+    elif metric == "bep":
+        coeffs = _float_profile(params, sizes, user, conditions, m)
+        pts = [(g, _ml_sum(coeffs, k / n, g, term)) for g in gammas]
+    else:
+        raise ValueError(f"per-user metrics are sep and bep, not {metric!r}")
     return ErrorCurve("bm" if metric == "sep" else "ml-union", metric, user,
-                      conditions, tuple(pts))
+                      tuple(conditions), tuple(pts))

@@ -18,7 +18,8 @@ from typing import Callable, Optional, TextIO
 
 from . import binary_avg, duality, errorprob, mds_enum
 from .gf import Field, field_from_order
-from .linear_code import (LinearCode, Partition, brute_force_pwe, brute_force_weights,
+from .linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, Partition,
+                          RankDeficientError, brute_force_pwe, brute_force_weights,
                           code_from_generator, dual, min_distance, rm1_code, rs_code)
 from .mds_enum import MdsParams
 from .montecarlo import BmSphereOracle
@@ -43,7 +44,7 @@ def random_code(field: Field, n: int, k: int, rng: random.Random) -> LinearCode:
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
         try:
             return code_from_generator(field, rows)
-        except Exception:
+        except RankDeficientError:
             continue
 
 
@@ -333,8 +334,11 @@ def suite_duality(rng: random.Random) -> list[CheckResult]:
     for q in (2, 4, 8):
         field = field_from_order(q)
         for _ in range(4):
-            n = rng.randint(3, 10)
-            k = rng.randint(1, min(n, 5 if q == 8 else n))
+            while True:  # both the code and its dual are enumerated
+                n = rng.randint(3, 10)
+                k = rng.randint(1, min(n, 5 if q == 8 else n))
+                if q ** max(k, n - k) <= DEFAULT_ENUMERATION_BUDGET:
+                    break
             transform_cases.append(random_code(field, n, k, rng))
     transform_cases.append(rs_code(Field(2, 3), 7, 3))
     transform_cases.append(code_from_generator(Field(2, 1), PAPER_COUNTEREXAMPLE_ROWS))

@@ -205,6 +205,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_duality_suite_passes_at_seed(self, capsys, seed):
+        # at these seeds some first (n, k) draw over GF(8) has a dual beyond
+        # the enumeration budget, so the suite must draw again
+        code, out, _ = run_cli(capsys, "verify", "--suite", "duality", "--seed", seed)
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2 and "--suite" in err

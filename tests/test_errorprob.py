@@ -202,10 +202,13 @@ class TestMultiuser:
                     sep_bm(E, 15, 5, p, 16)
 
     def test_unconditional_bep_equals_code_bep(self):
+        # the all-free bit profile is (h/mn) E~(h) exactly, so the two
+        # bounds agree bit for bit
         avg = avg_binary_wgf(P1511)
-        for u in range(3):
-            assert multiuser_bep(P1511, SIZES_1511, u, (FREE,) * 4, 5.0) == \
-                pytest.approx(bep_ml_union(avg, 15, 4, 11, 5.0), rel=1e-12)
+        for u in range(4):
+            for g in (4.0, 5.0, 6.5, 8.0):
+                assert multiuser_bep(P1511, SIZES_1511, u, (FREE,) * 4, g) == \
+                    bep_ml_union(avg, 15, 4, 11, g)
 
     def test_zero_error_channel(self):
         assert multiuser_sep(P1511, SIZES_1511, 2, (ZERO, FULL, FREE, FREE), 0.0) == 0.0
@@ -218,27 +221,30 @@ class TestMultiuser:
         assert v11 < v01 < v00
 
     def test_collapsed_bit_route_matches_literal_pipeline(self):
-        # the production path folds blocks into (user bits, total bits)
-        # before the F substitution; the literal pipeline substitutes into
-        # all blocks, filters at bit level, then extracts
-        from mdswe.errorprob import _user_bit_profile
+        # the production path contracts per-block (weight, bits) tables
+        # against f(w); the literal pipeline materialises the PWGF,
+        # substitutes into all blocks, filters at bit level, then extracts
+        from mdswe.errorprob import _user_profile
 
-        sizes = (1, 1, 2, 3)
-        m = 3
-        for conds in [(FREE,) * 4, (ZERO, FULL, FREE, FREE),
-                      (FREE, at_most(Fraction(1, 2)), FREE, FREE)]:
-            for user in (0, 2):
-                if conds[user].kind in ("zero", "full"):
-                    continue
-                sym = conditional_pwgf(pwgf(P738, sizes), sizes, conds)
-                bits = conditional_pwgf(avg_binary_pwgf(sym, m), sizes, conds,
-                                        binary=True, m=m)
+        cases = [(P738, (1, 1, 2, 3), user, conds)
+                 for conds in [(FREE,) * 4, (ZERO, FULL, FREE, FREE),
+                               (FREE, at_most(Fraction(1, 2)), FREE, FREE)]
+                 for user in (0, 2) if conds[user].kind not in ("zero", "full")]
+        cases += [(P1511, SIZES_1511, 2, conds)
+                  for conds in [(ZERO, ZERO, FREE, FREE), (ZERO, FULL, FREE, FREE),
+                                (FULL, FULL, FREE, FREE)]]
+        for params, sizes, user, conds in cases:
+            m = bits_per_symbol(params.q)
+            sym = conditional_pwgf(pwgf(params, sizes), sizes, conds)
+            bits = conditional_pwgf(avg_binary_pwgf(sym, m), sizes, conds,
+                                    binary=True, m=m)
+            for scale, poly in ((1, sym), (m, bits)):
                 expected = {}
-                for (w, h), c in user_iowe(bits, user).items():
+                for (w, h), c in user_iowe(poly, user).items():
                     if w:
                         expected[h] = expected.get(h, Fraction(0)) + \
-                            Fraction(w, m * sizes[user]) * c
-                assert _user_bit_profile(P738, sizes, user, conds) == expected
+                            Fraction(w, scale * sizes[user]) * c
+                assert _user_profile(params, sizes, user, conds, scale) == expected
 
     def test_user_condition_must_be_free_or_atmost(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,40 @@
+"""Smoke tests of the experiment scripts, run through their main(argv)."""
+
+import csv
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_multiuser_curves(tmp_path):
+    out = tmp_path / "curves.csv"
+    assert load_script("multiuser_curves").main(["--snr", "4:8:1", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert list(rows[0]) == ["gamma_db", "cep", "sep", "sep(0,0)", "bep(0,0)", "sep(0,1)",
+                             "bep(0,1)", "sep(1,1)", "bep(1,1)", "bep"]
+    assert [float(r["gamma_db"]) for r in rows] == [4.0, 5.0, 6.0, 7.0, 8.0]
+    for r in rows:
+        assert all(0.0 <= float(v) <= 1.0 for k, v in r.items() if k != "gamma_db")
+        assert float(r["bep(1,1)"]) < float(r["bep(0,1)"]) < float(r["bep(0,0)"])
+
+
+def test_binary_spectrum(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    assert load_script("binary_spectrum").main(["--code", "8:7:3", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 22
+    assert sum(Fraction(r["exact"]) for r in rows) == 8**3
