@@ -8,8 +8,8 @@ from .linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, Partition, Pwe
                           dual, min_distance, rm1_code, rs_code, support_histogram)
 from .mds_enum import (MdsParams, check_convolution_identity, check_subset_identity,
                        coordinate_weight_sum, fixed_support_count, iowe, psi,
-                       pwe_direct, pwe_product, pwgf, split_we, weight_at,
-                       weight_distribution)
+                       pwe_direct, pwe_direct_table, pwe_product, pwgf, split_we,
+                       weight_at, weight_distribution)
 from .binary_avg import (avg_binary_iowe, avg_binary_pwgf, avg_binary_wgf,
                          binomial_approx, bit_substitution_poly, bits_per_symbol)
 from .duality import (PropertyAReport, PropertyAWitness, dual_property_a, krawtchouk,

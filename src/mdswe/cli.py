@@ -37,8 +37,8 @@ from .duality import macwilliams_pwe, property_a_check
 from .errorprob import (bep_curve, bm_curve, multiuser_curve, parse_condition, snr_grid)
 from .gf import field_from_order, parse_field_spec
 from .linear_code import (BudgetExceededError, LinearCode, Partition, brute_force_pwe,
-                          brute_force_weights, code_from_generator, dual, rm1_code,
-                          rs_code)
+                          brute_force_weights, code_from_generator, dual, min_distance,
+                          rm1_code, rs_code)
 from .mds_enum import MdsParams, pwgf
 
 
@@ -132,10 +132,37 @@ def _table_document(args, sizes, counts, extra: Optional[dict] = None) -> tuple[
     return doc, rows
 
 
+def _mds_params(args, code: LinearCode) -> Optional[MdsParams]:
+    """The code's (n, k, q) if it is MDS, else None.
+
+    `rs:` specs and their duals are MDS by construction; any other code is
+    MDS iff its minimum distance, found by exhaustive enumeration within
+    --budget, is n - k + 1.  The zero code has no MdsParams.
+    """
+    if code.k == 0:
+        return None
+    params = MdsParams.from_code(code)
+    spec = args.code
+    while spec.startswith("dual:"):
+        spec = spec[len("dual:"):]
+    if spec.startswith("rs:") or min_distance(code, budget=args.budget) == params.d:
+        return params
+    return None
+
+
+def _require_mds(args, code: LinearCode) -> MdsParams:
+    params = _mds_params(args, code)
+    if params is None:
+        raise UsageError(f"--code: {args.code} is not MDS: the closed forms need "
+                         f"minimum distance n - k + 1 = {code.n - code.k + 1}; "
+                         "use brute for any code")
+    return params
+
+
 def _cmd_pwe(args) -> int:
     code = parse_code_spec(args.code)
     sizes = parse_partition_sizes(args.partition)
-    params = MdsParams.from_code(code)
+    params = _require_mds(args, code)
     poly = pwgf(params, sizes)
     doc, rows = _table_document(args, sizes, poly.terms,
                                 {"n": params.n, "k": params.k, "q": params.q})
@@ -159,13 +186,17 @@ def _cmd_binary(args) -> int:
     if args.partition:
         # exercise the partition route: substitute per block, then collapse
         sizes = parse_partition_sizes(args.partition)
-        params = MdsParams.from_code(code)
+        params = _require_mds(args, code)
         merged = avg_binary_pwgf(pwgf(params, sizes), m).collapse([0] * len(sizes), 1)
         top = m * code.n
         weights = [merged.coeff((h,)) for h in range(top + 1)]
     else:
-        weights = avg_binary_weights_from_distribution(
-            brute_force_weights(code, budget=args.budget), m)
+        params = _mds_params(args, code)
+        if params is not None:
+            weights = avg_binary_wgf(params)
+        else:
+            weights = avg_binary_weights_from_distribution(
+                brute_force_weights(code, budget=args.budget), m)
     rows = [{"h_b": h, "exact": _format_exact(Fraction(w)), "float64": repr(float(w))}
             for h, w in enumerate(weights)]
     doc = {"code": args.code, "bits_per_symbol": m,
@@ -210,7 +241,7 @@ def _cmd_property_a(args) -> int:
 
 def _cmd_errprob(args) -> int:
     code = parse_code_spec(args.code)
-    params = MdsParams.from_code(code)
+    params = _require_mds(args, code)
     gammas = parse_snr_range(args.snr)
     metric = args.metric
     decoder = args.decoder or ("bm" if metric in ("cep", "sep") else "ml-union")

@@ -272,13 +272,20 @@ def _support_histogram_cached(code: LinearCode) -> dict[int, int]:
         base = combine(base[None, :, :], mult[i][:, None, :]).reshape(-1, n)
         i += 1
 
-    pow2 = (1 << np.arange(n)).astype(np.int64)
     hist: dict[int, int] = {}
 
     def tally(arr):
-        masks = (arr != 0).astype(np.int64) @ pow2
-        vals, cnts = np.unique(masks, return_counts=True)
-        for v, c in zip(vals.tolist(), cnts.tolist()):
+        # bit j of a mask is coordinate j: pack little-endian, eight per byte
+        packed = np.packbits(arr != 0, axis=1, bitorder="little")
+        if n <= 64:
+            words = np.zeros((len(packed), 8), dtype=np.uint8)
+            words[:, :packed.shape[1]] = packed
+            vals, cnts = np.unique(words.view("<u8").ravel(), return_counts=True)
+            masks = vals.tolist()
+        else:
+            vals, cnts = np.unique(packed, axis=0, return_counts=True)
+            masks = [int.from_bytes(v.tobytes(), "little") for v in vals]
+        for v, c in zip(masks, cnts.tolist()):
             hist[v] = hist.get(v, 0) + c
 
     if i == k:

@@ -11,21 +11,27 @@ distribution is
 and the partition weight enumerator for blocks of sizes (n_1..n_p) and a
 weight profile (w_1..w_p) admits two independent evaluations:
 
-  * `pwe_direct`  - the nested alternating sum over indices j_1..j_p,
-    where the innermost index runs from max(0, d - sum of the earlier
-    indices) so that the power of q is always positive;
+  * the nested alternating sum over indices j_1..j_p, where the innermost
+    index runs from max(0, d - sum of the earlier indices) so that the
+    power of q is always positive;
   * `pwe_product` - E(w) * prod C(n_i, w_i) / C(n, w) with w = sum w_i,
-    an exact integer division.
+    an exact integer division (`pwgf` tabulates it for a partition).
 
-Both must agree with each other and with exhaustive enumeration
-(`linear_code.brute_force_pwe`); the test suite checks this coefficient
-for coefficient.  The conventions E(0) = 1 and E(h) = 0 below d let the
-product form cover every profile, not only those of weight >= d.
+The nested sum has two entry points over one depth-first walk of the
+blocks: `pwe_direct` for one profile and `pwe_direct_table` for every
+profile of a partition.  Neither calls `weight_at`, the product form, or
+a Vandermonde collapse of the sum, so the two evaluations stay
+independent: both must agree with each other and with exhaustive
+enumeration (`linear_code.brute_force_pwe`), and ``mdswe verify --suite
+oracle`` checks this coefficient for coefficient.  The conventions
+E(0) = 1 and E(h) = 0 below d let the product form cover every profile,
+not only those of weight >= d.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple, Sequence
@@ -116,42 +122,74 @@ def _validate_profile(params: MdsParams, sizes: Sequence[int],
         raise ProfileOutOfRangeError(f"profile {tuple(profile)} exceeds {tuple(sizes)}")
 
 
+def _nested_sum(params: MdsParams, sizes: Sequence[int],
+                choices: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
+    """The nested alternating sum at every profile in the product of `choices`.
+
+    `choices[i]` lists the weights of block i to evaluate.  A depth-first
+    walk over the blocks carries, for each prefix (w_1..w_i), its binomial
+    scale prod C(n_i, w_i) and the vector over the running index total
+    J = j_1 + ... + j_i of sum prod C(w_i, j_i) (-1)^(w_i - j_i); profiles
+    sharing a prefix share its convolutions.  The last block's inner sum
+
+        T(w, J) = sum_{j = max(0, d - J)}^{w} C(w, j) (-1)^(w - j) (q^(J + j - d + 1) - 1)
+
+    is tabulated once over J, so each profile costs one dot product.
+    Entries that vanish are left out.
+    """
+    q, d = params.q, params.d
+    *head, last = choices
+    top = sum(max(ws) for ws in head)
+    rows = {w: [binom(w, j) * (-1) ** (w - j) for j in range(w + 1)]
+            for ws in choices for w in ws}
+    tails = {w: [sum(rows[w][j] * (q ** (acc + j - d + 1) - 1)
+                     for j in range(max(0, d - acc), w + 1))
+                 for acc in range(top + 1)]
+             for w in last}
+    table: dict[tuple[int, ...], int] = {}
+
+    def walk(i: int, prefix: tuple[int, ...], vec: list[int], scale: int) -> None:
+        if i == len(head):
+            for w in last:
+                total = sum(map(operator.mul, vec, tails[w]))
+                if total:
+                    table[(*prefix, w)] = scale * binom(sizes[i], w) * total
+            return
+        for w in head[i]:
+            row = rows[w]
+            conv = [0] * (len(vec) + w)
+            for a, v in enumerate(vec):
+                if v:
+                    for b, r in enumerate(row):
+                        conv[a + b] += v * r
+            walk(i + 1, (*prefix, w), conv, scale * binom(sizes[i], w))
+
+    walk(0, (), [1], 1)
+    if all(0 in ws for ws in choices):
+        table[(0,) * len(choices)] = 1
+    return table
+
+
 def pwe_direct(params: MdsParams, sizes: Sequence[int],
                profile: Sequence[int]) -> int:
     """Partition weight enumerator via the nested alternating sum.
 
-    Retained as an implementation independent of `pwe_product` for
-    cross-validation.  The recursion shares partial sums over the running
-    index total, which leaves the summation structure intact while
-    avoiding the exponential blowup in the number of blocks.
+    The one-profile case of `pwe_direct_table`; retained as an
+    implementation independent of `pwe_product` for cross-validation.
     """
     _validate_profile(params, sizes, profile)
-    if not any(profile):
-        return 1
-    n, k, q, d = params.n, params.k, params.q, params.d
-    p = len(sizes)
-    last_w = profile[-1]
-    memo: dict[tuple[int, int], int] = {}
+    profile = tuple(profile)
+    return _nested_sum(params, sizes, [(w,) for w in profile]).get(profile, 0)
 
-    def tail(idx: int, acc: int) -> int:
-        key = (idx, acc)
-        if key in memo:
-            return memo[key]
-        if idx == p - 1:
-            total = 0
-            for j in range(max(0, d - acc), last_w + 1):
-                total += (binom(last_w, j) * (-1) ** (last_w - j)
-                          * (q ** (k - n + acc + j) - 1))
-        else:
-            w = profile[idx]
-            total = 0
-            for j in range(w + 1):
-                total += binom(w, j) * (-1) ** (w - j) * tail(idx + 1, acc + j)
-        memo[key] = total
-        return total
 
-    scale = math.prod(binom(s, w) for s, w in zip(sizes, profile))
-    return scale * tail(0, 0)
+def pwe_direct_table(params: MdsParams, sizes: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Nested-sum enumerator at every profile of one partition.
+
+    Maps each profile with a nonzero count to that count, like
+    `pwgf(params, sizes).terms`, but by the route of `pwe_direct`.
+    """
+    _validate_profile(params, sizes, [0] * len(sizes))
+    return _nested_sum(params, sizes, [range(s + 1) for s in sizes])
 
 
 def _product_count(e_w: int, n: int, w: int, sizes: Sequence[int],

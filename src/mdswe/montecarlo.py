@@ -79,10 +79,11 @@ class BmSphereOracle:
                             word += dv * qpow[j]
                         packed.append(word)
                         info_w.append(w_info)
-        order = np.argsort(np.array(packed, dtype=np.int64))
-        self._keys = np.array(packed, dtype=np.int64)[order]
+        keys = np.array(packed, dtype=np.int64)
+        order = np.argsort(keys)
+        self._keys = keys[order]
         self._info = np.array(info_w, dtype=np.int64)[order]
-        if len(np.unique(self._keys)) != len(self._keys):
+        if np.any(self._keys[1:] == self._keys[:-1]):
             raise AssertionError("decoding spheres overlap")  # would break exactness
         self.code = code
         self.tau = tau

@@ -187,26 +187,28 @@ def _oracle_codes():
 
 
 def suite_oracle(rng: random.Random, partitions_per_code: int = 20) -> list[CheckResult]:
-    """pwe_direct == pwe_product == brute force, coefficient for coefficient."""
+    """pwe_direct == pwe_product == brute force, coefficient for coefficient.
+
+    Compares three whole tables per partition, `pwe_direct_table`, `pwgf`
+    and `brute_force_pwe`, at every profile.
+    """
     failures = []
     codes = 0
     tables = 0
     for field, q, n, k in _oracle_codes():
         code = rs_code(field, n, k)
         params = MdsParams(n, k, q)
-        weights = mds_enum.weight_distribution(params)
         codes += 1
         for _ in range(partitions_per_code):
             part = random_partition(n, rng)
             sizes = part.sizes
+            direct = mds_enum.pwe_direct_table(params, sizes)
+            prod = mds_enum.pwgf(params, sizes).terms
             brute = brute_force_pwe(code, part).counts
             tables += 1
             for profile in itertools.product(*[range(s + 1) for s in sizes]):
-                w = sum(profile)
-                prod = mds_enum._product_count(weights[w], n, w, sizes, profile) \
-                    if weights[w] else 0
-                direct = mds_enum.pwe_direct(params, sizes, profile)
-                if not (prod == direct == brute.get(profile, 0)):
+                if not (direct.get(profile, 0) == prod.get(profile, 0)
+                        == brute.get(profile, 0)):
                     failures.append((q, n, k, sizes, profile))
     detail = f"{codes} codes, {tables} tables" + (f"; failures: {failures[:3]}" if failures else "")
     return [CheckResult("oracle:direct==product==brute-force", not failures, detail)]

@@ -23,11 +23,10 @@ from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (Partition, brute_force_pwe, brute_force_weights,
                                code_from_generator, dual, rm1_code, rs_code)
 from mdswe.mds_enum import (MdsParams, check_convolution_identity, check_subset_identity,
-                            pwe_direct, pwgf, weight_distribution)
+                            pwe_direct_table, pwgf)
 from mdswe.montecarlo import BmSphereOracle
 from mdswe.poly import SparsePoly
 from mdswe.verify import random_partition
-from mdswe.mds_enum import _product_count
 
 ROWS_53 = [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1]]
 ROWS_HAMMING74 = [[1, 1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0],
@@ -83,19 +82,16 @@ def test_criterion_2_oracle_equivalence():
                     codes += 1
                     code = rs_code(field, n, k)
                     params = MdsParams(n, k, q)
-                    weights = weight_distribution(params)
                     for _ in range(20):
                         part = random_partition(n, rng)
                         sizes = part.sizes
+                        direct = pwe_direct_table(params, sizes)
+                        product = pwgf(params, sizes).terms
                         brute = brute_force_pwe(code, part).counts
                         for profile in itertools.product(
                                 *[range(s + 1) for s in sizes]):
-                            w = sum(profile)
-                            product = _product_count(
-                                weights[w], n, w, sizes, profile) if weights[w] else 0
-                            direct = pwe_direct(params, sizes, profile)
-                            assert direct == product == brute.get(profile, 0), \
-                                (q, n, k, sizes, profile)
+                            assert direct.get(profile, 0) == product.get(profile, 0) \
+                                == brute.get(profile, 0), (q, n, k, sizes, profile)
         assert codes == 98
 
 

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from mdswe import mds_enum, verify
 from mdswe.cli import main, parse_code_spec, parse_partition_sizes, parse_snr_range
 from mdswe.binary_avg import avg_binary_wgf
 from mdswe.gf import Field
@@ -124,6 +127,48 @@ class TestBinaryCommand:
                                "--partition", "3,4", "--format", "csv")
         assert plain == routed
 
+    def test_rs_code_beyond_enumeration_budget(self, capsys):
+        # q^k = 16^11 is never enumerated: an rs: spec takes the closed form
+        code, out, _ = run_cli(capsys, "binary", "--code", "rs:16:15:11",
+                               "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        expected = avg_binary_wgf(MdsParams(15, 11, 16))
+        assert [Fraction(r["exact"]) for r in rows] == expected
+        assert len(expected) == 61
+
+
+class TestMdsCheck:
+    @pytest.mark.parametrize("argv", [
+        ("pwe", "--partition", "4,4"),
+        ("binary", "--partition", "4,4"),
+        ("errprob", "--metric", "cep", "--snr", "4:6:1"),
+    ], ids=["pwe", "binary", "errprob"])
+    def test_non_mds_code_exits_two(self, capsys, argv):
+        # RM(1,3) is (8,4) with d = 4 < n - k + 1 = 5
+        code, out, err = run_cli(capsys, argv[0], "--code", "rm1:3", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "not MDS" in err
+
+    def test_mds_code_without_rs_spec_is_accepted(self, capsys):
+        # RM(1,1) is the whole space GF(2)^2, d = 1 = n - k + 1
+        code, out, _ = run_cli(capsys, "pwe", "--code", "rm1:1", "--partition", "1,1")
+        assert code == 0
+        assert json.loads(out)["total"] == "4"
+
+    def test_budget_bounds_the_mds_check(self, capsys):
+        code, _, err = run_cli(capsys, "pwe", "--code", "dual:rm1:3",
+                               "--partition", "4,4", "--budget", "10")
+        assert code == 2
+        assert "budget" in err
+
+    def test_non_mds_binary_without_partition_enumerates(self, capsys):
+        code, out, _ = run_cli(capsys, "binary", "--code", "rm1:3", "--format", "csv")
+        assert code == 0
+        rows = {int(r["h_b"]): r["exact"] for r in csv.DictReader(io.StringIO(out))}
+        assert rows[0] == "1" and rows[4] == "14" and rows[8] == "1"
+
 
 class TestDualPweCommand:
     def test_matches_brute_force_of_dual(self, capsys):
@@ -212,6 +257,30 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "duality", "--seed", seed)
         assert code == 0
         assert "FAIL" not in out
+
+    def test_oracle_suite_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--seed", "7")
+        assert code == 0
+        assert out.startswith("ok   - oracle:direct==product==brute-force")
+        assert "(98 codes, 1960 tables)" in out
+
+    def test_oracle_suite_catches_one_wrong_entry(self, monkeypatch):
+        field = verify.field_from_order(8)
+        monkeypatch.setattr(verify, "_oracle_codes", lambda: iter([(field, 8, 7, 3)]))
+        original = mds_enum.pwe_direct_table
+        seen = []
+
+        def perturbed(params, sizes):
+            table = original(params, sizes)
+            if not seen:  # one entry of the first table: the all-full profile
+                seen.append(tuple(sizes))
+                table[tuple(sizes)] += 1
+            return table
+
+        monkeypatch.setattr(mds_enum, "pwe_direct_table", perturbed)
+        [result] = verify.suite_oracle(random.Random(7), partitions_per_code=3)
+        assert not result.passed
+        assert f"failures: [(8, 7, 3, {seen[0]}, {seen[0]})]" in result.detail
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")

@@ -72,6 +72,13 @@ class TestRm1Code:
     def test_m2_weights(self):
         assert brute_force_weights(rm1_code(2)) == [1, 0, 6, 0, 1]
 
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_weights_for_long_codes(self, m):
+        # n = 2^m reaches 64 and 128 coordinates, past one 64-bit mask word
+        E = brute_force_weights(rm1_code(m))
+        assert {h: c for h, c in enumerate(E) if c} == \
+            {0: 1, 1 << (m - 1): (1 << (m + 1)) - 2, 1 << m: 1}
+
 
 class TestCodeFromGenerator:
     def test_counterexample_codewords(self):

@@ -9,8 +9,8 @@ from mdswe.linear_code import Partition, brute_force_pwe, rs_code
 from mdswe.mds_enum import (InternalError, MdsParams, ProfileOutOfRangeError, binom,
                             check_convolution_identity, check_subset_identity,
                             coordinate_weight_sum, fixed_support_count, iowe, psi,
-                            pwe_direct, pwe_product, pwgf, split_we, weight_at,
-                            weight_distribution)
+                            pwe_direct, pwe_direct_table, pwe_product, pwgf, split_we,
+                            weight_at, weight_distribution)
 
 P738 = MdsParams(7, 3, 8)
 P758 = MdsParams(7, 5, 8)
@@ -222,22 +222,45 @@ class TestIdentities:
                     assert lhs == s * h * E[h]
 
 
+def _random_sizes(rng, n):
+    p = rng.randint(1, min(n, 4))
+    cuts = sorted(rng.sample(range(1, n), p - 1))
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+
+
+ORACLE_CODES = [(4, 3, 2), (8, 5, 3), (8, 7, 3), (16, 6, 2)]
+
+
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("q,n,k", [(4, 3, 2), (8, 5, 3), (8, 7, 3), (16, 6, 2)])
+    @pytest.mark.parametrize("q,n,k", ORACLE_CODES)
     def test_all_three_routes_agree(self, q, n, k):
         rng = random.Random(q * 100 + n * 10 + k)
         field = field_from_order(q)
         code = rs_code(field, n, k)
         prm = MdsParams(n, k, q)
         for _ in range(5):
-            p = rng.randint(1, min(n, 4))
-            cuts = sorted(rng.sample(range(1, n), p - 1))
-            sizes = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+            sizes = _random_sizes(rng, n)
             brute = brute_force_pwe(code, Partition.contiguous(sizes)).counts
             for profile in itertools.product(*[range(s + 1) for s in sizes]):
                 direct = pwe_direct(prm, sizes, profile)
                 product = pwe_product(prm, sizes, profile)
                 assert direct == product == brute.get(profile, 0), (sizes, profile)
+
+    @pytest.mark.parametrize("q,n,k", ORACLE_CODES)
+    def test_direct_table_matches_per_profile_and_pwgf(self, q, n, k):
+        rng = random.Random(q * 100 + n * 10 + k)
+        prm = MdsParams(n, k, q)
+        for _ in range(5):
+            sizes = _random_sizes(rng, n)
+            table = pwe_direct_table(prm, sizes)
+            assert table == pwgf(prm, sizes).terms, sizes
+            for profile in itertools.product(*[range(s + 1) for s in sizes]):
+                assert table.get(profile, 0) == pwe_direct(prm, sizes, profile), \
+                    (sizes, profile)
+
+    def test_direct_table_validates_sizes(self):
+        with pytest.raises(ProfileOutOfRangeError):
+            pwe_direct_table(P738, (1, 1, 2))
 
     def test_total_is_q_to_k(self):
         for prm in (P738, P758, MdsParams(6, 4, 8)):
@@ -276,3 +299,17 @@ class TestStructuralProperties:
         sizes = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
         profile = tuple(data.draw(st.integers(0, s)) for s in sizes)
         assert pwe_direct(prm, sizes, profile) == pwe_product(prm, sizes, profile)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_direct_table_equals_pwgf_random(self, data):
+        q = data.draw(st.sampled_from([4, 8, 16]))
+        n = data.draw(st.integers(1, min(q - 1, 12)))
+        k = data.draw(st.integers(1, n))
+        prm = MdsParams(n, k, q)
+        p = data.draw(st.integers(1, min(n, 6)))
+        cuts = sorted(data.draw(
+            st.lists(st.integers(1, n - 1), min_size=p - 1, max_size=p - 1,
+                     unique=True))) if p > 1 else []
+        sizes = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+        assert pwe_direct_table(prm, sizes) == pwgf(prm, sizes).terms
