@@ -31,8 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import verify as verify_mod
-from .binary_avg import (avg_binary_pwgf, avg_binary_weights_from_distribution,
-                         avg_binary_wgf, bits_per_symbol)
+from .binary_avg import avg_binary_weights_from_distribution, avg_binary_wgf, bits_per_symbol
 from .duality import macwilliams_pwe, property_a_check
 from .errorprob import (bep_curve, bm_curve, multiuser_curve, parse_condition, snr_grid)
 from .gf import field_from_order, parse_field_spec
@@ -184,12 +183,14 @@ def _cmd_binary(args) -> int:
     code = parse_code_spec(args.code)
     m = bits_per_symbol(code.field.order)
     if args.partition:
-        # exercise the partition route: substitute per block, then collapse
+        # the partition route: averaging substitutes the same F(Z) in every
+        # block, so the PWGF summed by total symbol weight carries it all
         sizes = parse_partition_sizes(args.partition)
         params = _require_mds(args, code)
-        merged = avg_binary_pwgf(pwgf(params, sizes), m).collapse([0] * len(sizes), 1)
-        top = m * code.n
-        weights = [merged.coeff((h,)) for h in range(top + 1)]
+        symbol_weights = [0] * (code.n + 1)
+        for profile, count in pwgf(params, sizes).terms.items():
+            symbol_weights[sum(profile)] += count
+        weights = avg_binary_weights_from_distribution(symbol_weights, m)
     else:
         params = _mds_params(args, code)
         if params is not None:
@@ -353,6 +354,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # exact coefficients beyond ~1e308 cannot cross the float boundary
+        print(f"error: an exact value exceeds the float64 range at the float "
+              f"boundary ({exc})", file=sys.stderr)
         return 2
 
 

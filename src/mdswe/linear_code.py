@@ -340,6 +340,10 @@ def brute_force_weights(code: LinearCode, budget: Optional[int] = None) -> list[
 
 
 def min_distance(code: LinearCode, budget: Optional[int] = None) -> int:
+    """Smallest nonzero codeword weight, by exhaustive tally."""
+    if code.k == 0:
+        raise ValueError(f"the zero code of length {code.n} has no nonzero codeword, "
+                         "so no minimum distance")
     E = brute_force_weights(code, budget)
     return next(h for h in range(1, code.n + 1) if E[h])
 
@@ -354,9 +358,15 @@ def rs_code(field: Field, n: int, k: int,
     Codewords are (f(a_1), ..., f(a_n)) for polynomials of degree < k over
     the n distinct nonzero evaluation points; by default the points are
     g^0, g^1, ... for a multiplicative generator g, which makes the code
-    cyclic when n = q - 1.  The generator matrix is row-reduced so the
-    first k coordinates are systematic.  The enumerators of the result do
-    not depend on the choice or order of the points.
+    cyclic when n = q - 1.  The enumerators of the result do not depend on
+    the choice or order of the points.
+
+    The generator is written directly in systematic form [I | P]: row i
+    evaluates the Lagrange basis polynomial L_i of the first k points, so
+    P[i][j] = l(a_j) * w_i / (a_j - a_i) with l(x) = prod_{l<k} (x - a_l)
+    and barycentric weights w_i = 1 / prod_{l<k, l!=i} (a_i - a_l).  That
+    is the unique reduced row echelon form of the k x n Vandermonde
+    matrix, built in O(k(n-k)) field operations without row reduction.
     """
     q = field.order
     if not 1 <= k <= n:
@@ -374,11 +384,24 @@ def rs_code(field: Field, n: int, k: int,
         eval_points = [int(v) for v in eval_points]
         if len(eval_points) != n or len(set(eval_points)) != n or 0 in eval_points:
             raise ValueError("evaluation points must be n distinct nonzero elements")
-    rows = [[field.pow(a, i) for a in eval_points] for i in range(k)]
-    rref, pivots = _row_reduce(field, rows)
-    # any k columns of an RS generator are independent, so the first k are pivots
-    assert pivots == list(range(k))
-    return LinearCode(field, rref, systematic_columns=range(k), _skip_rank_check=True)
+    info, parity = eval_points[:k], eval_points[k:]
+
+    def prod_diff(x: int, points: Sequence[int]) -> int:
+        acc = 1
+        for y in points:
+            acc = field.mul(acc, field.sub(x, y))
+        return acc
+
+    ell = [prod_diff(x, info) for x in parity]
+    rows = []
+    for i, a_i in enumerate(info):
+        w_i = field.inv(prod_diff(a_i, info[:i] + info[i + 1:]))
+        row = [0] * n
+        row[i] = 1
+        for j, (a_j, l_j) in enumerate(zip(parity, ell), start=k):
+            row[j] = field.div(field.mul(l_j, w_i), field.sub(a_j, a_i))
+        rows.append(row)
+    return LinearCode(field, rows, systematic_columns=range(k), _skip_rank_check=True)
 
 
 def rm1_code(m: int) -> LinearCode:

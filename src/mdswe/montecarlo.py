@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linear_code import LinearCode, brute_force_weights
+from .linear_code import LinearCode, min_distance
 
 _SIM_CHUNK = 1 << 18
 
@@ -51,8 +51,7 @@ class BmSphereOracle:
 
     def __init__(self, code: LinearCode, tau: Optional[int] = None):
         q, n, k = code.field.order, code.n, code.k
-        weights = brute_force_weights(code)
-        d = next(h for h in range(1, n + 1) if weights[h])
+        d = min_distance(code)
         if tau is None:
             tau = (d - 1) // 2
         if 2 * tau + 1 > d:

@@ -10,10 +10,10 @@ import pytest
 
 from mdswe import mds_enum, verify
 from mdswe.cli import main, parse_code_spec, parse_partition_sizes, parse_snr_range
-from mdswe.binary_avg import avg_binary_wgf
+from mdswe.binary_avg import avg_binary_pwgf, avg_binary_wgf
 from mdswe.gf import Field
 from mdswe.linear_code import Partition, brute_force_pwe, dual, rs_code
-from mdswe.mds_enum import MdsParams
+from mdswe.mds_enum import MdsParams, pwgf
 
 PAPER53_DOC = {"field": "gf:2^1", "rows": [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1],
                                            [0, 0, 1, 0, 1]]}
@@ -127,6 +127,17 @@ class TestBinaryCommand:
                                "--partition", "3,4", "--format", "csv")
         assert plain == routed
 
+    @pytest.mark.parametrize("sizes", [(3, 4), (1, 2, 4)])
+    def test_partition_route_matches_substitution_pipeline(self, capsys, sizes):
+        code, out, _ = run_cli(capsys, "binary", "--code", "rs:8:7:3", "--partition",
+                               ",".join(map(str, sizes)), "--format", "csv")
+        assert code == 0
+        merged = avg_binary_pwgf(pwgf(MdsParams(7, 3, 8), sizes), 3).collapse(
+            [0] * len(sizes), 1)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [Fraction(r["exact"]) for r in rows] == \
+            [Fraction(merged.coeff((h,))) for h in range(22)]
+
     def test_rs_code_beyond_enumeration_budget(self, capsys):
         # q^k = 16^11 is never enumerated: an rs: spec takes the closed form
         code, out, _ = run_cli(capsys, "binary", "--code", "rs:16:15:11",
@@ -222,6 +233,17 @@ class TestErrprobCommand:
         code, out, _ = run_cli(capsys, "errprob", "--code", "rs:8:7:3",
                                "--metric", "bep", "--snr", "4:6:1")
         assert code == 0
+
+    @pytest.mark.parametrize("metric", ["cep", "bep"])
+    def test_float_overflow_exits_two(self, metric):
+        # E(h) of (255,223,256) exceeds the float64 range
+        proc = subprocess.run([sys.executable, "-m", "mdswe.cli", "errprob", "--code",
+                               "rs:256:255:223", "--metric", metric, "--snr", "4:5:1"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "float boundary" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
     def test_condition_requires_user_partition(self, capsys):
         code, _, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",

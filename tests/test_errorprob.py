@@ -13,7 +13,7 @@ from mdswe.errorprob import (FREE, FULL, ZERO, ConditionCountMismatchError,
                              multiuser_curve, multiuser_sep, parse_condition, sep_bm,
                              snr_grid, sphere_distance_prob, user_iowe)
 from mdswe.gf import Field
-from mdswe.linear_code import brute_force_weights, rs_code
+from mdswe.linear_code import brute_force_weights, code_from_generator, dual, rs_code
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
 from mdswe.montecarlo import BmSphereOracle
 
@@ -112,6 +112,11 @@ class TestBmDecoder:
         sim = BmSphereOracle(code).simulate(p, 200_000, seed=7)
         assert sim.cep.within(cep_bm(E, 7, 5, p, 8))
         assert sim.sep.within(sep_bm(E, 7, 5, p, 8))
+
+    def test_oracle_rejects_zero_code(self):
+        zero = dual(code_from_generator(Field(2, 1), [[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="zero code"):
+            BmSphereOracle(zero)
 
 
 class TestMlUnionBounds:

@@ -1,12 +1,13 @@
 import random
+import time
 
 import pytest
 
-from mdswe.gf import Field
+from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (BudgetExceededError, LengthExceedsFieldError, LinearCode,
-                               Partition, PweTable, RankDeficientError, brute_force_pwe,
-                               brute_force_weights, code_from_generator, dual,
-                               min_distance, rm1_code, rs_code, support_histogram)
+                               Partition, PweTable, RankDeficientError, _row_reduce,
+                               brute_force_pwe, brute_force_weights, code_from_generator,
+                               dual, min_distance, rm1_code, rs_code, support_histogram)
 
 F2 = Field(2, 1)
 F8 = Field(2, 3)
@@ -18,7 +19,77 @@ ROWS_HAMMING74 = [[1, 1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0],
                   [0, 0, 1, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0, 1]]
 
 
+# every prime power q <= 64; each has a default field
+SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37,
+                41, 43, 47, 49, 53, 59, 61, 64]
+
+
+def default_points(field, n):
+    g = field.generator()
+    return [field.pow(g, i) for i in range(n)]
+
+
+def vandermonde_rref(field, points, k):
+    """Reference generator: row-reduce the k x n Vandermonde matrix."""
+    field = field_from_order(field.order)
+    field.build_tables()  # a separate field, so the code under test stays table-free
+    rows = [[field.pow(a, i) for a in points] for i in range(k)]
+    rref, pivots = _row_reduce(field, rows)
+    assert pivots == list(range(k))
+    return tuple(tuple(r) for r in rref)
+
+
+def rs_shapes(q):
+    """(n, k) pairs: full length and shortened, each with k = 1, k = n and a middle k."""
+    return sorted({(n, k) for n in {q - 1, max(1, q - 3)} for k in {1, n, max(1, n // 2)}})
+
+
 class TestRsCode:
+    @pytest.mark.parametrize("q", SMALL_ORDERS)
+    def test_generator_equals_vandermonde_rref(self, q):
+        field = field_from_order(q)
+        for n, k in rs_shapes(q):
+            assert rs_code(field, n, k).generator == \
+                vandermonde_rref(field, default_points(field, n), k), (n, k)
+        n, k = q - 1, max(1, (q - 1) // 2)
+        pts = default_points(field, n)
+        for points in (pts[::-1], random.Random(q).sample(pts, n)):
+            assert rs_code(field, n, k, eval_points=points).generator == \
+                vandermonde_rref(field, points, k), points
+
+    def test_63_51_equals_vandermonde_rref(self):
+        field = field_from_order(64)
+        assert rs_code(field, 63, 51).generator == \
+            vandermonde_rref(field, default_points(field, 63), 51)
+
+    def test_255_223_satisfies_parity_checks(self):
+        # too slow for the reference: check the systematic prefix and sampled
+        # rows against the generalized-RS parity checks
+        # sum_j u_j a_j^r c_j = 0 for r < n - k, u_j = 1/prod_{l != j}(a_j - a_l)
+        field, n, k = field_from_order(256), 255, 223
+        start = time.perf_counter()
+        code = rs_code(field, n, k)
+        assert time.perf_counter() - start < 5.0
+        assert code.systematic_columns == tuple(range(k))
+        assert [row[:k] for row in code.generator] == \
+            [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        field.build_tables()
+        pts = default_points(field, n)
+        u = []
+        for j, a_j in enumerate(pts):
+            acc = 1
+            for l, a_l in enumerate(pts):
+                if l != j:
+                    acc = field.mul(acc, field.sub(a_j, a_l))
+            u.append(field.inv(acc))
+        for i in random.Random(7).sample(range(k), 6) + [0, k - 1]:
+            row = code.generator[i]
+            for r in range(n - k):
+                acc = 0
+                for u_j, a_j, c_j in zip(u, pts, row):
+                    acc = field.add(acc, field.mul(field.mul(u_j, field.pow(a_j, r)), c_j))
+                assert acc == 0, (i, r)
+
     def test_7_3_is_mds_with_512_words(self):
         c = rs_code(F8, 7, 3)
         assert (c.n, c.k) == (7, 3)
@@ -86,6 +157,11 @@ class TestCodeFromGenerator:
         words = {"".join(map(str, w)) for w in c.codewords()}
         assert words == {"00000", "10011", "01001", "11010",
                          "00101", "10110", "01100", "11111"}
+
+    def test_zero_code_has_no_min_distance(self):
+        zero = dual(code_from_generator(F2, [[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="zero code"):
+            min_distance(zero)
 
     def test_identity_gives_full_space(self):
         c = code_from_generator(F8, [[1, 0], [0, 1]])
