@@ -1,25 +1,51 @@
 """Exact partition weight enumerators of MDS codes and their applications:
 averaged binary images, MacWilliams duality, the uniform-coordinate-weight
-property, and bounded-distance / ML-bound decoder error curves."""
+property, and bounded-distance / ML-bound decoder error curves.
 
-from .gf import Field, FieldElement, field_from_order, parse_field_spec
-from .linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, Partition, PweTable,
-                          brute_force_pwe, brute_force_weights, code_from_generator,
-                          dual, min_distance, rm1_code, rs_code, support_histogram)
-from .mds_enum import (MdsParams, check_convolution_identity, check_subset_identity,
-                       coordinate_weight_sum, fixed_support_count, iowe, psi,
-                       pwe_direct, pwe_direct_table, pwe_product, pwgf, split_we,
-                       weight_at, weight_distribution)
-from .binary_avg import (avg_binary_iowe, avg_binary_pwgf, avg_binary_wgf,
-                         binomial_approx, bit_substitution_poly, bits_per_symbol)
-from .duality import (PropertyAReport, PropertyAWitness, dual_property_a, krawtchouk,
-                      macwilliams_pwe, macwilliams_wgf, property_a_check)
-from .errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition, ErrorCurve,
-                        at_most, bep_curve, bep_ml_union, bm_curve, cep_bm,
-                        cep_ml_union, channel_map, conditional_pwgf, make_union_bound,
-                        multiuser_bep, multiuser_curve, multiuser_sep, parse_condition,
-                        sep_bm, snr_grid, sphere_distance_prob, user_iowe)
-from .montecarlo import BmSphereOracle
-from .poly import SparsePoly
+The names below load their module on first access (PEP 562), so
+``import mdswe`` is cheap and a closed-form computation never loads numpy,
+the exhaustive oracles or the verification suites.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the public names it exports from the package
+_EXPORTS = {
+    "gf": ("Field", "FieldElement", "field_from_order", "parse_field_spec"),
+    "linear_code": ("DEFAULT_ENUMERATION_BUDGET", "LinearCode", "Partition", "PweTable",
+                    "brute_force_pwe", "brute_force_weights", "code_from_generator",
+                    "dual", "min_distance", "rm1_code", "rs_code", "support_histogram"),
+    "mds_enum": ("MdsParams", "check_convolution_identity", "check_subset_identity",
+                 "coordinate_weight_sum", "fixed_support_count", "iowe", "psi",
+                 "pwe_direct", "pwe_direct_table", "pwe_product", "pwgf", "split_we",
+                 "weight_at", "weight_distribution"),
+    "binary_avg": ("avg_binary_iowe", "avg_binary_pwgf", "avg_binary_wgf",
+                   "binomial_approx", "bit_substitution_poly", "bits_per_symbol"),
+    "duality": ("PropertyAReport", "PropertyAWitness", "dual_property_a", "krawtchouk",
+                "macwilliams_pwe", "macwilliams_wgf", "property_a_check"),
+    "errorprob": ("FREE", "FULL", "ZERO", "ChannelPoint", "Condition", "ErrorCurve",
+                  "at_most", "bep_curve", "bep_ml_union", "bm_curve", "cep_bm",
+                  "cep_ml_union", "channel_map", "conditional_pwgf", "make_union_bound",
+                  "multiuser_bep", "multiuser_curve", "multiuser_sep", "parse_condition",
+                  "sep_bm", "snr_grid", "sphere_distance_prob", "user_iowe"),
+    "montecarlo": ("BmSphereOracle",),
+    "poly": ("SparsePoly",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -28,31 +28,38 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from . import verify as verify_mod
 from .binary_avg import avg_binary_weights_from_distribution, avg_binary_wgf, bits_per_symbol
-from .duality import macwilliams_pwe, property_a_check
 from .errorprob import (bep_curve, bm_curve, multiuser_curve, parse_condition, snr_grid)
 from .gf import field_from_order, parse_field_spec
 from .linear_code import (BudgetExceededError, LinearCode, Partition, brute_force_pwe,
-                          brute_force_weights, code_from_generator, dual, min_distance,
-                          rm1_code, rs_code)
+                          brute_force_weights, check_rs_params, code_from_generator, dual,
+                          min_distance, rm1_code, rs_code)
 from .mds_enum import MdsParams, pwgf
+
+# the names of verify.SUITES, so that building the parser does not load the
+# suites (tests/test_imports.py keeps the two in step)
+VERIFY_SUITES = ("gf", "codes", "oracle", "identities", "binary", "duality", "errorprob")
 
 
 class UsageError(ValueError):
     """Bad command-line input; reported with exit code 2."""
 
 
+def _parse_rs_spec(spec: str) -> tuple[int, int, int]:
+    """(q, n, k) of ``rs:<q>:<n>:<k>``, unchecked."""
+    try:
+        q_s, n_s, k_s = spec.split(":")[1:]
+        return int(q_s), int(n_s), int(k_s)
+    except ValueError:
+        raise UsageError(f"--code: bad RS spec {spec!r}; expected rs:<q>:<n>:<k>")
+
+
 def parse_code_spec(spec: str) -> LinearCode:
     kind, _, rest = spec.partition(":")
     if kind == "rs":
-        try:
-            q_s, n_s, k_s = rest.split(":")
-            q, n, k = int(q_s), int(n_s), int(k_s)
-        except ValueError:
-            raise UsageError(f"--code: bad RS spec {spec!r}; expected rs:<q>:<n>:<k>")
+        q, n, k = _parse_rs_spec(spec)
         return rs_code(field_from_order(q), n, k)
     if kind == "rm1":
         try:
@@ -131,37 +138,60 @@ def _table_document(args, sizes, counts, extra: Optional[dict] = None) -> tuple[
     return doc, rows
 
 
-def _mds_params(args, code: LinearCode) -> Optional[MdsParams]:
+class CodeShape(NamedTuple):
+    """The (n, k, q) of a --code.  `code` is its generator, or None for an
+    `rs:` spec or a dual of one: those are MDS by construction, and the
+    closed forms need no generator."""
+
+    n: int
+    k: int
+    q: int
+    code: Optional[LinearCode]
+
+
+def read_code_shape(spec: str) -> CodeShape:
+    """Read a --code spec, building the generator only if it is not an
+    `rs:` spec or a dual of one.  An invalid spec fails as in
+    `parse_code_spec`."""
+    inner, duals = spec, 0
+    while inner.startswith("dual:"):
+        inner, duals = inner[len("dual:"):], duals + 1
+    if inner.partition(":")[0] != "rs":
+        code = parse_code_spec(spec)
+        return CodeShape(code.n, code.k, code.field.order, code)
+    q, n, k = _parse_rs_spec(inner)
+    check_rs_params(field_from_order(q), n, k)
+    return CodeShape(n, n - k if duals % 2 else k, q, None)
+
+
+def _mds_params(args, shape: CodeShape) -> Optional[MdsParams]:
     """The code's (n, k, q) if it is MDS, else None.
 
-    `rs:` specs and their duals are MDS by construction; any other code is
-    MDS iff its minimum distance, found by exhaustive enumeration within
-    --budget, is n - k + 1.  The zero code has no MdsParams.
+    A code with a generator is MDS iff its minimum distance, found by
+    exhaustive enumeration within --budget, is n - k + 1.  The zero code
+    has no MdsParams.
     """
-    if code.k == 0:
+    if shape.k == 0:
         return None
-    params = MdsParams.from_code(code)
-    spec = args.code
-    while spec.startswith("dual:"):
-        spec = spec[len("dual:"):]
-    if spec.startswith("rs:") or min_distance(code, budget=args.budget) == params.d:
+    params = MdsParams(shape.n, shape.k, shape.q)
+    if shape.code is None or min_distance(shape.code, budget=args.budget) == params.d:
         return params
     return None
 
 
-def _require_mds(args, code: LinearCode) -> MdsParams:
-    params = _mds_params(args, code)
+def _require_mds(args, shape: CodeShape) -> MdsParams:
+    params = _mds_params(args, shape)
     if params is None:
         raise UsageError(f"--code: {args.code} is not MDS: the closed forms need "
-                         f"minimum distance n - k + 1 = {code.n - code.k + 1}; "
+                         f"minimum distance n - k + 1 = {shape.n - shape.k + 1}; "
                          "use brute for any code")
     return params
 
 
 def _cmd_pwe(args) -> int:
-    code = parse_code_spec(args.code)
+    shape = read_code_shape(args.code)
     sizes = parse_partition_sizes(args.partition)
-    params = _require_mds(args, code)
+    params = _require_mds(args, shape)
     poly = pwgf(params, sizes)
     doc, rows = _table_document(args, sizes, poly.terms,
                                 {"n": params.n, "k": params.k, "q": params.q})
@@ -180,22 +210,24 @@ def _cmd_brute(args) -> int:
 
 
 def _cmd_binary(args) -> int:
-    code = parse_code_spec(args.code)
-    m = bits_per_symbol(code.field.order)
+    shape = read_code_shape(args.code)
+    m = bits_per_symbol(shape.q)
     if args.partition:
         # the partition route: averaging substitutes the same F(Z) in every
         # block, so the PWGF summed by total symbol weight carries it all
         sizes = parse_partition_sizes(args.partition)
-        params = _require_mds(args, code)
-        symbol_weights = [0] * (code.n + 1)
+        params = _require_mds(args, shape)
+        symbol_weights = [0] * (shape.n + 1)
         for profile, count in pwgf(params, sizes).terms.items():
             symbol_weights[sum(profile)] += count
         weights = avg_binary_weights_from_distribution(symbol_weights, m)
     else:
-        params = _mds_params(args, code)
+        params = _mds_params(args, shape)
         if params is not None:
             weights = avg_binary_wgf(params)
         else:
+            # a non-MDS code, or the zero code (the dual of an rs:<q>:<n>:<n> spec)
+            code = shape.code if shape.code is not None else parse_code_spec(args.code)
             weights = avg_binary_weights_from_distribution(
                 brute_force_weights(code, budget=args.budget), m)
     rows = [{"h_b": h, "exact": _format_exact(Fraction(w)), "float64": repr(float(w))}
@@ -208,6 +240,8 @@ def _cmd_binary(args) -> int:
 
 
 def _cmd_dual_pwe(args) -> int:
+    from .duality import macwilliams_pwe
+
     code = parse_code_spec(args.code)
     sizes = parse_partition_sizes(args.partition)
     if len(sizes) != 2:
@@ -222,6 +256,8 @@ def _cmd_dual_pwe(args) -> int:
 
 
 def _cmd_property_a(args) -> int:
+    from .duality import property_a_check
+
     code = parse_code_spec(args.code)
     report = property_a_check(code, budget=args.budget)
     doc = {
@@ -241,8 +277,7 @@ def _cmd_property_a(args) -> int:
 
 
 def _cmd_errprob(args) -> int:
-    code = parse_code_spec(args.code)
-    params = _require_mds(args, code)
+    params = _require_mds(args, read_code_shape(args.code))
     gammas = parse_snr_range(args.snr)
     metric = args.metric
     decoder = args.decoder or ("bm" if metric in ("cep", "sep") else "ml-union")
@@ -279,9 +314,11 @@ def _cmd_errprob(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
+
     names = [tok.strip() for tok in args.suite.split(",")]
     try:
-        ok = verify_mod.run_suites(names, seed=args.seed)
+        ok = run_suites(names, seed=args.seed)
     except ValueError as exc:
         raise UsageError(f"--suite: {exc}")
     return 0 if ok else 1
@@ -338,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run built-in verification suites")
     p.add_argument("--suite", default="all",
                    help="comma list of suites, or 'all' "
-                        f"({', '.join(verify_mod.SUITES)})")
+                        f"({', '.join(VERIFY_SUITES)})")
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=_cmd_verify)
     return parser

@@ -17,11 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .linear_code import LinearCode, PweTable, dual, support_histogram
-from .mds_enum import binom
-
-
-class ParamOutOfRangeError(ValueError):
-    """Krawtchouk indices outside 0 <= beta, v <= gamma."""
+from .mds_enum import ParamOutOfRangeError, binom
 
 
 class IncompleteTableError(ValueError):

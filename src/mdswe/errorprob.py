@@ -76,13 +76,9 @@ from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from .binary_avg import avg_binary_wgf, bits_per_symbol, pattern_weight_powers
-from .mds_enum import (MdsParams, _validate_profile, binom, fixed_support_count,
-                       weight_distribution)
+from .mds_enum import (MdsParams, ParamOutOfRangeError, _validate_profile, binom,
+                       fixed_support_count, weight_distribution)
 from .poly import SparsePoly
-
-
-class ParamOutOfRangeError(ValueError):
-    """Channel or distance parameters outside their domain."""
 
 
 class ConditionCountMismatchError(ValueError):
@@ -153,18 +149,22 @@ def _bm_sum(coeffs: dict[int, float], n: int, q: int, tau: int, p: float) -> flo
     return math.fsum(sorted(terms))
 
 
+def _cep_coeffs(weights: Sequence[int], n: int, d: int) -> dict[int, float]:
+    return {h: float(weights[h]) for h in range(d, n + 1)}
+
+
+def _sep_coeffs(weights: Sequence[int], n: int, d: int) -> dict[int, float]:
+    return {h: float(Fraction(h * weights[h], n)) for h in range(d, n + 1)}
+
+
 def cep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
     """BM decoder codeword error probability (exact under the model)."""
-    tau = (d - 1) // 2
-    coeffs = {h: float(weights[h]) for h in range(d, n + 1)}
-    return _bm_sum(coeffs, n, q, tau, p)
+    return _bm_sum(_cep_coeffs(weights, n, d), n, q, (d - 1) // 2, p)
 
 
 def sep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
     """BM decoder symbol error probability: E(h) -> (h/n) E(h)."""
-    tau = (d - 1) // 2
-    coeffs = {h: float(Fraction(h * weights[h], n)) for h in range(d, n + 1)}
-    return _bm_sum(coeffs, n, q, tau, p)
+    return _bm_sum(_sep_coeffs(weights, n, d), n, q, (d - 1) // 2, p)
 
 
 # -- maximum-likelihood bounds on the binary image --------------------------
@@ -198,12 +198,15 @@ def cep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
     return _ml_sum(coeffs, k / n, gamma_db, term)
 
 
+def _bep_coeffs(avg_weights: Sequence[Fraction], n: int, m: int) -> dict[int, float]:
+    return {h: float(Fraction(h, m * n) * avg_weights[h])
+            for h in range(1, m * n + 1) if avg_weights[h]}
+
+
 def bep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
                  gamma_db: float, term: Optional[BoundTerm] = None) -> float:
     """Bound on average bit error probability: E~(h) -> (h/(mn)) E~(h)."""
-    coeffs = {h: float(Fraction(h, m * n) * avg_weights[h])
-              for h in range(1, m * n + 1) if avg_weights[h]}
-    return _ml_sum(coeffs, k / n, gamma_db, term)
+    return _ml_sum(_bep_coeffs(avg_weights, n, m), k / n, gamma_db, term)
 
 
 # -- multiuser conditioning -------------------------------------------------
@@ -374,45 +377,47 @@ def snr_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+def _bm_points(params: MdsParams, coeffs: dict[int, float],
+               gammas: Sequence[float]) -> tuple[tuple[float, float], ...]:
+    n, k, q = params.n, params.k, params.q
+    m, tau = bits_per_symbol(q), (params.d - 1) // 2
+    return tuple((g, _bm_sum(coeffs, n, q, tau, channel_map(g, n, k, m).p_symbol))
+                 for g in gammas)
+
+
+def _ml_points(params: MdsParams, coeffs: dict[int, float], gammas: Sequence[float],
+               term: Optional[BoundTerm]) -> tuple[tuple[float, float], ...]:
+    return tuple((g, _ml_sum(coeffs, params.k / params.n, g, term)) for g in gammas)
+
+
 def bm_curve(params: MdsParams, gammas: Sequence[float], metric: str) -> ErrorCurve:
     """Unconditional BM CEP or SEP over an SNR grid (closed-form weights)."""
     if metric not in ("cep", "sep"):
         raise ValueError(f"BM decoder computes cep or sep, not {metric!r}")
-    m = bits_per_symbol(params.q)
-    weights = weight_distribution(params)
-    fn = cep_bm if metric == "cep" else sep_bm
-    pts = []
-    for g in gammas:
-        ch = channel_map(g, params.n, params.k, m)
-        pts.append((g, fn(weights, params.n, params.d, ch.p_symbol, params.q)))
-    return ErrorCurve("bm", metric, None, None, tuple(pts))
+    to_coeffs = _cep_coeffs if metric == "cep" else _sep_coeffs
+    coeffs = to_coeffs(weight_distribution(params), params.n, params.d)
+    return ErrorCurve("bm", metric, None, None, _bm_points(params, coeffs, gammas))
 
 
 def bep_curve(params: MdsParams, gammas: Sequence[float],
               term: Optional[BoundTerm] = None) -> ErrorCurve:
     """Unconditional average-binary BEP bound over an SNR grid."""
-    m = bits_per_symbol(params.q)
-    avg = avg_binary_wgf(params)
-    pts = tuple((g, bep_ml_union(avg, params.n, m, params.k, g, term)) for g in gammas)
+    coeffs = _bep_coeffs(avg_binary_wgf(params), params.n, bits_per_symbol(params.q))
+    pts = _ml_points(params, coeffs, gammas, term)
     return ErrorCurve("ml-union", "bep", None, None, pts)
 
 
 def multiuser_curve(params: MdsParams, sizes: Sequence[int], user: int,
                     conditions: Sequence[Condition], gammas: Sequence[float],
                     metric: str, term: Optional[BoundTerm] = None) -> ErrorCurve:
-    """Conditional per-user SEP (BM) or BEP (ML bound) over an SNR grid;
-    the profile is computed once and every point is evaluated from it."""
-    n, k, q = params.n, params.k, params.q
-    m = bits_per_symbol(q)
+    """Conditional per-user SEP (BM) or BEP (ML bound) over an SNR grid."""
     if metric == "sep":
         coeffs = _float_profile(params, sizes, user, conditions, 1)
-        tau = (params.d - 1) // 2
-        pts = [(g, _bm_sum(coeffs, n, q, tau, channel_map(g, n, k, m).p_symbol))
-               for g in gammas]
+        pts = _bm_points(params, coeffs, gammas)
     elif metric == "bep":
-        coeffs = _float_profile(params, sizes, user, conditions, m)
-        pts = [(g, _ml_sum(coeffs, k / n, g, term)) for g in gammas]
+        coeffs = _float_profile(params, sizes, user, conditions, bits_per_symbol(params.q))
+        pts = _ml_points(params, coeffs, gammas, term)
     else:
         raise ValueError(f"per-user metrics are sep and bep, not {metric!r}")
     return ErrorCurve("bm" if metric == "sep" else "ml-union", metric, user,
-                      tuple(conditions), tuple(pts))
+                      tuple(conditions), pts)

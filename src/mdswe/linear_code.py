@@ -6,9 +6,10 @@ computation, and the exhaustive partition weight enumerator that serves
 as the ground truth for every closed form in the package.
 
 The exhaustive enumerator iterates all q^k codewords once (vectorized
-with numpy where the field allows it), records a histogram of coordinate
-support masks, and derives any partition profile count from that
-histogram.  The histogram is cached per code, so enumerating many
+with numpy where the field allows it; numpy is imported by the first
+enumeration, so the closed forms never load it), records a histogram of
+coordinate support masks, and derives any partition profile count from
+that histogram.  The histogram is cached per code, so enumerating many
 partitions of the same code costs one pass over the codeword set.
 """
 
@@ -20,14 +21,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .gf import Field
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
-# rows per numpy chunk during enumeration (memory cap, not a semantics knob)
-_CHUNK_ROWS = 1 << 21
+# rows per numpy chunk during enumeration (memory cap, not a semantics knob).
+# Chunks stay at a few MB: glibc serves later arrays smaller than the
+# largest one freed so far from its heap, where freed memory stays resident
+# (`mdswe verify --suite all` peaked at 105 MB with 1 << 21 rows, 81 MB
+# with 1 << 18).
+_CHUNK_ROWS = 1 << 18
 
 
 class LengthExceedsFieldError(ValueError):
@@ -247,6 +250,8 @@ def _support_histogram_cached(code: LinearCode) -> dict[int, int]:
     if p != 2 and m > 1:
         return _support_histogram_python(code)
 
+    import numpy as np
+
     if q <= 256:
         dtype = np.uint8
     elif q <= 1 << 16:
@@ -351,6 +356,32 @@ def min_distance(code: LinearCode, budget: Optional[int] = None) -> int:
 # -- constructions ------------------------------------------------------------
 
 
+def check_rs_params(field: Field, n: int, k: int) -> None:
+    """Raise ValueError unless `field` has an (n, k) Reed-Solomon code:
+    1 <= k <= n <= q - 1."""
+    q = field.order
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n > q - 1:
+        raise LengthExceedsFieldError(f"length {n} exceeds q-1 = {q - 1}")
+
+
+def _batch_inv(field: Field, values: Sequence[int]) -> list[int]:
+    """Inverses of nonzero `values` from one field inversion (Montgomery's
+    trick): invert the product of all, then peel the prefix products off."""
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = field.mul(acc, v)
+    acc = field.inv(acc)
+    out = [0] * len(values)
+    for t in range(len(values) - 1, -1, -1):
+        out[t] = field.mul(acc, prefix[t])
+        acc = field.mul(acc, values[t])
+    return out
+
+
 def rs_code(field: Field, n: int, k: int,
             eval_points: Optional[Sequence[int]] = None) -> LinearCode:
     """Systematic Reed-Solomon evaluation code of length n, dimension k.
@@ -366,13 +397,10 @@ def rs_code(field: Field, n: int, k: int,
     P[i][j] = l(a_j) * w_i / (a_j - a_i) with l(x) = prod_{l<k} (x - a_l)
     and barycentric weights w_i = 1 / prod_{l<k, l!=i} (a_i - a_l).  That
     is the unique reduced row echelon form of the k x n Vandermonde
-    matrix, built in O(k(n-k)) field operations without row reduction.
+    matrix, built in O(k(n-k)) field operations without row reduction:
+    each row's denominators share one field inversion (`_batch_inv`).
     """
-    q = field.order
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > q - 1:
-        raise LengthExceedsFieldError(f"length {n} exceeds q-1 = {q - 1}")
+    check_rs_params(field, n, k)
     if eval_points is None:
         g = field.generator()
         eval_points = []
@@ -395,11 +423,13 @@ def rs_code(field: Field, n: int, k: int,
     ell = [prod_diff(x, info) for x in parity]
     rows = []
     for i, a_i in enumerate(info):
-        w_i = field.inv(prod_diff(a_i, info[:i] + info[i + 1:]))
+        # 1/w_i and the n-k differences a_j - a_i, inverted together
+        w_i, *inv_diffs = _batch_inv(field, [prod_diff(a_i, info[:i] + info[i + 1:]),
+                                             *(field.sub(a_j, a_i) for a_j in parity)])
         row = [0] * n
         row[i] = 1
-        for j, (a_j, l_j) in enumerate(zip(parity, ell), start=k):
-            row[j] = field.div(field.mul(l_j, w_i), field.sub(a_j, a_i))
+        row[k:] = [field.mul(field.mul(l_j, w_i), inv_d)
+                   for l_j, inv_d in zip(ell, inv_diffs)]
         rows.append(row)
     return LinearCode(field, rows, systematic_columns=range(k), _skip_rank_check=True)
 

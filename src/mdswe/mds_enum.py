@@ -43,6 +43,10 @@ class ProfileOutOfRangeError(ValueError):
     """A weight profile, size list, or index is outside its valid range."""
 
 
+class ParamOutOfRangeError(ValueError):
+    """A channel, distance or Krawtchouk parameter is outside its domain."""
+
+
 class InternalError(ArithmeticError):
     """An exact division guaranteed by theory failed (implementation bug)."""
 

@@ -4,7 +4,7 @@ Independent of the closed-form curves: the decoder is realized literally
 as a lookup into radius-tau spheres enumerated around every nonzero
 codeword, and the channel draws i.i.d. symbol errors.  Used to validate
 `errorprob.cep_bm` / `errorprob.sep_bm` statistically; reproducible
-given (seed, trials).
+given (seed, trials).  numpy is imported when an oracle is built.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .linear_code import LinearCode, min_distance
 
@@ -50,6 +48,8 @@ class BmSphereOracle:
     """
 
     def __init__(self, code: LinearCode, tau: Optional[int] = None):
+        import numpy as np
+
         q, n, k = code.field.order, code.n, code.k
         d = min_distance(code)
         if tau is None:
@@ -92,24 +92,33 @@ class BmSphereOracle:
     def sphere_size(self) -> int:
         return len(self._keys)
 
+    def _decode_chunk(self, rng, chunk: int, p: float):
+        """Run `chunk` trials; returns the information weight share of each
+        decoder error.  The chunk's arrays are freed on return, so two
+        chunks' arrays are never alive at once."""
+        import numpy as np
+
+        errors = rng.random((chunk, self.n)) < p
+        values = rng.integers(1, self.q, size=(chunk, self.n), dtype=np.int64)
+        received = np.where(errors, values, 0) @ self._qpow
+        idx = np.searchsorted(self._keys, received)
+        idx = np.clip(idx, 0, len(self._keys) - 1)
+        hit = self._keys[idx] == received
+        return self._info[idx[hit]] / self.k
+
     def simulate(self, p: float, trials: int, seed: int) -> BmSimulation:
         """Estimate CEP and SEP at symbol error probability p."""
+        import numpy as np
+
         rng = np.random.default_rng(seed)
-        q, n, k = self.q, self.n, self.k
         hits = 0
         sep_sum = 0.0
         sep_sumsq = 0.0
         done = 0
         while done < trials:
             chunk = min(_SIM_CHUNK, trials - done)
-            errors = rng.random((chunk, n)) < p
-            values = rng.integers(1, q, size=(chunk, n), dtype=np.int64)
-            received = np.where(errors, values, 0) @ self._qpow
-            idx = np.searchsorted(self._keys, received)
-            idx = np.clip(idx, 0, len(self._keys) - 1)
-            hit = self._keys[idx] == received
-            hits += int(hit.sum())
-            frac = self._info[idx[hit]] / k
+            frac = self._decode_chunk(rng, chunk, p)
+            hits += len(frac)
             sep_sum += float(frac.sum())
             sep_sumsq += float((frac * frac).sum())
             done += chunk

@@ -181,6 +181,59 @@ class TestMdsCheck:
         assert rows[0] == "1" and rows[4] == "14" and rows[8] == "1"
 
 
+class TestSpecDerivedParams:
+    """pwe, errprob and binary read (n, k, q) from an rs: spec or a dual of
+    one without building a generator; invalid specs fail as parse_code_spec
+    does, with exit 2 and one `error:` line."""
+
+    COMMANDS = {
+        "pwe": ("pwe", "--partition", "3,3,5,4"),
+        "errprob": ("errprob", "--metric", "bep", "--snr", "4:5:1"),
+        "binary-partition": ("binary", "--partition", "3,3,5,4"),
+        "binary": ("binary",),
+    }
+    NOT_MDS = ("--code: dual:rs:16:15:15 is not MDS: the closed forms need minimum "
+               "distance n - k + 1 = 16; use brute for any code")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("spec, message", [
+        ("rs:16:17:11", "length 17 exceeds q-1 = 15"),
+        ("rs:15:14:10", "15 is not a prime power"),
+        ("rs:16:15:0", "need 1 <= k <= n, got k=0, n=15"),
+        ("dual:rs:4:3:0", "need 1 <= k <= n, got k=0, n=3"),
+        ("dual:rs:16:15", "--code: bad RS spec 'rs:16:15'; expected rs:<q>:<n>:<k>"),
+    ])
+    def test_invalid_rs_spec_exits_two(self, capsys, command, spec, message):
+        code, out, err = run_cli(capsys, *self.COMMANDS[command], "--code", spec,
+                                 "--format", "csv")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["pwe", "errprob", "binary-partition"])
+    def test_zero_dimensional_dual_is_not_mds(self, capsys, command):
+        code, out, err = run_cli(capsys, *self.COMMANDS[command],
+                                 "--code", "dual:rs:16:15:15", "--format", "csv")
+        assert (code, out, err) == (2, "", f"error: {self.NOT_MDS}\n")
+
+    def test_zero_dimensional_dual_binary_enumerates(self, capsys):
+        code, out, _ = run_cli(capsys, "binary", "--code", "dual:rs:16:15:15",
+                               "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["exact"] for r in rows] == ["1"] + ["0"] * 60
+
+    def test_bad_partition_is_reported_after_a_valid_spec(self, capsys):
+        code, _, err = run_cli(capsys, "pwe", "--code", "dual:rs:16:15:15",
+                               "--partition", "0")
+        assert (code, err) == (2, "error: --partition: sizes must be positive, got '0'\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_double_dual_is_the_code(self, capsys, command):
+        argv = (*self.COMMANDS[command], "--format", "csv")
+        code, out, _ = run_cli(capsys, *argv, "--code", "dual:dual:rs:16:15:11")
+        assert code == 0
+        assert (0, out, "") == run_cli(capsys, *argv, "--code", "rs:16:15:11")
+
+
 class TestDualPweCommand:
     def test_matches_brute_force_of_dual(self, capsys):
         code, out, _ = run_cli(capsys, "dual-pwe", "--code", "rs:8:7:3",

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdswe import duality, mds_enum
 from mdswe.binary_avg import avg_binary_pwgf, avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ConditionCountMismatchError,
                              ParamOutOfRangeError, at_most, bep_curve, bep_ml_union,
@@ -92,6 +93,13 @@ class TestSphereDistanceProb:
             sphere_distance_prob(7, 8, 9, 0, 0.1)
         with pytest.raises(ParamOutOfRangeError):
             sphere_distance_prob(7, 8, 0, 0, 1.5)
+
+    def test_one_param_error_class(self):
+        # duality and errorprob re-export the class defined in mds_enum
+        assert ParamOutOfRangeError is mds_enum.ParamOutOfRangeError
+        assert ParamOutOfRangeError is duality.ParamOutOfRangeError
+        with pytest.raises(ParamOutOfRangeError):
+            duality.krawtchouk(8, 4, 0, 3)
 
 
 class TestBmDecoder:

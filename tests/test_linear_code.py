@@ -5,7 +5,7 @@ import pytest
 
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (BudgetExceededError, LengthExceedsFieldError, LinearCode,
-                               Partition, PweTable, RankDeficientError, _row_reduce,
+                               Partition, PweTable, RankDeficientError, _batch_inv, _row_reduce,
                                brute_force_pwe, brute_force_weights, code_from_generator,
                                dual, min_distance, rm1_code, rs_code, support_histogram)
 
@@ -89,6 +89,13 @@ class TestRsCode:
                 for u_j, a_j, c_j in zip(u, pts, row):
                     acc = field.add(acc, field.mul(field.mul(u_j, field.pow(a_j, r)), c_j))
                 assert acc == 0, (i, r)
+
+    @pytest.mark.parametrize("q", [2, 8, 9, 13, 25, 64])
+    def test_batch_inverse_matches_single_inverses(self, q):
+        field = field_from_order(q)
+        values = random.Random(q).choices(range(1, q), k=3 * q)
+        assert _batch_inv(field, values) == [field.inv(v) for v in values]
+        assert _batch_inv(field, []) == []
 
     def test_7_3_is_mds_with_512_words(self):
         c = rs_code(F8, 7, 3)
