@@ -72,11 +72,9 @@ def parse_code_spec(spec: str) -> LinearCode:
         with open(rest, encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
-            field = parse_field_spec(doc["field"])
-            rows = doc["rows"]
-        except (KeyError, ValueError) as exc:
+            return code_from_generator(parse_field_spec(str(doc["field"])), doc["rows"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"--code: bad generator file {rest!r}: {exc}")
-        return code_from_generator(field, rows)
     raise UsageError(f"--code: unknown code spec {spec!r}")
 
 

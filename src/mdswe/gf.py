@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .primes import factorize, prime_power
+
 
 class NotPrimeError(ValueError):
     """Characteristic is not a prime (or an order is not a prime power)."""
@@ -86,21 +88,6 @@ _ODD_DEFAULT_POLY = {
 _TABLE_LIMIT = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _poly_trim(c: Sequence[int]) -> tuple[int, ...]:
     c = list(c)
     while c and c[-1] == 0:
@@ -142,19 +129,6 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     return True
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 class Field:
     """The finite field GF(p^m) with a fixed reduction polynomial.
 
@@ -166,7 +140,7 @@ class Field:
     def __init__(self, characteristic: int, extension_degree: int = 1,
                  reduction_poly: Optional[Sequence[int]] = None) -> None:
         p, m = characteristic, extension_degree
-        if not is_prime(p):
+        if prime_power(p) != (p, 1):
             raise NotPrimeError(f"characteristic {p} is not prime")
         if m < 1:
             raise DegreeMismatchError(f"extension degree must be >= 1, got {m}")
@@ -297,7 +271,7 @@ class Field:
         if q1 == 1:
             self._generator = 1
             return 1
-        prime_factors = list(_factorize(q1))
+        prime_factors = list(factorize(q1))
         for g in range(2, self.order):
             if all(self.pow(g, q1 // f) != 1 for f in prime_factors):
                 self._generator = g
@@ -431,13 +405,10 @@ class FieldElement:
 
 def field_from_order(q: int) -> Field:
     """Field of order q = p^m with the default reduction polynomial."""
-    if q < 2:
+    pm = prime_power(q)
+    if pm is None:
         raise NotPrimeError(f"{q} is not a prime power")
-    fac = _factorize(q)
-    if len(fac) != 1:
-        raise NotPrimeError(f"{q} is not a prime power")
-    (p, m), = fac.items()
-    return Field(p, m)
+    return Field(*pm)
 
 
 def parse_field_spec(spec: str) -> Field:

@@ -278,16 +278,16 @@ def _support_histogram_cached(code: LinearCode) -> dict[int, int]:
         i += 1
 
     hist: dict[int, int] = {}
+    # bit j of a mask is coordinate j
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)) if n <= 64 else None
 
     def tally(arr):
-        # bit j of a mask is coordinate j: pack little-endian, eight per byte
-        packed = np.packbits(arr != 0, axis=1, bitorder="little")
-        if n <= 64:
-            words = np.zeros((len(packed), 8), dtype=np.uint8)
-            words[:, :packed.shape[1]] = packed
-            vals, cnts = np.unique(words.view("<u8").ravel(), return_counts=True)
+        if bit is not None:
+            vals, cnts = np.unique((arr != 0) @ bit, return_counts=True)
             masks = vals.tolist()
         else:
+            # too wide for one word: pack little-endian, eight per byte
+            packed = np.packbits(arr != 0, axis=1, bitorder="little")
             vals, cnts = np.unique(packed, axis=0, return_counts=True)
             masks = [int.from_bytes(v.tobytes(), "little") for v in vals]
         for v, c in zip(masks, cnts.tolist()):

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple, Sequence
 
+from .primes import prime_power
 from .poly import SparsePoly
 
 
@@ -58,19 +59,6 @@ def binom(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            while q % f == 0:
-                q //= f
-            return q == 1
-        f += 1
-    return True  # q itself prime
-
-
 @dataclass(frozen=True)
 class MdsParams:
     """Parameters (n, k, q) of an MDS code; d = n - k + 1."""
@@ -82,16 +70,12 @@ class MdsParams:
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not _is_prime_power(self.q):
+        if prime_power(self.q) is None:
             raise ValueError(f"q={self.q} is not a prime power")
 
     @property
     def d(self) -> int:
         return self.n - self.k + 1
-
-    @classmethod
-    def from_code(cls, code) -> "MdsParams":
-        return cls(code.n, code.k, code.field.order)
 
 
 def weight_at(params: MdsParams, w: int) -> int:

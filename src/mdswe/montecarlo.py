@@ -5,6 +5,16 @@ as a lookup into radius-tau spheres enumerated around every nonzero
 codeword, and the channel draws i.i.d. symbol errors.  Used to validate
 `errorprob.cep_bm` / `errorprob.sep_bm` statistically; reproducible
 given (seed, trials).  numpy is imported when an oracle is built.
+
+The sphere table is built as arrays: the nonzero codewords are one
+array, every error pattern of weight <= tau a second, and the key of
+codeword c moved by pattern e is sum_j ((c_j + e_j) mod q) q^j,
+accumulated one coordinate at a time, so no (codewords x patterns x n)
+array exists.  Keys are int64, so q^n - 1 must fit in 63 bits.  A sphere
+word has weight >= d - tau, so the simulator packs and looks up only the
+trials with at least d - tau symbol errors; every trial still draws its
+errors, so the random stream and the estimates do not depend on the
+filter.
 """
 
 from __future__ import annotations
@@ -15,8 +25,25 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linear_code import LinearCode, min_distance
+from .mds_enum import ParamOutOfRangeError
 
 _SIM_CHUNK = 1 << 18
+_MAX_KEY = (1 << 63) - 1  # a word packs into one int64 key
+
+
+def _error_patterns(q: int, n: int, tau: int):
+    """Every error pattern of weight <= tau, one per row: each choice of
+    values 1..q-1 on each set of at most tau positions, zero elsewhere."""
+    import numpy as np
+
+    blocks = [np.zeros((1, n), dtype=np.int64)]
+    for t in range(1, tau + 1):
+        values = np.array(list(itertools.product(range(1, q), repeat=t)), dtype=np.int64)
+        for positions in itertools.combinations(range(n), t):
+            block = np.zeros((len(values), n), dtype=np.int64)
+            block[:, positions] = values
+            blocks.append(block)
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -48,46 +75,43 @@ class BmSphereOracle:
     """
 
     def __init__(self, code: LinearCode, tau: Optional[int] = None):
+        q, n, k = code.field.order, code.n, code.k
+        if q**n - 1 > _MAX_KEY:
+            raise ValueError(f"words of length {n} over GF({q}) do not pack into "
+                             f"int64 keys (q^n - 1 > 2^63 - 1)")
         import numpy as np
 
-        q, n, k = code.field.order, code.n, code.k
         d = min_distance(code)
         if tau is None:
             tau = (d - 1) // 2
+        if tau < 0:
+            raise ValueError(f"radius {tau} is negative")
         if 2 * tau + 1 > d:
             raise ValueError(f"radius {tau} spheres overlap at distance {d}")
-        info_cols = code.systematic_columns or tuple(range(k))
+        info_cols = list(code.systematic_columns or range(k))
 
-        packed: list[int] = []
-        info_w: list[int] = []
-        qpow = [q**j for j in range(n)]
-        for cw in code.codewords():
-            if not any(cw):
-                continue
-            w_info = sum(1 for j in info_cols if cw[j])
-            base = sum(v * qpow[j] for j, v in enumerate(cw))
-            for t in range(tau + 1):
-                for positions in itertools.combinations(range(n), t):
-                    # digit j moves from cw[j] to v by adding v - cw[j] (plain
-                    # integer difference; the packing is positional base q)
-                    deltas = [[v - cw[j] for v in range(q) if v != cw[j]]
-                              for j in positions]
-                    for repl in itertools.product(*deltas):
-                        word = base
-                        for j, dv in zip(positions, repl):
-                            word += dv * qpow[j]
-                        packed.append(word)
-                        info_w.append(w_info)
-        keys = np.array(packed, dtype=np.int64)
+        words = np.array([cw for cw in code.codewords() if any(cw)], dtype=np.int64)
+        patterns = _error_patterns(q, n, tau)
+        # key[c, e] = sum_j ((c_j + e_j) mod q) q^j, one coordinate at a time.
+        # Digit j takes each value other than c_j once as e_j runs over
+        # 1..q-1, so these are the words within distance tau of c, the same
+        # set that field addition would give.
+        shift = (np.arange(q)[:, None] + np.arange(q)) % q
+        keys = np.zeros((len(words), len(patterns)), dtype=np.int64)
+        for j in range(n):
+            keys += (shift * q**j)[words[:, j, None], patterns[None, :, j]]
+        info = np.count_nonzero(words[:, info_cols], axis=1)
+        keys = keys.ravel()
         order = np.argsort(keys)
         self._keys = keys[order]
-        self._info = np.array(info_w, dtype=np.int64)[order]
+        self._info = np.repeat(info.astype(np.int64), len(patterns))[order]
         if np.any(self._keys[1:] == self._keys[:-1]):
             raise AssertionError("decoding spheres overlap")  # would break exactness
         self.code = code
         self.tau = tau
         self.q, self.n, self.k = q, n, k
-        self._qpow = np.array(qpow, dtype=np.int64)
+        self._qpow = q ** np.arange(n, dtype=np.int64)
+        self._min_weight = d - tau
 
     def sphere_size(self) -> int:
         return len(self._keys)
@@ -100,7 +124,9 @@ class BmSphereOracle:
 
         errors = rng.random((chunk, self.n)) < p
         values = rng.integers(1, self.q, size=(chunk, self.n), dtype=np.int64)
-        received = np.where(errors, values, 0) @ self._qpow
+        # a sphere word has weight >= d - tau, so lighter trials never hit
+        heavy = np.count_nonzero(errors, axis=1) >= self._min_weight
+        received = np.where(errors[heavy], values[heavy], 0) @ self._qpow
         idx = np.searchsorted(self._keys, received)
         idx = np.clip(idx, 0, len(self._keys) - 1)
         hit = self._keys[idx] == received
@@ -108,6 +134,10 @@ class BmSphereOracle:
 
     def simulate(self, p: float, trials: int, seed: int) -> BmSimulation:
         """Estimate CEP and SEP at symbol error probability p."""
+        if not 0.0 <= p <= 1.0:
+            raise ParamOutOfRangeError(f"need 0 <= p <= 1, got {p}")
+        if trials < 1:
+            raise ParamOutOfRangeError(f"need trials >= 1, got {trials}")
         import numpy as np
 
         rng = np.random.default_rng(seed)

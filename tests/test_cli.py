@@ -374,6 +374,24 @@ class TestUsageErrors:
             main(["pwe", "--code", "rs:8:7:3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("doc", [
+        [1],
+        {"field": "gf:2^1", "rows": 5},
+        {"field": "gf:2^1", "rows": [1, 0]},
+        {"field": "gf:2^1", "rows": [[1, None]]},
+        {"field": 5, "rows": [[1, 0]]},
+        {"field": "gf:2^1", "rows": [[1, 0], [1, 0]]},
+    ], ids=["not-an-object", "rows-not-a-list", "rows-not-lists", "null-entry",
+            "field-not-a-string", "rank-deficient"])
+    def test_malformed_generator_file_exits_two(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "brute", "--code", f"file:{path}",
+                                 "--partition", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --code: bad generator file {str(path)!r}: ")
+        assert err.count("\n") == 1
+
 
 def test_installed_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "mdswe.cli", "pwe",

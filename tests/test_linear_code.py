@@ -3,11 +3,14 @@ import time
 
 import pytest
 
+from mdswe import linear_code
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (BudgetExceededError, LengthExceedsFieldError, LinearCode,
                                Partition, PweTable, RankDeficientError, _batch_inv, _row_reduce,
-                               brute_force_pwe, brute_force_weights, code_from_generator,
-                               dual, min_distance, rm1_code, rs_code, support_histogram)
+                               _support_histogram_python, brute_force_pwe,
+                               brute_force_weights, code_from_generator, dual, min_distance,
+                               rm1_code, rs_code, support_histogram)
+from mdswe.mds_enum import MdsParams, pwgf
 
 F2 = Field(2, 1)
 F8 = Field(2, 3)
@@ -300,6 +303,38 @@ class TestBruteForcePwe:
         hist = support_histogram(code)
         assert sum(hist.values()) == 16
         assert hist[0] == 1
+
+
+def _gf16_wide_code():
+    # two rows over GF(16) on 70 coordinates: past one 64-bit mask word
+    f16 = field_from_order(16)
+    return code_from_generator(f16, [[1] * 70, [f16.pow(2, j % 15) for j in range(70)]])
+
+
+class TestSupportHistogram:
+    """The numpy tally against the one-codeword-at-a-time Python tally."""
+
+    @pytest.mark.parametrize("code", [
+        *(pytest.param(lambda m=m: rm1_code(m), id=f"rm1-{m}") for m in range(1, 8)),
+        pytest.param(lambda: rs_code(Field(3, 1), 2, 1), id="rs-2-1-3"),
+        pytest.param(lambda: code_from_generator(Field(3, 1), [
+            [1, 0, 0, 2, 1, 1, 0, 2, 1, 1], [0, 1, 0, 1, 2, 0, 1, 1, 2, 1],
+            [0, 0, 1, 1, 1, 2, 2, 0, 1, 2]]), id="gf3-10-3"),
+        pytest.param(lambda: rs_code(field_from_order(9), 8, 3), id="rs-8-3-9"),
+        pytest.param(lambda: rs_code(field_from_order(16), 15, 3), id="rs-15-3-16"),
+        pytest.param(lambda: dual(rs_code(field_from_order(16), 15, 12)), id="dual-15-12-16"),
+        pytest.param(_gf16_wide_code, id="gf16-70-2"),
+    ])
+    def test_matches_python_tally(self, code):
+        code = code()
+        assert support_histogram(code) == _support_histogram_python(code)
+
+    def test_chunked_tally_matches_closed_form(self):
+        # q^k = 2^20 rows are tallied in 16 chunks of 2^16
+        code = rs_code(field_from_order(16), 15, 5)
+        assert code.size > linear_code._CHUNK_ROWS
+        part = Partition((5, 5, 5), tuple(j % 3 for j in range(15)))
+        assert brute_force_pwe(code, part).counts == pwgf(MdsParams(15, 5, 16), (5, 5, 5)).terms
 
 
 class TestPweTable:

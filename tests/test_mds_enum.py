@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,23 @@ class TestMdsParams:
             MdsParams(3, 4, 8)
         with pytest.raises(ValueError):
             MdsParams(7, 3, 6)  # 6 is not a prime power
+
+    @pytest.mark.parametrize("q", [-4, 0, 1, 6, 12, 100, 2 * 3**5])
+    def test_order_must_be_a_prime_power(self, q):
+        with pytest.raises(ValueError, match=f"^q={q} is not a prime power$"):
+            MdsParams(1, 1, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 49, 243, 1 << 16, 65537])
+    def test_prime_powers_accepted(self, q):
+        assert MdsParams(1, 1, q).q == q
+
+    def test_order_check_loads_no_field_arithmetic(self):
+        # the closed-form experiment scripts never build a field
+        probe = ("import sys\nfrom mdswe.errorprob import multiuser_curve\n"
+                 "from mdswe.mds_enum import MdsParams\nMdsParams(15, 11, 16)\n"
+                 "print('mdswe.gf' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestWeightDistribution:
