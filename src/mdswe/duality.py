@@ -113,26 +113,26 @@ class PropertyAReport:
 
 def property_a_check(code: LinearCode, budget: Optional[int] = None) -> PropertyAReport:
     """Check the uniform-coordinate-weight property by exhaustive tally."""
+    import numpy as np
+
     hist = support_histogram(code, budget)
     n = code.n
-    weights = [0] * (n + 1)
-    per_coord = [[0] * (n + 1) for _ in range(n)]
-    for mask, c in hist.items():
-        h = mask.bit_count()
-        weights[h] += c
-        m = mask
-        while m:
-            low = m & -m
-            per_coord[low.bit_length() - 1][h] += c
-            m ^= low
+    bits = hist.bits()
+    weight = bits.sum(axis=1)
+    weights = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(weights, weight, hist.counts)
+    # per_coord[h][i]: total count of the weight-h masks covering coordinate i
+    per_coord = np.zeros((n + 1, n), dtype=np.int64)
+    np.add.at(per_coord, weight, bits * hist.counts[:, None])
+    weights, per_coord = weights.tolist(), per_coord.tolist()
     witnesses = []
     for h in range(1, n + 1):
         if weights[h] == 0:
             continue
         expected = Fraction(h * weights[h], n)
         for i in range(n):
-            if per_coord[i][h] != expected:
-                witnesses.append(PropertyAWitness(i, h, per_coord[i][h], expected))
+            if per_coord[h][i] != expected:
+                witnesses.append(PropertyAWitness(i, h, per_coord[h][i], expected))
     return PropertyAReport(not witnesses, tuple(witnesses))
 
 

@@ -5,12 +5,16 @@ codes from arbitrary generator matrices, dualization via null-space
 computation, and the exhaustive partition weight enumerator that serves
 as the ground truth for every closed form in the package.
 
-The exhaustive enumerator iterates all q^k codewords once (vectorized
-with numpy where the field allows it; numpy is imported by the first
-enumeration, so the closed forms never load it), records a histogram of
-coordinate support masks, and derives any partition profile count from
-that histogram.  The histogram is cached per code, so enumerating many
-partitions of the same code costs one pass over the codeword set.
+The exhaustive enumerator tallies one codeword of each scalar class: c
+and a*c (a != 0) have the same support, so it visits only the
+(q^k - 1)/(q - 1) words whose last nonzero message symbol is 1, counts
+each support q - 1 times and adds the zero word.  The words are built
+with numpy in chunks, for every field (numpy is imported by the first
+enumeration, so the closed forms never load it).  The resulting
+histogram of coordinate support masks is cached per code as a mask
+array and a count array, and every partition profile count is derived
+from those arrays, so enumerating many partitions of the same code costs
+one pass over the codeword set.
 """
 
 from __future__ import annotations
@@ -240,82 +244,125 @@ def _check_budget(code: LinearCode, budget: Optional[int]) -> None:
             f"q^k = {code.size} exceeds enumeration budget {limit}")
 
 
-@functools.lru_cache(maxsize=128)
-def _support_histogram_cached(code: LinearCode) -> dict[int, int]:
-    field = code.field
-    q, k, n = field.order, code.k, code.n
-    if k == 0:
-        return {0: 1}
-    p, m = field.characteristic, field.extension_degree
-    if p != 2 and m > 1:
-        return _support_histogram_python(code)
+class SupportHistogram(dict):
+    """Map from coordinate-support bitmask to codeword count (exact).
 
+    The same histogram is also held as arrays, which the enumerators
+    read: `masks` is (M, W) little-endian uint64 with W = ceil(n/64)
+    words per mask (bit j of the mask is coordinate j), in increasing
+    order, and `counts` is the (M,) int64 count of each.  The arrays are
+    read-only, because the histogram is cached and shared.
+    """
+
+    def __init__(self, n: int, masks, counts):
+        masks.flags.writeable = False
+        counts.flags.writeable = False
+        self.n, self.masks, self.counts = n, masks, counts
+        ints = masks[:, -1].tolist()
+        for w in range(masks.shape[1] - 2, -1, -1):
+            ints = [(hi << 64) | lo for hi, lo in zip(ints, masks[:, w].tolist())]
+        super().__init__(zip(ints, counts.tolist()))
+
+    def bits(self):
+        """(M, n) uint8 array: row i holds the support of mask i, one 0/1 per coordinate."""
+        import numpy as np
+
+        return np.unpackbits(self.masks.view(np.uint8), axis=1, count=self.n,
+                             bitorder="little")
+
+
+def _sum_by_row(rows, counts):
+    """Distinct rows of a 2-D integer array, in increasing order (last
+    column most significant), with the sum of `counts` over each."""
     import numpy as np
 
-    if q <= 256:
-        dtype = np.uint8
-    elif q <= 1 << 16:
-        dtype = np.uint16
-    else:
-        dtype = np.uint32
-    if p != 2:
-        dtype = np.int64  # mod-p additions need headroom
+    order = np.argsort(rows[:, 0]) if rows.shape[1] == 1 else np.lexsort(rows.T)
+    rows, counts = rows[order], counts[order]
+    first = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    start = np.flatnonzero(first)
+    return rows[start], np.add.reduceat(counts, start)
 
+
+# (x * _GATHER) >> 56 moves byte i of a uint64 (0 or 1) to bit i of the
+# top byte; every other partial product lands below bit 56 or past bit 63,
+# on distinct bits, so nothing carries into the top byte.
+_GATHER = 0x0102040810204080
+
+
+def _support_masks(nonzero, width: int):
+    """(R, width) little-endian uint64 support masks of an (R, 8b) bool array."""
+    import numpy as np
+
+    packed = (nonzero.view("<u8") * np.uint64(_GATHER)) >> np.uint64(56)
+    out = np.zeros((len(nonzero), 8 * width), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
+
+
+@functools.lru_cache(maxsize=128)
+def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
+    import numpy as np
+
+    field = code.field
+    q, k, n = field.order, code.k, code.n
+    p, m = field.characteristic, field.extension_degree
+    width = max(1, -(-n // 64))     # uint64 words per mask
+    zero = np.zeros((1, width), dtype="<u8")
+    if k == 0:
+        return SupportHistogram(n, zero, np.ones(1, dtype=np.int64))
+
+    # A word is stored in digit planes: one GF(2^m) element per coordinate
+    # (added by XOR), or the m base-p digits of each coordinate (added
+    # digit by digit mod p), padded with zero coordinates to a whole byte
+    # of support bits.
+    planes, radix = (1, q) if p == 2 else (m, p)
+    padded = -(-n // 8) * 8
+    dtype = np.min_scalar_type(q - 1 if p == 2 else 2 * (p - 1))
     if q <= 1 << 16:
         field.build_tables()
-    mult = [
-        np.array([[field.mul(v, g) for g in row] for v in range(q)], dtype=dtype)
-        for row in code.generator
-    ]
+    place = radix ** np.arange(planes, dtype=np.int64)
+    mult = []
+    for row in code.generator:
+        values = np.zeros((q, padded), dtype=np.int64)
+        values[:, :n] = [[field.mul(v, g) for g in row] for v in range(q)]
+        mult.append(((values[:, :, None] // place) % radix).astype(dtype).reshape(q, -1))
 
     def combine(a, b):
         return a ^ b if p == 2 else (a + b) % p
 
-    base = np.zeros((1, n), dtype=dtype)
-    i = 0
-    while i < k and base.shape[0] * q <= _CHUNK_ROWS:
-        base = combine(base[None, :, :], mult[i][:, None, :]).reshape(-1, n)
-        i += 1
-
-    hist: dict[int, int] = {}
-    # bit j of a mask is coordinate j
-    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)) if n <= 64 else None
+    found = []      # (distinct masks, counts) of each chunk
 
     def tally(arr):
-        if bit is not None:
-            vals, cnts = np.unique((arr != 0) @ bit, return_counts=True)
-            masks = vals.tolist()
-        else:
-            # too wide for one word: pack little-endian, eight per byte
-            packed = np.packbits(arr != 0, axis=1, bitorder="little")
-            vals, cnts = np.unique(packed, axis=0, return_counts=True)
-            masks = [int.from_bytes(v.tobytes(), "little") for v in vals]
-        for v, c in zip(masks, cnts.tolist()):
-            hist[v] = hist.get(v, 0) + c
+        nonzero = arr != 0
+        if planes > 1:
+            nonzero = nonzero.reshape(len(arr), padded, planes).any(axis=2)
+        masks = _support_masks(nonzero, width)
+        found.append(_sum_by_row(masks, np.ones(len(masks), dtype=np.int64)))
 
-    if i == k:
-        tally(base)
-    else:
-        for combo in itertools.product(range(q), repeat=k - i):
-            offset = np.zeros(n, dtype=dtype)
+    # c and a*c (a != 0) have one support, so only the words whose last
+    # nonzero message symbol is 1 are tallied: g_t + span(g_0..g_{t-1}) for
+    # t = 0..k-1, (q^k - 1)/(q - 1) words, each standing for q - 1.  The
+    # span of the first i rows is held as one array while it fits in a
+    # chunk; the rest of the span is added one offset at a time.
+    span = np.zeros((1, padded * planes), dtype=dtype)
+    i = 0
+    for t in range(k):
+        for combo in itertools.product(range(q), repeat=t - i):
+            offset = mult[t][1]
             for row_idx, v in enumerate(combo, start=i):
                 offset = combine(offset, mult[row_idx][v])
-            tally(combine(base, offset))
-    return hist
+            tally(combine(span, offset))
+        if i == t < k - 1 and len(span) * q <= _CHUNK_ROWS:
+            span = combine(span[None, :, :], mult[t][:, None, :]).reshape(-1, span.shape[1])
+            i += 1
+    masks, counts = _sum_by_row(np.concatenate([f[0] for f in found]),
+                                np.concatenate([f[1] for f in found]))
+    return SupportHistogram(n, np.concatenate([zero, masks]),
+                            np.concatenate([[1], counts * (q - 1)]))
 
 
-def _support_histogram_python(code: LinearCode) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for word in code.codewords():
-        mask = 0
-        for j, v in enumerate(word):
-            if v:
-                mask |= 1 << j
-        hist[mask] = hist.get(mask, 0) + 1
-    return hist
-
-
-def support_histogram(code: LinearCode, budget: Optional[int] = None) -> dict[int, int]:
+def support_histogram(code: LinearCode, budget: Optional[int] = None) -> SupportHistogram:
     """Map from coordinate-support bitmask to codeword count (exact)."""
     _check_budget(code, budget)
     return _support_histogram_cached(code)
@@ -326,22 +373,25 @@ def brute_force_pwe(code: LinearCode, partition: Partition,
     """Exact partition weight enumerator by exhaustive codeword tally."""
     if partition.n != code.n:
         raise ValueError(f"partition covers {partition.n} coordinates, code has {code.n}")
+    import numpy as np
+
     hist = support_histogram(code, budget)
-    masks = partition.block_masks()
-    counts: dict[tuple[int, ...], int] = {}
-    for mask, c in hist.items():
-        profile = tuple((mask & bm).bit_count() for bm in masks)
-        counts[profile] = counts.get(profile, 0) + c
-    return PweTable(partition.sizes, counts)
+    # a mask's weight in each block: its support bits times the block
+    # indicator, in the narrowest type that holds n (small keys sort fast)
+    member = np.zeros((code.n, partition.p), dtype=np.min_scalar_type(code.n))
+    member[np.arange(code.n), partition.assignment] = 1
+    profiles, counts = _sum_by_row(hist.bits() @ member, hist.counts)
+    return PweTable(partition.sizes, dict(zip(map(tuple, profiles.tolist()), counts.tolist())))
 
 
 def brute_force_weights(code: LinearCode, budget: Optional[int] = None) -> list[int]:
     """Exact weight distribution E(0..n) by exhaustive tally."""
+    import numpy as np
+
     hist = support_histogram(code, budget)
-    E = [0] * (code.n + 1)
-    for mask, c in hist.items():
-        E[mask.bit_count()] += c
-    return E
+    E = np.zeros(code.n + 1, dtype=np.int64)
+    np.add.at(E, hist.bits().sum(axis=1), hist.counts)
+    return E.tolist()
 
 
 def min_distance(code: LinearCode, budget: Optional[int] = None) -> int:

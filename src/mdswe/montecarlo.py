@@ -100,11 +100,13 @@ class BmSphereOracle:
         keys = np.zeros((len(words), len(patterns)), dtype=np.int64)
         for j in range(n):
             keys += (shift * q**j)[words[:, j, None], patterns[None, :, j]]
-        info = np.count_nonzero(words[:, info_cols], axis=1)
-        keys = keys.ravel()
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._info = np.repeat(info.astype(np.int64), len(patterns))[order]
+        info = np.count_nonzero(words[:, info_cols], axis=1).astype(np.int64)
+        # at most three table-sized arrays are alive at once
+        order = np.argsort(keys, axis=None)
+        self._keys = keys.ravel()[order]
+        del keys
+        order //= len(patterns)     # row of each sorted key: its codeword
+        self._info = info[order]
         if np.any(self._keys[1:] == self._keys[:-1]):
             raise AssertionError("decoding spheres overlap")  # would break exactness
         self.code = code

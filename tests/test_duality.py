@@ -137,6 +137,34 @@ class TestPropertyA:
         assert bool(property_a_check(rm1_code(3)))
         assert not bool(property_a_check(code_from_generator(F2, ROWS_53)))
 
+    @pytest.mark.parametrize("code", [
+        pytest.param(lambda: code_from_generator(F2, ROWS_53), id="counterexample-5-3"),
+        pytest.param(lambda: _random_code(field_from_order(4), 6, 3, random.Random(4)),
+                     id="gf4-6-3"),
+        pytest.param(lambda: _random_code(field_from_order(9), 5, 2, random.Random(9)),
+                     id="gf9-5-2"),
+        pytest.param(lambda: rm1_code(7), id="rm1-7"),
+    ])
+    def test_witnesses_match_python_tally(self, code):
+        # reference: coordinate weight sums over every codeword, one at a time
+        code = code()
+        n = code.n
+        weights = [0] * (n + 1)
+        per_coord = [[0] * n for _ in range(n + 1)]
+        for word in code.codewords():
+            h = sum(1 for v in word if v)
+            weights[h] += 1
+            for i, v in enumerate(word):
+                if v:
+                    per_coord[h][i] += 1
+        expected = [(i, h, per_coord[h][i], Fraction(h * weights[h], n))
+                    for h in range(1, n + 1) if weights[h] for i in range(n)
+                    if per_coord[h][i] != Fraction(h * weights[h], n)]
+        report = property_a_check(code)
+        assert [(w.coordinate, w.weight, w.observed, w.expected)
+                for w in report.witnesses] == expected
+        assert report.holds == (not expected)
+
 
 class TestDualPropertyA:
     def test_rm1_and_extended_hamming(self):

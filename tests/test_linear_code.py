@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,7 @@ from mdswe import linear_code
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (BudgetExceededError, LengthExceedsFieldError, LinearCode,
                                Partition, PweTable, RankDeficientError, _batch_inv, _row_reduce,
-                               _support_histogram_python, brute_force_pwe,
+                               brute_force_pwe,
                                brute_force_weights, code_from_generator, dual, min_distance,
                                rm1_code, rs_code, support_histogram)
 from mdswe.mds_enum import MdsParams, pwgf
@@ -292,7 +293,7 @@ class TestBruteForcePwe:
         E = brute_force_weights(c)
         assert sum(E) == 25 and E[0] == 1 and E[1] == E[2] == 0
 
-    def test_odd_extension_field_python_path(self):
+    def test_odd_extension_field(self):
         f9 = Field(3, 2)
         c = rs_code(f9, 4, 2)
         E = brute_force_weights(c)
@@ -311,30 +312,144 @@ def _gf16_wide_code():
     return code_from_generator(f16, [[1] * 70, [f16.pow(2, j % 15) for j in range(70)]])
 
 
-class TestSupportHistogram:
-    """The numpy tally against the one-codeword-at-a-time Python tally."""
+def _gf4_wide_code():
+    rng = random.Random(70)
+    return code_from_generator(field_from_order(4),
+                               [[rng.randrange(4) for _ in range(70)] for _ in range(5)])
 
-    @pytest.mark.parametrize("code", [
-        *(pytest.param(lambda m=m: rm1_code(m), id=f"rm1-{m}") for m in range(1, 8)),
-        pytest.param(lambda: rs_code(Field(3, 1), 2, 1), id="rs-2-1-3"),
-        pytest.param(lambda: code_from_generator(Field(3, 1), [
-            [1, 0, 0, 2, 1, 1, 0, 2, 1, 1], [0, 1, 0, 1, 2, 0, 1, 1, 2, 1],
-            [0, 0, 1, 1, 1, 2, 2, 0, 1, 2]]), id="gf3-10-3"),
-        pytest.param(lambda: rs_code(field_from_order(9), 8, 3), id="rs-8-3-9"),
-        pytest.param(lambda: rs_code(field_from_order(16), 15, 3), id="rs-15-3-16"),
-        pytest.param(lambda: dual(rs_code(field_from_order(16), 15, 12)), id="dual-15-12-16"),
-        pytest.param(_gf16_wide_code, id="gf16-70-2"),
-    ])
+
+def _zero_code():
+    return dual(code_from_generator(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def python_histogram(code):
+    """Reference: the support of every one of the q^k codewords, one at a time."""
+    return Counter(sum(1 << j for j, v in enumerate(word) if v) for word in code.codewords())
+
+
+def python_pwe(code, partition):
+    """Reference: project each reference mask onto the blocks in Python."""
+    masks = partition.block_masks()
+    counts = Counter()
+    for mask, c in python_histogram(code).items():
+        counts[tuple((mask & bm).bit_count() for bm in masks)] += c
+    return dict(counts)
+
+
+@pytest.fixture
+def fresh_histograms():
+    """Tally afresh, and keep no histogram tallied under a patched chunk size."""
+    linear_code._support_histogram_cached.cache_clear()
+    yield
+    linear_code._support_histogram_cached.cache_clear()
+
+
+HISTOGRAM_CODES = [
+    *(pytest.param(lambda m=m: rm1_code(m), id=f"rm1-{m}") for m in range(1, 8)),
+    pytest.param(lambda: rs_code(Field(3, 1), 2, 1), id="rs-2-1-3"),
+    pytest.param(lambda: code_from_generator(Field(3, 1), [
+        [1, 0, 0, 2, 1, 1, 0, 2, 1, 1], [0, 1, 0, 1, 2, 0, 1, 1, 2, 1],
+        [0, 0, 1, 1, 1, 2, 2, 0, 1, 2]]), id="gf3-10-3"),
+    pytest.param(lambda: rs_code(field_from_order(4), 3, 2), id="rs-3-2-4"),
+    pytest.param(lambda: code_from_generator(field_from_order(4), [
+        [1, 2, 3, 0, 1, 1], [0, 1, 1, 2, 3, 0], [3, 0, 0, 1, 1, 2]]), id="gf4-6-3"),
+    pytest.param(lambda: rs_code(Field(5, 1), 4, 2), id="rs-4-2-5"),
+    pytest.param(lambda: dual(rs_code(Field(7, 1), 6, 2)), id="dual-6-2-7"),
+    pytest.param(lambda: rs_code(F8, 7, 3), id="rs-7-3-8"),
+    pytest.param(lambda: dual(rm1_code(3)), id="dual-rm1-3"),
+    pytest.param(lambda: rs_code(field_from_order(9), 8, 3), id="rs-8-3-9"),
+    pytest.param(lambda: code_from_generator(field_from_order(9), [
+        [1, 0, 5, 7, 0, 8, 2], [0, 3, 3, 1, 4, 0, 6]]), id="gf9-7-2"),
+    pytest.param(lambda: rs_code(field_from_order(16), 15, 3), id="rs-15-3-16"),
+    pytest.param(lambda: dual(rs_code(field_from_order(16), 15, 12)), id="dual-15-12-16"),
+    pytest.param(_gf16_wide_code, id="gf16-70-2"),
+    pytest.param(lambda: code_from_generator(F2, [[1] * 300, [j % 3 // 2 for j in range(300)]]),
+                 id="gf2-300-2"),
+    pytest.param(_zero_code, id="zero-code"),
+]
+
+
+class TestSupportHistogram:
+    """The scalar-class numpy tally against the all-codewords Python tally."""
+
+    @pytest.mark.parametrize("code", HISTOGRAM_CODES)
     def test_matches_python_tally(self, code):
         code = code()
-        assert support_histogram(code) == _support_histogram_python(code)
+        hist = support_histogram(code)
+        assert hist == python_histogram(code)
+        assert isinstance(hist, dict)
+        assert list(hist) == sorted(hist)
+        assert hist.masks.shape == (len(hist), max(1, -(-code.n // 64)))
+        assert hist.counts.tolist() == list(hist.values())
 
-    def test_chunked_tally_matches_closed_form(self):
-        # q^k = 2^20 rows are tallied in 16 chunks of 2^16
+    @pytest.mark.parametrize("code", [
+        pytest.param(lambda: rs_code(field_from_order(16), 15, 3), id="rs-15-3-16"),
+        pytest.param(lambda: rs_code(field_from_order(9), 8, 3), id="rs-8-3-9"),
+        pytest.param(lambda: rs_code(Field(5, 1), 4, 4), id="rs-4-4-5"),
+        pytest.param(lambda: rm1_code(7), id="rm1-7"),
+        pytest.param(_gf4_wide_code, id="gf4-70-5"),
+    ])
+    def test_multichunk_tally_matches_python_tally(self, monkeypatch, fresh_histograms, code):
+        monkeypatch.setattr(linear_code, "_CHUNK_ROWS", 64)
+        code = code()
+        # the last row's q^(k-1) words do not fit in one chunk
+        assert code.size // code.field.order > 64
+        assert support_histogram(code) == python_histogram(code)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1 << 12])
+    def test_chunked_tally_matches_closed_form(self, monkeypatch, fresh_histograms,
+                                               chunk_rows):
+        # q^k = 2^20 codewords, 69,905 of them tallied; with 2^12-row chunks
+        # the last 65,536 are tallied in 16 chunks
+        if chunk_rows is not None:
+            monkeypatch.setattr(linear_code, "_CHUNK_ROWS", chunk_rows)
         code = rs_code(field_from_order(16), 15, 5)
-        assert code.size > linear_code._CHUNK_ROWS
         part = Partition((5, 5, 5), tuple(j % 3 for j in range(15)))
         assert brute_force_pwe(code, part).counts == pwgf(MdsParams(15, 5, 16), (5, 5, 5)).terms
+
+    @pytest.mark.parametrize("chunk_rows", [None, 64])
+    @pytest.mark.parametrize("code", [
+        pytest.param(lambda: code_from_generator(F2, ROWS_HAMMING74), id="hamming-7-4"),
+        pytest.param(lambda: rs_code(F8, 7, 3), id="rs-7-3-8"),
+        pytest.param(lambda: rs_code(field_from_order(9), 8, 3), id="rs-8-3-9"),
+        pytest.param(lambda: rs_code(field_from_order(16), 15, 4), id="rs-15-4-16"),
+    ])
+    def test_one_word_per_scalar_class(self, monkeypatch, fresh_histograms, chunk_rows, code):
+        # only the words whose last nonzero message symbol is 1 are tallied
+        if chunk_rows is not None:
+            monkeypatch.setattr(linear_code, "_CHUNK_ROWS", chunk_rows)
+        rows = []
+        masks = linear_code._support_masks
+        monkeypatch.setattr(linear_code, "_support_masks",
+                            lambda nonzero, width: rows.append(len(nonzero)) or
+                            masks(nonzero, width))
+        code = code()
+        support_histogram(code)
+        assert sum(rows) == (code.size - 1) // (code.field.order - 1)
+        assert max(rows) <= (chunk_rows or linear_code._CHUNK_ROWS)
+
+
+def _scattered(n, p, seed):
+    assignment = [j % p for j in range(n)]
+    random.Random(seed).shuffle(assignment)
+    return Partition(tuple(assignment.count(b) for b in range(p)), tuple(assignment))
+
+
+class TestBruteForceProjection:
+    """brute_force_pwe and brute_force_weights against per-mask Python projection."""
+
+    @pytest.mark.parametrize("code", HISTOGRAM_CODES)
+    def test_partitions_match_python_projection(self, code):
+        code = code()
+        n = code.n
+        partitions = [Partition.contiguous((n,)), Partition.contiguous((1,) * n),
+                      _scattered(n, min(n, 3), n), _scattered(n, min(n, 5), n + 1)]
+        for part in partitions:
+            assert brute_force_pwe(code, part).counts == python_pwe(code, part), part.sizes
+        E = [0] * (n + 1)
+        for mask, c in python_histogram(code).items():
+            E[mask.bit_count()] += c
+        assert brute_force_weights(code) == E
 
 
 class TestPweTable:
