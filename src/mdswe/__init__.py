@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it exports from the package
 _EXPORTS = {
-    "gf": ("Field", "FieldElement", "field_from_order", "parse_field_spec"),
+    "gf": ("Field", "field_from_order", "parse_field_spec"),
     "linear_code": ("DEFAULT_ENUMERATION_BUDGET", "LinearCode", "Partition", "PweTable",
                     "brute_force_pwe", "brute_force_weights", "code_from_generator",
                     "dual", "min_distance", "rm1_code", "rs_code", "support_histogram"),
@@ -27,9 +27,9 @@ _EXPORTS = {
                 "macwilliams_pwe", "macwilliams_wgf", "property_a_check"),
     "errorprob": ("FREE", "FULL", "ZERO", "ChannelPoint", "Condition", "ErrorCurve",
                   "at_most", "bep_curve", "bep_ml_union", "bm_curve", "cep_bm",
-                  "cep_ml_union", "channel_map", "conditional_pwgf", "make_union_bound",
-                  "multiuser_bep", "multiuser_curve", "multiuser_sep", "parse_condition",
-                  "sep_bm", "snr_grid", "sphere_distance_prob", "user_iowe"),
+                  "cep_ml_union", "channel_map", "conditional_pwgf", "multiuser_bep",
+                  "multiuser_curve", "multiuser_sep", "parse_condition", "sep_bm",
+                  "snr_grid", "sphere_distance_prob", "user_iowe"),
     "montecarlo": ("BmSphereOracle",),
     "poly": ("SparsePoly",),
 }

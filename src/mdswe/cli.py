@@ -210,24 +210,14 @@ def _cmd_brute(args) -> int:
 def _cmd_binary(args) -> int:
     shape = read_code_shape(args.code)
     m = bits_per_symbol(shape.q)
-    if args.partition:
-        # the partition route: averaging substitutes the same F(Z) in every
-        # block, so the PWGF summed by total symbol weight carries it all
-        sizes = parse_partition_sizes(args.partition)
-        params = _require_mds(args, shape)
-        symbol_weights = [0] * (shape.n + 1)
-        for profile, count in pwgf(params, sizes).terms.items():
-            symbol_weights[sum(profile)] += count
-        weights = avg_binary_weights_from_distribution(symbol_weights, m)
+    params = _mds_params(args, shape)
+    if params is not None:
+        weights = avg_binary_wgf(params)
     else:
-        params = _mds_params(args, shape)
-        if params is not None:
-            weights = avg_binary_wgf(params)
-        else:
-            # a non-MDS code, or the zero code (the dual of an rs:<q>:<n>:<n> spec)
-            code = shape.code if shape.code is not None else parse_code_spec(args.code)
-            weights = avg_binary_weights_from_distribution(
-                brute_force_weights(code, budget=args.budget), m)
+        # a non-MDS code, or the zero code (the dual of an rs:<q>:<n>:<n> spec)
+        code = shape.code if shape.code is not None else parse_code_spec(args.code)
+        weights = avg_binary_weights_from_distribution(
+            brute_force_weights(code, budget=args.budget), m)
     rows = [{"h_b": h, "exact": _format_exact(Fraction(w)), "float64": repr(float(w))}
             for h, w in enumerate(weights)]
     doc = {"code": args.code, "bits_per_symbol": m,
@@ -278,11 +268,6 @@ def _cmd_errprob(args) -> int:
     params = _require_mds(args, read_code_shape(args.code))
     gammas = parse_snr_range(args.snr)
     metric = args.metric
-    decoder = args.decoder or ("bm" if metric in ("cep", "sep") else "ml-union")
-    if metric in ("cep", "sep") and decoder != "bm":
-        raise UsageError(f"--decoder: {metric} is computed for the bm decoder")
-    if metric == "bep" and decoder != "ml-union":
-        raise UsageError("--decoder: bep is computed for the ml-union decoder")
 
     if args.user is not None:
         if not args.condition:
@@ -297,6 +282,9 @@ def _cmd_errprob(args) -> int:
         if not 1 <= args.user <= len(sizes):
             raise UsageError(f"--user: index {args.user} outside 1..{len(sizes)}")
         curve = multiuser_curve(params, sizes, args.user - 1, conditions, gammas, metric)
+    elif args.partition or args.condition:
+        flag = "--partition" if args.partition else "--condition"
+        raise UsageError(f"{flag}: only valid with --user")
     elif metric == "bep":
         curve = bep_curve(params, gammas)
     else:
@@ -348,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_brute)
 
     p = sub.add_parser("binary", help="averaged binary weight distribution")
-    add_common(p, partition=True, partition_required=False)
+    add_common(p)
     p.set_defaults(fn=_cmd_binary)
 
     p = sub.add_parser("dual-pwe", help="dual code enumerator via MacWilliams")
@@ -361,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("errprob", help="decoder error-probability curves")
     add_common(p, partition=True, partition_required=False)
-    p.add_argument("--decoder", choices=("bm", "ml-union"), default=None)
     p.add_argument("--metric", choices=("cep", "sep", "bep"), required=True)
     p.add_argument("--user", type=int, default=None,
                    help="1-based block index of the user under study")

@@ -23,11 +23,9 @@ from a fixed codeword of weight h.  The symbol error probability
 substitutes E(h) -> (h/n) E(h), which is exact for codes with the
 uniform-coordinate-weight property (all MDS codes).
 
-For maximum-likelihood decoding of the binary image only per-weight
-bound terms F(g, h) are used: probabilities have the shape
-sum_h coeff(h) F(g, h) with a pluggable F.  The shipped F is the union
-bound Q(sqrt(2 h (k/n) g)); tighter per-weight terms plug in without
-interface changes.
+For maximum-likelihood decoding of the binary image the union bound is
+the one term: probabilities have the shape
+sum_h coeff(h) Q(sqrt(2 h (k/n) g)), clipped to [0, 1].
 
 Multiuser profiles
 ------------------
@@ -73,7 +71,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .binary_avg import avg_binary_wgf, bits_per_symbol, pattern_weight_powers
 from .mds_enum import (MdsParams, ParamOutOfRangeError, _validate_profile, binom,
@@ -169,33 +167,19 @@ def sep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
 
 # -- maximum-likelihood bounds on the binary image --------------------------
 
-# A per-weight bound term: F(gamma_db, h) -> probability-like float.
-BoundTerm = Callable[[float, int], float]
-
-
-def make_union_bound(rate: float) -> BoundTerm:
-    """Union-bound term F(g, h) = Q(sqrt(2 h rate g)) for BPSK/AWGN."""
-
-    def term(gamma_db: float, h: int) -> float:
-        gamma = 10.0 ** (gamma_db / 10.0)
-        return q_function(math.sqrt(2.0 * h * rate * gamma))
-
-    return term
-
-
-def _ml_sum(coeffs: dict[int, float], rate: float, gamma_db: float,
-            term: Optional[BoundTerm]) -> float:
-    if term is None:
-        term = make_union_bound(rate)
-    terms = [c * term(gamma_db, h) for h, c in coeffs.items() if c]
+def _ml_sum(coeffs: dict[int, float], rate: float, gamma_db: float) -> float:
+    """Union bound sum_h coeff(h) Q(sqrt(2 h rate g)) for BPSK/AWGN, clipped."""
+    gamma = 10.0 ** (gamma_db / 10.0)
+    terms = [c * q_function(math.sqrt(2.0 * h * rate * gamma))
+             for h, c in coeffs.items() if c]
     return min(1.0, max(0.0, math.fsum(sorted(terms))))
 
 
 def cep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
-                 gamma_db: float, term: Optional[BoundTerm] = None) -> float:
-    """Bound on ML codeword error probability: sum_h E~(h) F(g, h)."""
+                 gamma_db: float) -> float:
+    """Bound on ML codeword error probability: sum_h E~(h) Q(sqrt(2 h (k/n) g))."""
     coeffs = {h: float(avg_weights[h]) for h in range(1, m * n + 1) if avg_weights[h]}
-    return _ml_sum(coeffs, k / n, gamma_db, term)
+    return _ml_sum(coeffs, k / n, gamma_db)
 
 
 def _bep_coeffs(avg_weights: Sequence[Fraction], n: int, m: int) -> dict[int, float]:
@@ -204,9 +188,9 @@ def _bep_coeffs(avg_weights: Sequence[Fraction], n: int, m: int) -> dict[int, fl
 
 
 def bep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
-                 gamma_db: float, term: Optional[BoundTerm] = None) -> float:
+                 gamma_db: float) -> float:
     """Bound on average bit error probability: E~(h) -> (h/(mn)) E~(h)."""
-    return _ml_sum(_bep_coeffs(avg_weights, n, m), k / n, gamma_db, term)
+    return _ml_sum(_bep_coeffs(avg_weights, n, m), k / n, gamma_db)
 
 
 # -- multiuser conditioning -------------------------------------------------
@@ -350,12 +334,11 @@ def multiuser_sep(params: MdsParams, sizes: Sequence[int], user: int,
 
 
 def multiuser_bep(params: MdsParams, sizes: Sequence[int], user: int,
-                  conditions: Sequence[Condition], gamma_db: float,
-                  term: Optional[BoundTerm] = None) -> float:
+                  conditions: Sequence[Condition], gamma_db: float) -> float:
     """Average bit error probability of one user's block (ML bound form),
     restricted to codewords satisfying the per-block conditions."""
     coeffs = _float_profile(params, sizes, user, conditions, bits_per_symbol(params.q))
-    return _ml_sum(coeffs, params.k / params.n, gamma_db, term)
+    return _ml_sum(coeffs, params.k / params.n, gamma_db)
 
 
 # -- SNR sweeps ----------------------------------------------------------------
@@ -385,9 +368,9 @@ def _bm_points(params: MdsParams, coeffs: dict[int, float],
                  for g in gammas)
 
 
-def _ml_points(params: MdsParams, coeffs: dict[int, float], gammas: Sequence[float],
-               term: Optional[BoundTerm]) -> tuple[tuple[float, float], ...]:
-    return tuple((g, _ml_sum(coeffs, params.k / params.n, g, term)) for g in gammas)
+def _ml_points(params: MdsParams, coeffs: dict[int, float],
+               gammas: Sequence[float]) -> tuple[tuple[float, float], ...]:
+    return tuple((g, _ml_sum(coeffs, params.k / params.n, g)) for g in gammas)
 
 
 def bm_curve(params: MdsParams, gammas: Sequence[float], metric: str) -> ErrorCurve:
@@ -399,24 +382,23 @@ def bm_curve(params: MdsParams, gammas: Sequence[float], metric: str) -> ErrorCu
     return ErrorCurve("bm", metric, None, None, _bm_points(params, coeffs, gammas))
 
 
-def bep_curve(params: MdsParams, gammas: Sequence[float],
-              term: Optional[BoundTerm] = None) -> ErrorCurve:
+def bep_curve(params: MdsParams, gammas: Sequence[float]) -> ErrorCurve:
     """Unconditional average-binary BEP bound over an SNR grid."""
     coeffs = _bep_coeffs(avg_binary_wgf(params), params.n, bits_per_symbol(params.q))
-    pts = _ml_points(params, coeffs, gammas, term)
+    pts = _ml_points(params, coeffs, gammas)
     return ErrorCurve("ml-union", "bep", None, None, pts)
 
 
 def multiuser_curve(params: MdsParams, sizes: Sequence[int], user: int,
                     conditions: Sequence[Condition], gammas: Sequence[float],
-                    metric: str, term: Optional[BoundTerm] = None) -> ErrorCurve:
+                    metric: str) -> ErrorCurve:
     """Conditional per-user SEP (BM) or BEP (ML bound) over an SNR grid."""
     if metric == "sep":
         coeffs = _float_profile(params, sizes, user, conditions, 1)
         pts = _bm_points(params, coeffs, gammas)
     elif metric == "bep":
         coeffs = _float_profile(params, sizes, user, conditions, bits_per_symbol(params.q))
-        pts = _ml_points(params, coeffs, gammas, term)
+        pts = _ml_points(params, coeffs, gammas)
     else:
         raise ValueError(f"per-user metrics are sep and bep, not {metric!r}")
     return ErrorCurve("bm" if metric == "sep" else "ml-union", metric, user,

@@ -24,15 +24,13 @@ installs log/antilog tables (q <= 2^16) as a faster path; both paths are
 required to agree and the tests check them against each other
 exhaustively for small fields.
 
-Fields and elements are immutable after construction (the lazily built
-lookup tables never change results), so they are safe to share across
-threads.
+Fields are immutable after construction (the lazily built lookup tables
+never change results), so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .primes import factorize, prime_power
 
@@ -47,10 +45,6 @@ class NotIrreducibleError(ValueError):
 
 class DegreeMismatchError(ValueError):
     """Reduction polynomial is not monic of the requested degree."""
-
-
-class FieldMismatchError(ValueError):
-    """Operands belong to different fields."""
 
 
 # Primitive polynomials for GF(2^m), bitmask form (bit i = coeff of x^i).
@@ -133,8 +127,7 @@ class Field:
     """The finite field GF(p^m) with a fixed reduction polynomial.
 
     Arithmetic methods (`add`, `mul`, `inv`, ...) operate on raw integer
-    element values; `element()` wraps a value in a `FieldElement` with
-    operator syntax.
+    element values.
     """
 
     def __init__(self, characteristic: int, extension_degree: int = 1,
@@ -297,15 +290,6 @@ class Field:
             exp[i] = exp[i - q1] if q1 else 1
         self._exp, self._log = exp, log
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
-    def nonzero_elements(self) -> Iterator[int]:
-        return iter(range(1, self.order))
-
     def _to_digits(self, a: int) -> tuple[int, ...]:
         p = self.characteristic
         out = []
@@ -337,70 +321,6 @@ class Field:
         """Round-trippable CLI spec, e.g. ``gf:2^3:poly=0xb``."""
         mask = self._from_digits(self.reduction_poly)
         return f"gf:{self.characteristic}^{self.extension_degree}:poly={mask:#x}"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element: an integer value tied to its field."""
-
-    field: Field
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.order:
-            raise ValueError(f"value {self.value} out of range for {self.field!r}")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(f"{self.field!r} vs {other.field!r}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.order
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}[{self.value}]"
 
 
 def field_from_order(q: int) -> Field:

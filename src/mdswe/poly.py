@@ -9,7 +9,6 @@ enumerators have rational ones.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -43,10 +42,6 @@ class SparsePoly:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], coeff: Rational = 1) -> "SparsePoly":
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "SparsePoly":
         exps = [0] * nvars
         exps[index] = 1
@@ -62,9 +57,6 @@ class SparsePoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Rational]]:
         return sorted(self.terms.items())
-
-    def degree(self, var: int) -> int:
-        return max((e[var] for e in self.terms), default=0)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -208,8 +200,3 @@ class SparsePoly:
 
     def map_coeffs(self, fn: Callable[[Rational], Rational]) -> "SparsePoly":
         return SparsePoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
-
-def as_fraction_poly(poly: SparsePoly) -> SparsePoly:
-    """Copy with every coefficient coerced to `Fraction`."""
-    return poly.map_coeffs(lambda c: Fraction(c))

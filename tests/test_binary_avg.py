@@ -82,8 +82,9 @@ class TestAvgBinaryPwgf:
         collapse_then_sub = avg_binary_pwgf(sym.collapse([0, None], 1), 3)
         assert sub_then_collapse == collapse_then_sub
 
-    def test_collapse_matches_wgf(self):
-        merged = avg_binary_pwgf(pwgf(P738, (3, 4)), 3).collapse([0, 0], 1)
+    @pytest.mark.parametrize("sizes", [(3, 4), (1, 2, 4)])
+    def test_collapse_matches_wgf(self, sizes):
+        merged = avg_binary_pwgf(pwgf(P738, sizes), 3).collapse([0] * len(sizes), 1)
         E_b = avg_binary_wgf(P738)
         assert merged == SparsePoly(1, {(h,): c for h, c in enumerate(E_b) if c})
 

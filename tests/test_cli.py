@@ -10,10 +10,10 @@ import pytest
 
 from mdswe import mds_enum, verify
 from mdswe.cli import main, parse_code_spec, parse_partition_sizes, parse_snr_range
-from mdswe.binary_avg import avg_binary_pwgf, avg_binary_wgf
+from mdswe.binary_avg import avg_binary_wgf
 from mdswe.gf import Field
 from mdswe.linear_code import Partition, brute_force_pwe, dual, rs_code
-from mdswe.mds_enum import MdsParams, pwgf
+from mdswe.mds_enum import MdsParams
 
 PAPER53_DOC = {"field": "gf:2^1", "rows": [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1],
                                            [0, 0, 1, 0, 1]]}
@@ -120,24 +120,6 @@ class TestBinaryCommand:
             from fractions import Fraction
             assert Fraction(int(num), int(den or 1)) == expected[h]
 
-    def test_partition_route_agrees(self, capsys):
-        _, plain, _ = run_cli(capsys, "binary", "--code", "rs:8:7:3",
-                              "--format", "csv")
-        _, routed, _ = run_cli(capsys, "binary", "--code", "rs:8:7:3",
-                               "--partition", "3,4", "--format", "csv")
-        assert plain == routed
-
-    @pytest.mark.parametrize("sizes", [(3, 4), (1, 2, 4)])
-    def test_partition_route_matches_substitution_pipeline(self, capsys, sizes):
-        code, out, _ = run_cli(capsys, "binary", "--code", "rs:8:7:3", "--partition",
-                               ",".join(map(str, sizes)), "--format", "csv")
-        assert code == 0
-        merged = avg_binary_pwgf(pwgf(MdsParams(7, 3, 8), sizes), 3).collapse(
-            [0] * len(sizes), 1)
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [Fraction(r["exact"]) for r in rows] == \
-            [Fraction(merged.coeff((h,))) for h in range(22)]
-
     def test_rs_code_beyond_enumeration_budget(self, capsys):
         # q^k = 16^11 is never enumerated: an rs: spec takes the closed form
         code, out, _ = run_cli(capsys, "binary", "--code", "rs:16:15:11",
@@ -152,9 +134,8 @@ class TestBinaryCommand:
 class TestMdsCheck:
     @pytest.mark.parametrize("argv", [
         ("pwe", "--partition", "4,4"),
-        ("binary", "--partition", "4,4"),
         ("errprob", "--metric", "cep", "--snr", "4:6:1"),
-    ], ids=["pwe", "binary", "errprob"])
+    ], ids=["pwe", "errprob"])
     def test_non_mds_code_exits_two(self, capsys, argv):
         # RM(1,3) is (8,4) with d = 4 < n - k + 1 = 5
         code, out, err = run_cli(capsys, argv[0], "--code", "rm1:3", *argv[1:])
@@ -189,7 +170,6 @@ class TestSpecDerivedParams:
     COMMANDS = {
         "pwe": ("pwe", "--partition", "3,3,5,4"),
         "errprob": ("errprob", "--metric", "bep", "--snr", "4:5:1"),
-        "binary-partition": ("binary", "--partition", "3,3,5,4"),
         "binary": ("binary",),
     }
     NOT_MDS = ("--code: dual:rs:16:15:15 is not MDS: the closed forms need minimum "
@@ -208,7 +188,7 @@ class TestSpecDerivedParams:
                                  "--format", "csv")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("command", ["pwe", "errprob", "binary-partition"])
+    @pytest.mark.parametrize("command", ["pwe", "errprob"])
     def test_zero_dimensional_dual_is_not_mds(self, capsys, command):
         code, out, err = run_cli(capsys, *self.COMMANDS[command],
                                  "--code", "dual:rs:16:15:15", "--format", "csv")
@@ -316,6 +296,27 @@ class TestErrprobCommand:
                                "--user", "9", "--condition", "zero,full,free,free",
                                "--snr", "4:6:1")
         assert code == 2 and "--user" in err
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--partition", ("--partition", "99,1", "--condition", "bogus")),
+        ("--condition", ("--condition", "bogus")),
+    ])
+    def test_user_flags_without_user_exit_two(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",
+                                 "--metric", "cep", "--snr", "4:5:1", *argv)
+        assert (code, out, err) == (2, "", f"error: {flag}: only valid with --user\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("errprob", "--code", "rs:16:15:11", "--metric", "cep", "--snr", "4:5:1",
+     "--decoder", "bm"),
+    ("binary", "--code", "rs:8:7:3", "--partition", "3,4"),
+], ids=["errprob-decoder", "binary-partition"])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:

@@ -10,9 +10,9 @@ from mdswe.binary_avg import avg_binary_pwgf, avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ConditionCountMismatchError,
                              ParamOutOfRangeError, at_most, bep_curve, bep_ml_union,
                              bm_curve, cep_bm, cep_ml_union, channel_map,
-                             conditional_pwgf, make_union_bound, multiuser_bep,
-                             multiuser_curve, multiuser_sep, parse_condition, sep_bm,
-                             snr_grid, sphere_distance_prob, user_iowe)
+                             conditional_pwgf, multiuser_bep, multiuser_curve,
+                             multiuser_sep, parse_condition, sep_bm, snr_grid,
+                             sphere_distance_prob, user_iowe)
 from mdswe.gf import Field
 from mdswe.linear_code import brute_force_weights, code_from_generator, dual, rs_code
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
@@ -143,13 +143,6 @@ class TestMlUnionBounds:
         for h in range(1, 22):
             if avg[h]:
                 assert Fraction(h, 21) * avg[h] == avg[h] * Fraction(h, 21)
-
-    def test_custom_term_plugs_in(self):
-        avg = avg_binary_wgf(P738)
-        flat = bep_ml_union(avg, 7, 3, 3, 5.0, term=lambda g, h: 1.0)
-        # with F == 1 the sum telescopes to sum_h (h/mn) E~(h), clamped
-        exact = sum(Fraction(h, 21) * avg[h] for h in range(1, 22))
-        assert flat == min(1.0, float(exact))
 
 
 class TestConditionalPwgf:

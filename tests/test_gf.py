@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mdswe.gf import (DegreeMismatchError, Field, FieldElement, FieldMismatchError,
-                      NotIrreducibleError, NotPrimeError, field_from_order,
-                      parse_field_spec)
+from mdswe.gf import (DegreeMismatchError, Field, NotIrreducibleError, NotPrimeError,
+                      field_from_order, parse_field_spec)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
 LARGER_ORDERS = [27, 32, 64, 128, 256]
@@ -110,28 +109,6 @@ def test_field_axioms_random(q, data):
     assert f.sub(f.add(a, b), b) == a
     if b:
         assert f.mul(f.div(a, b), b) == a
-
-
-def test_element_wrapper_operators():
-    f = Field(2, 3)
-    a, b = f.element(2), f.element(4)
-    assert int(a * b) == 3
-    assert int(a + a) == 0
-    assert int(a / a) == 1
-    assert int(a**3) == 3
-    assert bool(f.element(0)) is False
-
-
-def test_element_field_mismatch():
-    a = Field(2, 3).element(1)
-    b = Field(2, 2).element(1)
-    with pytest.raises(FieldMismatchError):
-        _ = a + b
-
-
-def test_element_value_range_checked():
-    with pytest.raises(ValueError):
-        FieldElement(Field(2, 2), 4)
 
 
 def test_parse_field_spec_round_trip():
