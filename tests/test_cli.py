@@ -171,6 +171,8 @@ class TestSpecDerivedParams:
         "pwe": ("pwe", "--partition", "3,3,5,4"),
         "errprob": ("errprob", "--metric", "bep", "--snr", "4:5:1"),
         "binary": ("binary",),
+        "errprob-user": ("errprob", "--metric", "bep", "--snr", "4:5:1", "--partition",
+                         "3,3,5,4", "--user", "1", "--condition", "free,zero,full,free"),
     }
     NOT_MDS = ("--code: dual:rs:16:15:15 is not MDS: the closed forms need minimum "
                "distance n - k + 1 = 16; use brute for any code")
@@ -188,7 +190,7 @@ class TestSpecDerivedParams:
                                  "--format", "csv")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("command", ["pwe", "errprob"])
+    @pytest.mark.parametrize("command", ["pwe", "errprob", "errprob-user"])
     def test_zero_dimensional_dual_is_not_mds(self, capsys, command):
         code, out, err = run_cli(capsys, *self.COMMANDS[command],
                                  "--code", "dual:rs:16:15:15", "--format", "csv")
@@ -300,6 +302,7 @@ class TestErrprobCommand:
     @pytest.mark.parametrize("flag, argv", [
         ("--partition", ("--partition", "99,1", "--condition", "bogus")),
         ("--condition", ("--condition", "bogus")),
+        ("--partition", ("--partition", "3,3,5,4")),
     ])
     def test_user_flags_without_user_exit_two(self, capsys, flag, argv):
         code, out, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",

@@ -144,6 +144,21 @@ class TestMlUnionBounds:
             if avg[h]:
                 assert Fraction(h, 21) * avg[h] == avg[h] * Fraction(h, 21)
 
+    @pytest.mark.parametrize("gamma_db", [-5.0, 2.0, 6.0])
+    @pytest.mark.parametrize("metric", ["cep", "bep"])
+    def test_union_term_matches_reference_sum(self, metric, gamma_db):
+        # the one ML term: coeff(h) Q(sqrt(2 h R g)) with R = k/n and g the
+        # linear SNR, summed over h and clipped to 1
+        avg = avg_binary_wgf(P738)
+        weight = (lambda h: 1) if metric == "cep" else (lambda h: Fraction(h, 21))
+        g = 10.0 ** (gamma_db / 10.0)
+        reference = sum(float(weight(h) * avg[h])
+                        * 0.5 * math.erfc(math.sqrt(h * (3 / 7) * g))
+                        for h in range(1, 22) if avg[h])
+        bound = cep_ml_union if metric == "cep" else bep_ml_union
+        assert bound(avg, 7, 3, 3, gamma_db) == pytest.approx(min(1.0, reference),
+                                                              rel=1e-12)
+
 
 class TestConditionalPwgf:
     def test_paper_filter(self):
