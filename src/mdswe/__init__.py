@@ -19,17 +19,17 @@ _EXPORTS = {
                     "dual", "min_distance", "rm1_code", "rs_code", "support_histogram"),
     "mds_enum": ("MdsParams", "check_convolution_identity", "check_subset_identity",
                  "coordinate_weight_sum", "fixed_support_count", "iowe", "psi",
-                 "pwe_direct", "pwe_direct_table", "pwe_product", "pwgf", "split_we",
-                 "weight_at", "weight_distribution"),
-    "binary_avg": ("avg_binary_iowe", "avg_binary_pwgf", "avg_binary_wgf",
-                   "binomial_approx", "bit_substitution_poly", "bits_per_symbol"),
+                 "pwe_direct", "pwe_direct_table", "pwe_product", "pwgf", "weight_at",
+                 "weight_distribution"),
+    "binary_avg": ("avg_binary_iowe", "avg_binary_wgf", "binomial_approx",
+                   "bits_per_symbol"),
     "duality": ("PropertyAReport", "PropertyAWitness", "dual_property_a", "krawtchouk",
                 "macwilliams_pwe", "macwilliams_wgf", "property_a_check"),
     "errorprob": ("FREE", "FULL", "ZERO", "ChannelPoint", "Condition", "ErrorCurve",
                   "at_most", "bep_curve", "bep_ml_union", "bm_curve", "cep_bm",
-                  "cep_ml_union", "channel_map", "conditional_pwgf", "multiuser_bep",
-                  "multiuser_curve", "multiuser_sep", "parse_condition", "sep_bm",
-                  "snr_grid", "sphere_distance_prob", "user_iowe"),
+                  "cep_ml_union", "channel_map", "multiuser_bep", "multiuser_curve",
+                  "multiuser_sep", "parse_condition", "sep_bm", "snr_grid",
+                  "sphere_distance_prob"),
     "montecarlo": ("BmSphereOracle",),
     "poly": ("SparsePoly",),
 }

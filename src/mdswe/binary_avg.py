@@ -7,9 +7,13 @@ generating function turns into a bit-level one through the substitution
 
     F(Z) = ((1 + Z)^m - 1) / (2^m - 1),
 
-applied per variable.  All arithmetic here is exact (integers, or
-`Fraction` where a result needs it); the (2^m - 1)^h denominators cancel
-in the identities under test, which keeps every check a strict pass/fail.
+applied per variable.  No polynomial is substituted into: F(Z)^w is the
+w-th list of `pattern_weight_powers(m)` over (2^m - 1)^w, and the
+averaged weight distribution contracts those integer lists against E(w)
+over one common denominator (2^m - 1)^n.  `avg_binary_iowe` is an
+independent closed form of the two-block table.  All arithmetic here is
+exact (integers, or `Fraction` where a result needs it), which keeps
+every check a strict pass/fail.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .mds_enum import MdsParams, ProfileOutOfRangeError, binom, iowe, weight_distribution
-from .poly import SparsePoly
 
 
 class NotCharTwoError(ValueError):
@@ -31,18 +34,6 @@ def bits_per_symbol(q: int) -> int:
     if q < 2 or (1 << m) != q:
         raise NotCharTwoError(f"q={q} is not a power of two")
     return m
-
-
-def bit_substitution_poly(m: int) -> SparsePoly:
-    """The univariate substitution polynomial F(Z).
-
-    F(Z) = ((1+Z)^m - 1)/(2^m - 1): the bit-weight generating function of
-    a uniformly random nonzero m-bit pattern.  F(0) = 0 and F(1) = 1.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    den = (1 << m) - 1
-    return SparsePoly(1, {(i,): Fraction(binom(m, i), den) for i in range(1, m + 1)})
 
 
 def pattern_weight_powers(m: int) -> Iterator[list[int]]:
@@ -88,26 +79,6 @@ def avg_binary_wgf(params: MdsParams) -> list[Fraction]:
     """Averaged binary weight distribution of an MDS code over GF(2^m)."""
     m = bits_per_symbol(params.q)
     return avg_binary_weights_from_distribution(weight_distribution(params), m)
-
-
-def avg_binary_pwgf(symbol_pwgf: SparsePoly, m: int) -> SparsePoly:
-    """Averaged binary partition weight generating function.
-
-    Substitutes X_i -> F(Z_i) in a symbol-level PWGF; the result tracks
-    binary weights per block, with per-variable degree m times the symbol
-    degree.
-    """
-    f = bit_substitution_poly(m)
-    nvars = symbol_pwgf.nvars
-    replacements = []
-    for i in range(nvars):
-        terms = {}
-        for (e,), c in f.terms.items():
-            exps = [0] * nvars
-            exps[i] = e
-            terms[tuple(exps)] = c
-        replacements.append(SparsePoly(nvars, terms))
-    return symbol_pwgf.substitute(replacements)
 
 
 def avg_binary_iowe(params: MdsParams, s: int, w_b: int, h_b: int) -> Fraction:

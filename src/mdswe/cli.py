@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -94,7 +95,7 @@ def parse_snr_range(text: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise UsageError(f"--snr: bad range {text!r}; expected start:stop:step")
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise UsageError(f"--snr: bad range {text!r}")
     return snr_grid(start, stop, step)
 

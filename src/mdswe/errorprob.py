@@ -58,7 +58,10 @@ one, since b_i <= m w_i <= m floor(a n_i) <= floor(a m n_i).
 Multiuser conditioning restricts the enumerator to codewords that are
 all-zero on some blocks and full-weight on others, exactly as the
 conditional quantities are defined; no Bayes renormalization is applied,
-so conditional curves are joint-style quantities.
+so conditional curves are joint-style quantities.  The contraction is
+the only route: the package never materialises, substitutes into or
+filters a generating function to get a profile.  The tests keep that
+literal route as a reference and compare the two exactly.
 
 Floating point enters only at the last step: enumerator coefficients are
 exact integers or rationals until each term is converted to binary64,
@@ -76,7 +79,6 @@ from typing import Optional, Sequence, Union
 from .binary_avg import avg_binary_wgf, bits_per_symbol, pattern_weight_powers
 from .mds_enum import (MdsParams, ParamOutOfRangeError, _validate_profile, binom,
                        fixed_support_count, weight_distribution)
-from .poly import SparsePoly
 
 
 class ConditionCountMismatchError(ValueError):
@@ -230,7 +232,11 @@ def parse_condition(token: str) -> Condition:
     if token in ("free", "zero", "full"):
         return Condition(token)
     if token.startswith("atmost:"):
-        return at_most(token[len("atmost:"):])
+        text = token[len("atmost:"):]
+        try:
+            return at_most(text)
+        except ZeroDivisionError:
+            raise ValueError(f"bad fraction {text!r} in {token!r}: zero denominator") from None
     raise ValueError(f"bad condition token {token!r}; "
                      "expected free, zero, full, or atmost:<fraction>")
 
@@ -244,40 +250,6 @@ def _cap(cond: Condition, block_total: int) -> tuple[int, int]:
     if cond.kind == "full":
         return block_total, block_total
     return 0, math.floor(cond.fraction * block_total)
-
-
-def conditional_pwgf(poly: SparsePoly, sizes: Sequence[int],
-                     conditions: Sequence[Condition], *,
-                     binary: bool = False, m: int = 1) -> SparsePoly:
-    """Restrict a (symbol or averaged-binary) PWGF to the terms allowed by
-    per-block conditions.
-
-    Block i of `sizes` has total weight sizes[i] symbols, or m*sizes[i]
-    bits when `binary` is set; 'full' means that total, 'atmost' caps the
-    exponent at floor(fraction * total).  No renormalization happens.
-    """
-    if len(conditions) != poly.nvars or len(sizes) != poly.nvars:
-        raise ConditionCountMismatchError(
-            f"{poly.nvars} blocks but {len(conditions)} conditions / {len(sizes)} sizes")
-    scale = m if binary else 1
-    ranges = [_cap(c, scale * s) for c, s in zip(conditions, sizes)]
-    return poly.filter_terms(
-        lambda exps: all(lo <= e <= hi for e, (lo, hi) in zip(exps, ranges)))
-
-
-def user_iowe(poly: SparsePoly, user: int) -> dict[tuple[int, int], Fraction]:
-    """Collapse a PWGF to one block's input-output enumerator.
-
-    Substitutes X_i -> Y for i != user and X_user -> X*Y; the result maps
-    (w, h) = (block weight, total weight) to the enumerator coefficient.
-    """
-    if not 0 <= user < poly.nvars:
-        raise ValueError(f"user index {user} out of range for {poly.nvars} blocks")
-    out: dict[tuple[int, int], Fraction] = {}
-    for exps, c in poly.terms.items():
-        key = (exps[user], sum(exps))
-        out[key] = out.get(key, 0) + c
-    return out
 
 
 def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,

@@ -195,12 +195,6 @@ class Partition:
     def p(self) -> int:
         return len(self.sizes)
 
-    def block_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.p
-        for j, b in enumerate(self.assignment):
-            masks[b] |= 1 << j
-        return tuple(masks)
-
 
 @dataclass(frozen=True)
 class PweTable:
@@ -222,11 +216,6 @@ class PweTable:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def to_poly(self):
-        from .poly import SparsePoly
-
-        return SparsePoly(len(self.sizes), self.counts)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PweTable):

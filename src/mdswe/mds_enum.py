@@ -216,11 +216,6 @@ def pwgf(params: MdsParams, sizes: Sequence[int]) -> SparsePoly:
     return SparsePoly(len(sizes), terms)
 
 
-def split_we(params: MdsParams, n1: int, n2: int, w1: int, w2: int) -> int:
-    """Two-block partition weight enumerator (the p = 2 case)."""
-    return pwe_product(params, (n1, n2), (w1, w2))
-
-
 def iowe(params: MdsParams, s: int, w: int, h: int) -> int:
     """Input-output weight enumerator for an (s, n-s) coordinate split.
 

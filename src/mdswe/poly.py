@@ -1,16 +1,18 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A `SparsePoly` maps exponent tuples to exact coefficients (Python ints or
-`fractions.Fraction`); zero coefficients are never stored.  This is the
-carrier type for every generating function in the package: symbol-level
-partition weight enumerators have integer coefficients, averaged binary
-enumerators have rational ones.
+`fractions.Fraction`); zero coefficients are never stored.  It is the
+result type of `mds_enum.pwgf`, the symbol-level partition weight
+generating function with integer coefficients; `collapse` merges or drops
+its blocks.  The averaged binary image and the multiuser profiles are not
+built as polynomials: `binary_avg` and `errorprob` contract integer
+coefficient lists against the product form directly.
 """
 
 from __future__ import annotations
 
 from numbers import Rational
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class SparsePoly:
@@ -34,18 +36,8 @@ class SparsePoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "SparsePoly":
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars: int) -> "SparsePoly":
         return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "SparsePoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -127,54 +119,6 @@ class SparsePoly:
 
     # -- structural operations ----------------------------------------------
 
-    def evaluate(self, values: Sequence[Rational]) -> Rational:
-        if len(values) != self.nvars:
-            raise ValueError("value count mismatch")
-        total = 0
-        for exps, c in self.terms.items():
-            t = c
-            for v, e in zip(values, exps):
-                if e:
-                    t *= v**e
-            total += t
-        return total
-
-    def substitute(self, replacements: Sequence["SparsePoly"]) -> "SparsePoly":
-        """Substitute variable i -> replacements[i].
-
-        All replacement polynomials must share one target variable space;
-        the result lives in that space.  Powers of each replacement are
-        cached, so repeated exponents cost one multiplication each.
-        """
-        if len(replacements) != self.nvars:
-            raise ValueError("need one replacement per variable")
-        out_nvars = replacements[0].nvars
-        for r in replacements:
-            if r.nvars != out_nvars:
-                raise ValueError("replacement polynomials disagree on variable count")
-        powers: list[dict[int, SparsePoly]] = [
-            {0: SparsePoly.one(out_nvars)} for _ in range(self.nvars)
-        ]
-
-        def power(i: int, e: int) -> SparsePoly:
-            cache = powers[i]
-            if e not in cache:
-                top = max(cache)
-                acc = cache[top]
-                for j in range(top + 1, e + 1):
-                    acc = acc * replacements[i]
-                    cache[j] = acc
-            return cache[e]
-
-        total = SparsePoly.zero(out_nvars)
-        for exps, c in self.terms.items():
-            prod = SparsePoly(out_nvars, {(0,) * out_nvars: c})
-            for i, e in enumerate(exps):
-                if e:
-                    prod = prod * power(i, e)
-            total = total + prod
-        return total
-
     def collapse(self, var_map: Sequence[Optional[int]], nvars_out: int) -> "SparsePoly":
         """Remap variables: var i -> var_map[i] in the output, or set the
         variable to 1 when var_map[i] is None.  Exponents mapping to the
@@ -194,9 +138,3 @@ class SparsePoly:
             k = tuple(key)
             out[k] = out.get(k, 0) + c
         return SparsePoly(nvars_out, out)
-
-    def filter_terms(self, keep: Callable[[tuple[int, ...]], bool]) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: c for e, c in self.terms.items() if keep(e)})
-
-    def map_coeffs(self, fn: Callable[[Rational], Rational]) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})

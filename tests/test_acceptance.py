@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdswe.binary_avg import (avg_binary_iowe, avg_binary_wgf, bit_substitution_poly,
-                              bits_per_symbol)
+from mdswe.binary_avg import avg_binary_iowe, avg_binary_wgf, bits_per_symbol
 from mdswe.duality import dual_property_a, macwilliams_pwe, property_a_check
 from mdswe.errorprob import (FREE, FULL, ZERO, bm_curve, cep_bm, multiuser_curve,
                              sep_bm, snr_grid, sphere_distance_prob)
@@ -27,6 +26,8 @@ from mdswe.mds_enum import (MdsParams, check_convolution_identity, check_subset_
 from mdswe.montecarlo import BmSphereOracle
 from mdswe.poly import SparsePoly
 from mdswe.verify import random_partition
+
+from literal_pipeline import bit_substitution_poly, substitute
 
 ROWS_53 = [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1]]
 ROWS_HAMMING74 = [[1, 1, 0, 1, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0],
@@ -173,7 +174,7 @@ def test_criterion_6_binary_average_consistency():
             f_y = SparsePoly(2, {(0, e): c for (e,), c in f.terms.items()})
             E_b = avg_binary_wgf(prm)
             for s in (1, 3):
-                oracle = pwgf(prm, (s, prm.n - s)).substitute([f_xy, f_y])
+                oracle = substitute(pwgf(prm, (s, prm.n - s)), [f_xy, f_y])
                 for w_b in range(m * s + 1):
                     for h_b in range(m * prm.n + 1):
                         assert avg_binary_iowe(prm, s, w_b, h_b) == \

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdswe import mds_enum, verify
+from mdswe import binary_avg, mds_enum, verify
 from mdswe.cli import main, parse_code_spec, parse_partition_sizes, parse_snr_range
 from mdswe.binary_avg import avg_binary_wgf
 from mdswe.gf import Field
@@ -292,6 +292,21 @@ class TestErrprobCommand:
                                "--snr", "4:6:1")
         assert code == 2 and "--condition" in err
 
+    def test_zero_denominator_condition(self, capsys):
+        code, out, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",
+                                 "--partition", "3,3,5,4", "--metric", "sep",
+                                 "--user", "1", "--condition", "atmost:1/0,free,free,free",
+                                 "--snr", "4:5:1")
+        assert (code, out) == (2, "")
+        assert err == ("error: --condition: bad fraction '1/0' in 'atmost:1/0': "
+                       "zero denominator\n")
+
+    @pytest.mark.parametrize("snr", ["4:inf:1", "-inf:5:1", "nan:5:1", "4:5:nan"])
+    def test_non_finite_snr_range(self, capsys, snr):
+        code, out, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",
+                                 "--metric", "cep", f"--snr={snr}")
+        assert (code, out, err) == (2, "", f"error: --snr: bad range {snr!r}\n")
+
     def test_user_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",
                                "--partition", "3,3,5,4", "--metric", "sep",
@@ -360,6 +375,44 @@ class TestVerifyCommand:
         [result] = verify.suite_oracle(random.Random(7), partitions_per_code=3)
         assert not result.passed
         assert f"failures: [(8, 7, 3, {seen[0]}, {seen[0]})]" in result.detail
+
+    BINARY_CHECKS = ("binary:substitution-poly-normalized",
+                     "binary:iowe-closed-form==substitution",
+                     "binary:bit-weight-share-identity",
+                     "binary:pwgf-collapse-matches-wgf")
+
+    def _binary_suite_failures(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "binary", "--seed", "7")
+        results = [line.split(" - ") for line in out.splitlines()]
+        assert [name for _, name in results] == list(self.BINARY_CHECKS)
+        return code, [name for status, name in results if status == "FAIL"]
+
+    def test_binary_suite_catches_one_wrong_iowe_entry(self, monkeypatch, capsys):
+        original = binary_avg.avg_binary_iowe
+
+        def perturbed(params, s, w_b, h_b):
+            value = original(params, s, w_b, h_b)
+            return value + 1 if (params.k, s, w_b, h_b) == (3, 1, 0, 0) else value
+
+        monkeypatch.setattr(binary_avg, "avg_binary_iowe", perturbed)
+        assert self._binary_suite_failures(capsys) == (
+            1, ["binary:iowe-closed-form==substitution"])
+
+    def test_binary_suite_catches_one_wrong_wgf_entry(self, monkeypatch, capsys):
+        # move one unit between two weights of (15,11,16): the total and
+        # the signs still hold, only the comparison with the PWGF sees it
+        original = binary_avg.avg_binary_wgf
+
+        def perturbed(params):
+            E_b = list(original(params))
+            if params == MdsParams(15, 11, 16):
+                E_b[30] += 1
+                E_b[31] -= 1
+            return E_b
+
+        monkeypatch.setattr(binary_avg, "avg_binary_wgf", perturbed)
+        assert self._binary_suite_failures(capsys) == (
+            1, ["binary:pwgf-collapse-matches-wgf"])
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")

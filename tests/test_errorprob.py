@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdswe import duality, mds_enum
-from mdswe.binary_avg import avg_binary_pwgf, avg_binary_wgf, bits_per_symbol
+from mdswe.binary_avg import avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ConditionCountMismatchError,
                              ParamOutOfRangeError, at_most, bep_curve, bep_ml_union,
-                             bm_curve, cep_bm, cep_ml_union, channel_map,
-                             conditional_pwgf, multiuser_bep, multiuser_curve,
-                             multiuser_sep, parse_condition, sep_bm, snr_grid,
-                             sphere_distance_prob, user_iowe)
+                             bm_curve, cep_bm, cep_ml_union, channel_map, multiuser_bep,
+                             multiuser_curve, multiuser_sep, parse_condition, sep_bm,
+                             snr_grid, sphere_distance_prob)
 from mdswe.gf import Field
 from mdswe.linear_code import brute_force_weights, code_from_generator, dual, rs_code
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
 from mdswe.montecarlo import BmSphereOracle
+
+from literal_pipeline import avg_binary_pwgf, conditional_pwgf, user_iowe
 
 P738 = MdsParams(7, 3, 8)
 P1511 = MdsParams(15, 11, 16)

@@ -248,10 +248,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((0, 3), (1, 1, 1))
 
-    def test_block_masks(self):
-        p = Partition((2, 1), (0, 1, 0))
-        assert p.block_masks() == (0b101, 0b010)
-
 
 class TestBruteForcePwe:
     def test_paper_profiles(self):
@@ -327,9 +323,18 @@ def python_histogram(code):
     return Counter(sum(1 << j for j, v in enumerate(word) if v) for word in code.codewords())
 
 
+def block_masks(partition):
+    """Bit mask of each block's coordinates: bit j of mask b is set iff
+    coordinate j lies in block b."""
+    masks = [0] * partition.p
+    for j, b in enumerate(partition.assignment):
+        masks[b] |= 1 << j
+    return masks
+
+
 def python_pwe(code, partition):
     """Reference: project each reference mask onto the blocks in Python."""
-    masks = partition.block_masks()
+    masks = block_masks(partition)
     counts = Counter()
     for mask, c in python_histogram(code).items():
         counts[tuple((mask & bm).bit_count() for bm in masks)] += c

@@ -11,7 +11,7 @@ from mdswe.linear_code import Partition, brute_force_pwe, rs_code
 from mdswe.mds_enum import (InternalError, MdsParams, ProfileOutOfRangeError, binom,
                             check_convolution_identity, check_subset_identity,
                             coordinate_weight_sum, fixed_support_count, iowe, psi,
-                            pwe_direct, pwe_direct_table, pwe_product, pwgf, split_we,
+                            pwe_direct, pwe_direct_table, pwe_product, pwgf,
                             weight_at, weight_distribution)
 
 P738 = MdsParams(7, 3, 8)
@@ -139,17 +139,19 @@ class TestPwgf:
 
 
 class TestSplitWe:
+    """The two-block (split) case of the product form."""
+
     def test_derived_value(self):
         # 147 * C(3,1) C(4,4) / C(7,5) = 21, equals the exhaustive count
-        assert split_we(P738, 3, 4, 1, 4) == 21
+        assert pwe_product(P738, (3, 4), (1, 4)) == 21
         c = rs_code(Field(2, 3), 7, 3)
         assert brute_force_pwe(c, Partition.contiguous((3, 4))).counts[(1, 4)] == 21
 
     def test_zero_profile(self):
-        assert split_we(P738, 3, 4, 0, 0) == 1
+        assert pwe_product(P738, (3, 4), (0, 0)) == 1
 
     def test_full_weight(self):
-        assert split_we(P738, 3, 4, 3, 4) == 217
+        assert pwe_product(P738, (3, 4), (3, 4)) == 217
 
 
 class TestIowe:
