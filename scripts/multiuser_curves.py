@@ -33,8 +33,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
 
-    start, stop, step = (float(x) for x in args.snr.split(":"))
-    grid = snr_grid(start, stop, step)
+    try:
+        start, stop, step = (float(x) for x in args.snr.split(":"))
+        grid = snr_grid(start, stop, step)
+    except ValueError as exc:
+        print(f"error: --snr: bad range {args.snr!r}: {exc}", file=sys.stderr)
+        return 2
     params = MdsParams(15, 11, 16)
     sizes = (3, 3, 5, 4)
     user = 2  # third user, zero-based

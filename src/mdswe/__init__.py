@@ -26,7 +26,7 @@ _EXPORTS = {
     "duality": ("PropertyAReport", "PropertyAWitness", "dual_property_a", "krawtchouk",
                 "macwilliams_pwe", "macwilliams_wgf", "property_a_check"),
     "errorprob": ("FREE", "FULL", "ZERO", "ChannelPoint", "Condition", "ErrorCurve",
-                  "at_most", "bep_curve", "bep_ml_union", "bm_curve", "cep_bm",
+                  "at_most", "bep_curve", "bm_curve", "cep_bm",
                   "cep_ml_union", "channel_map", "multiuser_bep", "multiuser_curve",
                   "multiuser_sep", "parse_condition", "sep_bm", "snr_grid",
                   "sphere_distance_prob"),

@@ -26,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -91,13 +90,13 @@ def parse_partition_sizes(text: str) -> tuple[int, ...]:
 
 def parse_snr_range(text: str) -> list[float]:
     try:
-        start_s, stop_s, step_s = text.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+        start, stop, step = map(float, text.split(":"))
     except ValueError:
         raise UsageError(f"--snr: bad range {text!r}; expected start:stop:step")
-    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
-        raise UsageError(f"--snr: bad range {text!r}")
-    return snr_grid(start, stop, step)
+    try:
+        return snr_grid(start, stop, step)
+    except ValueError as exc:
+        raise UsageError(f"--snr: bad range {text!r}: {exc}")
 
 
 def _format_exact(value) -> str:

@@ -32,36 +32,36 @@ Multiuser profiles
 A per-user curve needs, for block u of a partition (n_1..n_p), the
 profile O_h = sum over the allowed codewords of total weight h of
 w_u / n_u, or its analogue on the averaged binary image (`binary_avg`).
-Both are one contraction of the product form
+Both contract the product form
 
-    PWE(w_1..w_p) = f(w) prod_i C(n_i, w_i),   f(w) = E(w) / C(n, w),
+    PWE(w_1..w_p) = f(w) prod_i C(n_i, w_i),   f(w) = E(w) / C(n, w).
 
-with w = sum_i w_i.  With G(Z) = (1+Z)^m - 1, block i contributes the
-integer table
+With G(Z) = (1+Z)^m - 1, w symbols set b bits in [Z^b]G^w ways.  The
+user's bit count is Z d/dZ on its own factor, and (Z d/dZ G^w_u) G^w_o
+= w_u Z G' G^(w-1) with w = w_u + w_o, so summed over the bit splits
+the user-weighted count is w_u (b/w) [Z^b]G^w, where the factor
+(b/w) [Z^b]G^w = [Z^b] Z G' G^(w-1) is an integer.  The bit weight
+therefore never travels through the blocks: each block that is not
+'full' gives the row C(n_i, w) for w = 0..hi ('free': hi = n_i; 'zero':
+0; 'atmost' a: floor(a n_i)), times w for the user's block, and the
+rows convolve to U(w).  The 'full' blocks, of total size F, set every
+bit, so they only shift the result by F symbols and m F bits:
 
-    B_i(w_i, b_i) = C(n_i, w_i) [Z^b_i] G(Z)^w_i,   times b_i for i = u,
-
-restricted by its condition.  The tables are convolved over
-(w, b) = (sum w_i, sum b_i), and the profile at total bit weight h is
-
-    O_h = sum_w conv(w, h) f(w) (2^m-1)^(n-w)  /  ((2^m-1)^n m n_u),
+    O_(b+mF) = sum_w U(w) f(w+F) (2^m-1)^(n-w-F) (b/w) [Z^b]G^w
+               / ((2^m-1)^n m n_u),
 
 exact integers up to that one division (the averaging factor
-(2^m-1)^-w of F(Z)^w is moved to the common denominator (2^m-1)^n).
-At m = 1, G(Z) = Z forces
-b_i = w_i and 2^m - 1 = 1, so the same contraction is the symbol
-profile.  A 'zero' block keeps w_i = 0; a 'full' block keeps w_i = n_i
-with every bit set, b_i = m n_i; an 'atmost' block with fraction a
-keeps w_i <= floor(a n_i).  No bit-level cap is needed on top of that
-one, since b_i <= m w_i <= m floor(a n_i) <= floor(a m n_i).
+(2^m-1)^-w of F(Z)^w is moved to the common denominator).  At m = 1,
+G = Z and the same contraction is the symbol profile.  'atmost' needs
+no bit cap, since b_i <= m floor(a n_i) <= floor(a m n_i).  The
+code-level bit error bound is the one-block case (n,), where
+O_h = (h/(mn)) E~(h).
 
-Multiuser conditioning restricts the enumerator to codewords that are
-all-zero on some blocks and full-weight on others, exactly as the
-conditional quantities are defined; no Bayes renormalization is applied,
-so conditional curves are joint-style quantities.  The contraction is
-the only route: the package never materialises, substitutes into or
-filters a generating function to get a profile.  The tests keep that
-literal route as a reference and compare the two exactly.
+Conditioning restricts the enumerator to the allowed codewords, with no
+Bayes renormalization, so conditional curves are joint-style quantities.
+The contraction is the only route: no generating function is
+materialised, substituted into or filtered to get a profile; the tests
+keep that literal route as a reference and compare the two exactly.
 
 Floating point enters only at the last step: enumerator coefficients are
 exact integers or rationals until each term is converted to binary64,
@@ -73,12 +73,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Sequence, Union
 
-from .binary_avg import avg_binary_wgf, bits_per_symbol, pattern_weight_powers
-from .mds_enum import (MdsParams, ParamOutOfRangeError, _validate_profile, binom,
-                       fixed_support_count, weight_distribution)
+from .binary_avg import bits_per_symbol, pattern_weight_powers
+from .mds_enum import (InternalError, MdsParams, ParamOutOfRangeError, _validate_profile,
+                       binom, fixed_support_count, weight_distribution)
 
 
 class ConditionCountMismatchError(ValueError):
@@ -184,17 +183,6 @@ def cep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
     return _ml_sum(coeffs, k / n, gamma_db)
 
 
-def _bep_coeffs(avg_weights: Sequence[Fraction], n: int, m: int) -> dict[int, float]:
-    return {h: float(Fraction(h, m * n) * avg_weights[h])
-            for h in range(1, m * n + 1) if avg_weights[h]}
-
-
-def bep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
-                 gamma_db: float) -> float:
-    """Bound on average bit error probability: E~(h) -> (h/(mn)) E~(h)."""
-    return _ml_sum(_bep_coeffs(avg_weights, n, m), k / n, gamma_db)
-
-
 # -- multiuser conditioning -------------------------------------------------
 
 
@@ -241,15 +229,13 @@ def parse_condition(token: str) -> Condition:
                      "expected free, zero, full, or atmost:<fraction>")
 
 
-def _cap(cond: Condition, block_total: int) -> tuple[int, int]:
-    """Inclusive weight range [lo, hi] a block exponent must satisfy."""
-    if cond.kind == "free":
-        return 0, block_total
+def _cap(cond: Condition, block_total: int) -> int:
+    """Largest weight a block that is not 'full' may carry."""
     if cond.kind == "zero":
-        return 0, 0
-    if cond.kind == "full":
-        return block_total, block_total
-    return 0, math.floor(cond.fraction * block_total)
+        return 0
+    if cond.kind == "atmost":
+        return math.floor(cond.fraction * block_total)
+    return block_total
 
 
 def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
@@ -266,29 +252,31 @@ def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
         raise ValueError("the user under study must have a free or atmost condition")
     _validate_profile(params, sizes, [0] * len(sizes))
     n, den = params.n, (1 << m) - 1
-    powers = list(islice(pattern_weight_powers(m), max(sizes) + 1))
-    state = {(0, 0): 1}  # (symbol weight, bit weight) -> integer count
+    full, conv = 0, [1]   # F = total size of the 'full' blocks; conv = U(w)
     for i, (size, cond) in enumerate(zip(sizes, conditions)):
-        lo, hi = _cap(cond, size)
-        block = {}
-        for w in range(lo, hi + 1):
-            for b, c in enumerate(powers[w]):
-                if i == user:
-                    c *= b
-                if c and (cond.kind != "full" or b == m * size):
-                    block[w, b] = binom(size, w) * c
-        nxt: dict[tuple[int, int], int] = {}
-        for (w0, b0), c0 in state.items():
-            for (w1, b1), c1 in block.items():
-                key = (w0 + w1, b0 + b1)
-                nxt[key] = nxt.get(key, 0) + c0 * c1
-        state = nxt
-    f = [fixed_support_count(params, w) * den ** (n - w) for w in range(n + 1)]
-    acc: dict[int, int] = {}
-    for (w, b), c in state.items():
-        acc[b] = acc.get(b, 0) + c * f[w]
-    scale = den**n * m * sizes[user]
-    return {h: Fraction(c, scale) for h, c in acc.items() if c}
+        if cond.kind == "full":
+            full += size
+            continue
+        hi = _cap(cond, size)
+        row = [binom(size, w) * (w if i == user else 1) for w in range(hi + 1)]
+        nxt = [0] * (len(conv) + hi)
+        for w0, c0 in enumerate(conv):
+            if c0:
+                for w1, c1 in enumerate(row):
+                    nxt[w0 + w1] += c0 * c1
+        conv = nxt
+    acc = [0] * (m * n + 1)
+    for w, power in zip(range(len(conv)), pattern_weight_powers(m)):
+        scale = conv[w] * fixed_support_count(params, w + full) * den ** (n - w - full)
+        if not scale:   # conv[0] = 0: the user's row carries the factor w
+            continue
+        for b in range(w, len(power)):   # [Z^b]G^w = 0 below b = w
+            share, rem = divmod(b * power[b], w)   # [Z^b] Z G'(Z) G(Z)^(w-1)
+            if rem:
+                raise InternalError(f"{b} * [Z^{b}]G^{w} = {b * power[b]} not divisible by {w}")
+            acc[b + m * full] += scale * share
+    total = den**n * m * sizes[user]
+    return {h: Fraction(c, total) for h, c in enumerate(acc) if c}
 
 
 def _float_profile(params: MdsParams, sizes: Sequence[int], user: int,
@@ -327,9 +315,22 @@ class ErrorCurve:
     points: tuple[tuple[float, float], ...]  # (gamma_db, probability)
 
 
+MAX_SNR_POINTS = 100_000
+
+
 def snr_grid(start: float, stop: float, step: float) -> list[float]:
-    count = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(count)]
+    """start, start + step, ... up to stop inclusive; a bad range or more
+    than MAX_SNR_POINTS points raises ValueError before any is built."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("start, stop and step must be finite")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if stop < start:
+        raise ValueError("stop must not be below start")
+    span = (stop - start) / step   # inf when the division overflows
+    if not span <= MAX_SNR_POINTS - 1:
+        raise ValueError(f"more than {MAX_SNR_POINTS} points")
+    return [start + i * step for i in range(round(span) + 1)]
 
 
 def _bm_points(params: MdsParams, coeffs: dict[int, float],
@@ -356,9 +357,8 @@ def bm_curve(params: MdsParams, gammas: Sequence[float], metric: str) -> ErrorCu
 
 def bep_curve(params: MdsParams, gammas: Sequence[float]) -> ErrorCurve:
     """Unconditional average-binary BEP bound over an SNR grid."""
-    coeffs = _bep_coeffs(avg_binary_wgf(params), params.n, bits_per_symbol(params.q))
-    pts = _ml_points(params, coeffs, gammas)
-    return ErrorCurve("ml-union", "bep", None, None, pts)
+    coeffs = _float_profile(params, (params.n,), 0, (FREE,), bits_per_symbol(params.q))
+    return ErrorCurve("ml-union", "bep", None, None, _ml_points(params, coeffs, gammas))
 
 
 def multiuser_curve(params: MdsParams, sizes: Sequence[int], user: int,

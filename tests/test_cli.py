@@ -305,7 +305,24 @@ class TestErrprobCommand:
     def test_non_finite_snr_range(self, capsys, snr):
         code, out, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",
                                  "--metric", "cep", f"--snr={snr}")
-        assert (code, out, err) == (2, "", f"error: --snr: bad range {snr!r}\n")
+        assert (code, out, err) == (2, "", f"error: --snr: bad range {snr!r}: "
+                                           "start, stop and step must be finite\n")
+
+    def test_huge_snr_grid_exits_two(self, capsys):
+        # 10^12 points: refused before any point is built
+        code, out, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",
+                                 "--metric", "cep", "--snr", "0:1e6:1e-6")
+        assert (code, out) == (2, "")
+        assert err == "error: --snr: bad range '0:1e6:1e-6': more than 100000 points\n"
+
+    def test_all_free_user_bep_equals_code_bep(self, capsys):
+        argv = ("errprob", "--code", "rs:64:63:51", "--metric", "bep", "--snr", "4:8:1",
+                "--format", "csv")
+        code, user_rows, _ = run_cli(capsys, *argv, "--partition", "15,15,15,18",
+                                     "--user", "4", "--condition", "free,free,free,free")
+        assert code == 0
+        assert run_cli(capsys, *argv) == (0, user_rows, "")
+        assert len(user_rows.splitlines()) == 6
 
     def test_user_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",

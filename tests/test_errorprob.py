@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from mdswe import duality, mds_enum
 from mdswe.binary_avg import avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ConditionCountMismatchError,
-                             ParamOutOfRangeError, at_most, bep_curve, bep_ml_union,
-                             bm_curve, cep_bm, cep_ml_union, channel_map, multiuser_bep,
-                             multiuser_curve, multiuser_sep, parse_condition, sep_bm,
-                             snr_grid, sphere_distance_prob)
+                             ParamOutOfRangeError, at_most, bep_curve, bm_curve, cep_bm,
+                             cep_ml_union, channel_map, multiuser_bep, multiuser_curve,
+                             multiuser_sep, parse_condition, q_function, sep_bm, snr_grid,
+                             sphere_distance_prob)
 from mdswe.gf import Field
 from mdswe.linear_code import brute_force_weights, code_from_generator, dual, rs_code
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
@@ -22,6 +22,24 @@ from literal_pipeline import avg_binary_pwgf, conditional_pwgf, user_iowe
 P738 = MdsParams(7, 3, 8)
 P1511 = MdsParams(15, 11, 16)
 SIZES_1511 = (3, 3, 5, 4)
+P6351 = MdsParams(63, 51, 64)
+SIZES_6351 = (15, 15, 15, 18)
+
+
+def _bep_reference(params, gamma_db):
+    """The code-level BEP bound summed straight from the averaged binary
+    spectrum: sum_h (h/(mn)) E~(h) Q(sqrt(2 h (k/n) g)), clipped to 1."""
+    n, m = params.n, bits_per_symbol(params.q)
+    avg = avg_binary_wgf(params)
+    gamma = 10.0 ** (gamma_db / 10.0)
+    terms = [float(Fraction(h, m * n) * avg[h])
+             * q_function(math.sqrt(2.0 * h * (params.k / n) * gamma))
+             for h in range(1, m * n + 1) if avg[h]]
+    return min(1.0, math.fsum(sorted(terms)))
+
+
+def _bep_point(params, gamma_db):
+    return bep_curve(params, [gamma_db]).points[0][1]
 
 
 def _distance_distribution_oracle(n, q, h, p):
@@ -130,20 +148,29 @@ class TestBmDecoder:
 
 class TestMlUnionBounds:
     def test_high_snr_limit(self):
-        avg = avg_binary_wgf(P738)
-        assert bep_ml_union(avg, 7, 3, 3, 40.0) < 1e-12
+        assert _bep_point(P738, 40.0) < 1e-12
 
     def test_bep_below_cep(self):
         avg = avg_binary_wgf(P1511)
         for g in (2.0, 4.0, 6.0):
-            assert bep_ml_union(avg, 15, 4, 11, g) <= cep_ml_union(avg, 15, 4, 11, g)
+            assert _bep_point(P1511, g) <= cep_ml_union(avg, 15, 4, 11, g)
 
     def test_bit_coefficient_ratio(self):
-        # the BEP coefficient is (h / mn) E~(h) for every weight
+        # the BEP coefficient is (h / mn) E~(h) for every weight: the
+        # one-block profile at m bits per symbol
+        from mdswe.errorprob import _user_profile
+
         avg = avg_binary_wgf(P738)
-        for h in range(1, 22):
-            if avg[h]:
-                assert Fraction(h, 21) * avg[h] == avg[h] * Fraction(h, 21)
+        assert _user_profile(P738, (7,), 0, (FREE,), 3) == \
+            {h: Fraction(h, 21) * avg[h] for h in range(1, 22) if avg[h]}
+
+    @pytest.mark.parametrize("params", [P738, P1511, P6351], ids=["7,3", "15,11", "63,51"])
+    def test_bep_curve_equals_spectrum_sum(self, params):
+        # the one-block profile and the averaged spectrum give one exact
+        # rational per weight, so the floats agree bit for bit
+        grid = snr_grid(-5.0, 8.0, 0.5)
+        assert bep_curve(params, grid).points == \
+            tuple((g, _bep_reference(params, g)) for g in grid)
 
     @pytest.mark.parametrize("gamma_db", [-5.0, 2.0, 6.0])
     @pytest.mark.parametrize("metric", ["cep", "bep"])
@@ -156,9 +183,9 @@ class TestMlUnionBounds:
         reference = sum(float(weight(h) * avg[h])
                         * 0.5 * math.erfc(math.sqrt(h * (3 / 7) * g))
                         for h in range(1, 22) if avg[h])
-        bound = cep_ml_union if metric == "cep" else bep_ml_union
-        assert bound(avg, 7, 3, 3, gamma_db) == pytest.approx(min(1.0, reference),
-                                                              rel=1e-12)
+        bound = cep_ml_union(avg, 7, 3, 3, gamma_db) if metric == "cep" \
+            else _bep_point(P738, gamma_db)
+        assert bound == pytest.approx(min(1.0, reference), rel=1e-12)
 
 
 class TestConditionalPwgf:
@@ -226,11 +253,32 @@ class TestMultiuser:
     def test_unconditional_bep_equals_code_bep(self):
         # the all-free bit profile is (h/mn) E~(h) exactly, so the two
         # bounds agree bit for bit
-        avg = avg_binary_wgf(P1511)
         for u in range(4):
             for g in (4.0, 5.0, 6.5, 8.0):
                 assert multiuser_bep(P1511, SIZES_1511, u, (FREE,) * 4, g) == \
-                    bep_ml_union(avg, 15, 4, 11, g)
+                    _bep_reference(P1511, g) == _bep_point(P1511, g)
+
+    def test_all_free_profile_at_scale(self):
+        # property A on (63,51,64): every user's all-free profile is
+        # h E(h) / n at symbol level and (h/(mn)) E~(h) at m = 6, exactly
+        from mdswe.errorprob import _user_profile
+
+        E, avg = weight_distribution(P6351), avg_binary_wgf(P6351)
+        symbol = {h: Fraction(h * E[h], 63) for h in range(1, 64) if E[h]}
+        bits = {h: Fraction(h, 6 * 63) * avg[h] for h in range(1, 6 * 63 + 1) if avg[h]}
+        for u in range(4):
+            assert _user_profile(P6351, SIZES_6351, u, (FREE,) * 4, 1) == symbol
+            assert _user_profile(P6351, SIZES_6351, u, (FREE,) * 4, 6) == bits
+
+    def test_all_free_bit_profile_at_paper_scale(self):
+        # (255,223,256), blocks (60,60,60,75): one 1-D convolution over
+        # symbol weight, then the same exact identity as above
+        from mdswe.errorprob import _user_profile
+
+        params = MdsParams(255, 223, 256)
+        avg = avg_binary_wgf(params)
+        assert _user_profile(params, (60, 60, 60, 75), 2, (FREE,) * 4, 8) == \
+            {h: Fraction(h, 8 * 255) * avg[h] for h in range(1, 8 * 255 + 1) if avg[h]}
 
     def test_zero_error_channel(self):
         assert multiuser_sep(P1511, SIZES_1511, 2, (ZERO, FULL, FREE, FREE), 0.0) == 0.0
@@ -243,24 +291,35 @@ class TestMultiuser:
         assert v11 < v01 < v00
 
     def test_collapsed_bit_route_matches_literal_pipeline(self):
-        # the production path contracts per-block (weight, bits) tables
-        # against f(w); the literal pipeline materialises the PWGF,
-        # substitutes into all blocks, filters at bit level, then extracts
+        # the production path convolves per-block symbol-weight rows and
+        # contracts them against f(w); the literal pipeline materialises
+        # the PWGF, substitutes into all blocks, filters at bit level, then
+        # extracts
         from mdswe.errorprob import _user_profile
 
+        half = at_most(Fraction(1, 2))
         cases = [(P738, (1, 1, 2, 3), user, conds)
                  for conds in [(FREE,) * 4, (ZERO, FULL, FREE, FREE),
-                               (FREE, at_most(Fraction(1, 2)), FREE, FREE)]
-                 for user in (0, 2) if conds[user].kind not in ("zero", "full")]
+                               (FREE, half, FREE, FREE), (FREE, FREE, half, FREE),
+                               (at_most(0), FREE, FREE, at_most(1)),
+                               (FREE, at_most(1), at_most(0), FREE),
+                               (ZERO, FULL, half, FREE)]
+                 for user in (0, 2, 3) if conds[user].kind not in ("zero", "full")]
         cases += [(P1511, SIZES_1511, 2, conds)
                   for conds in [(ZERO, ZERO, FREE, FREE), (ZERO, FULL, FREE, FREE),
                                 (FULL, FULL, FREE, FREE)]]
+        cases += [(P738, (7,), 0, (FREE,)), (P738, (7,), 0, (at_most(Fraction(3, 7)),))]
+        cases += [(MdsParams(6, 3, 7), (1, 2, 3), user, conds)
+                  for conds in [(FREE,) * 3, (ZERO, FREE, FULL), (FULL, half, FREE)]
+                  for user in (1, 2) if conds[user].kind not in ("zero", "full")]
         for params, sizes, user, conds in cases:
-            m = bits_per_symbol(params.q)
             sym = conditional_pwgf(pwgf(params, sizes), sizes, conds)
-            bits = conditional_pwgf(avg_binary_pwgf(sym, m), sizes, conds,
-                                    binary=True, m=m)
-            for scale, poly in ((1, sym), (m, bits)):
+            levels = [(1, sym)]
+            if params.q & (params.q - 1) == 0:   # binary image over GF(2^m)
+                m = bits_per_symbol(params.q)
+                levels.append((m, conditional_pwgf(avg_binary_pwgf(sym, m), sizes, conds,
+                                                   binary=True, m=m)))
+            for scale, poly in levels:
                 expected = {}
                 for (w, h), c in user_iowe(poly, user).items():
                     if w:
@@ -284,6 +343,19 @@ class TestCurves:
         assert snr_grid(4.0, 8.0, 0.25)[0] == 4.0
         assert snr_grid(4.0, 8.0, 0.25)[-1] == 8.0
         assert len(snr_grid(4.0, 8.0, 0.25)) == 17
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (4.0, math.inf, 1.0), (math.nan, 8.0, 1.0), (4.0, 8.0, math.nan), (4.0, 8.0, 0.0),
+        (4.0, 8.0, -1.0), (8.0, 4.0, 0.5), (0.0, 1e6, 1e-6), (-1e308, 1e308, 1.0),
+        (0.0, 1.0, 5e-324)])
+    def test_snr_grid_rejects_bad_ranges(self, start, stop, step):
+        with pytest.raises(ValueError):
+            snr_grid(start, stop, step)
+
+    def test_snr_grid_point_cap(self):
+        assert len(snr_grid(0.0, 99_999.0, 1.0)) == 100_000
+        with pytest.raises(ValueError, match="more than 100000 points"):
+            snr_grid(0.0, 100_000.0, 1.0)
 
     def test_bm_curves_monotone_and_bounded(self):
         for metric in ("cep", "sep"):

@@ -24,7 +24,7 @@ EXPORTS = {
     "ErrorCurve", "FREE", "FULL", "Field", "LinearCode", "MdsParams",
     "Partition", "PropertyAReport", "PropertyAWitness", "PweTable", "SparsePoly", "ZERO",
     "at_most", "avg_binary_iowe", "avg_binary_wgf", "bep_curve",
-    "bep_ml_union", "binomial_approx", "bits_per_symbol",
+    "binomial_approx", "bits_per_symbol",
     "bm_curve", "brute_force_pwe", "brute_force_weights", "cep_bm", "cep_ml_union",
     "channel_map", "check_convolution_identity", "check_subset_identity",
     "code_from_generator", "coordinate_weight_sum", "dual",

@@ -5,6 +5,8 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -30,6 +32,17 @@ def test_multiuser_curves(tmp_path):
     for r in rows:
         assert all(0.0 <= float(v) <= 1.0 for k, v in r.items() if k != "gamma_db")
         assert float(r["bep(1,1)"]) < float(r["bep(0,1)"]) < float(r["bep(0,0)"])
+
+
+@pytest.mark.parametrize("snr, reason", [
+    ("4:8:0", "step must be positive"),
+    ("4:nan:1", "start, stop and step must be finite"),
+    ("8:4:0.5", "stop must not be below start"),
+])
+def test_multiuser_curves_bad_snr_exits_two(capsys, snr, reason):
+    assert load_script("multiuser_curves").main(["--snr", snr]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --snr: bad range {snr!r}: {reason}\n")
 
 
 def test_binary_spectrum(tmp_path):
