@@ -14,6 +14,8 @@ import sys
 from fractions import Fraction
 
 from mdswe.binary_avg import avg_binary_wgf, binomial_approx, bits_per_symbol
+from mdswe.gf import field_from_order
+from mdswe.linear_code import check_rs_params
 from mdswe.mds_enum import MdsParams
 
 
@@ -23,12 +25,22 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
 
-    q, n, k = (int(x) for x in args.code.split(":"))
+    try:
+        q, n, k = (int(x) for x in args.code.split(":"))
+        check_rs_params(field_from_order(q), n, k)
+        m = bits_per_symbol(q)
+    except ValueError as exc:
+        print(f"error: --code: bad code {args.code!r}; expected q:n:k of an RS code "
+              f"over GF(2^m): {exc}", file=sys.stderr)
+        return 2
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     params = MdsParams(n, k, q)
-    m = bits_per_symbol(q)
     exact = avg_binary_wgf(params)
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["h_b", "exact", "float64", "binomial_ref", "rel_error"])
     for h_b in range(m * n + 1):

@@ -39,6 +39,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: --snr: bad range {args.snr!r}: {exc}", file=sys.stderr)
         return 2
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     params = MdsParams(15, 11, 16)
     sizes = (3, 3, 5, 4)
     user = 2  # third user, zero-based
@@ -50,7 +55,6 @@ def main(argv=None) -> int:
         columns[f"bep{label}"] = multiuser_curve(params, sizes, user, conds, grid, "bep")
     columns["bep"] = multiuser_curve(params, sizes, user, (FREE,) * 4, grid, "bep")
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["gamma_db", *columns.keys()])
     for i, g in enumerate(grid):

@@ -18,8 +18,8 @@ _EXPORTS = {
                     "brute_force_pwe", "brute_force_weights", "code_from_generator",
                     "dual", "min_distance", "rm1_code", "rs_code", "support_histogram"),
     "mds_enum": ("MdsParams", "check_convolution_identity", "check_subset_identity",
-                 "coordinate_weight_sum", "fixed_support_count", "iowe", "psi",
-                 "pwe_direct", "pwe_direct_table", "pwe_product", "pwgf", "weight_at",
+                 "coordinate_weight_sum", "fixed_support_counts", "iowe", "psi",
+                 "pwe_direct", "pwe_direct_table", "pwe_product", "pwgf",
                  "weight_distribution"),
     "binary_avg": ("avg_binary_iowe", "avg_binary_wgf", "binomial_approx",
                    "bits_per_symbol"),

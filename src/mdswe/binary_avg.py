@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .mds_enum import MdsParams, ProfileOutOfRangeError, binom, iowe, weight_distribution
+from .mds_enum import (MdsParams, ProfileOutOfRangeError, binom, fixed_support_counts,
+                       weight_distribution)
 
 
 class NotCharTwoError(ValueError):
@@ -85,7 +86,8 @@ def avg_binary_iowe(params: MdsParams, s: int, w_b: int, h_b: int) -> Fraction:
     """Averaged binary input-output weight enumerator, closed form.
 
     For an (s, n-s) symbol split, the average number of binary-image
-    codewords with w_b input bits and h_b total bits:
+    codewords with w_b input bits and h_b total bits, over the symbol-level
+    `iowe` O(w,h) = f(h) C(s,w) C(n-s,h-w):
 
         sum_{w,h} O(w,h)/(2^m-1)^h
           * [ sum_j (-1)^(h-w-j) C(h-w,j) C(jm, h_b - w_b) ]
@@ -98,6 +100,7 @@ def avg_binary_iowe(params: MdsParams, s: int, w_b: int, h_b: int) -> Fraction:
     if not 0 <= w_b <= m * s or not 0 <= h_b <= m * n:
         raise ProfileOutOfRangeError(f"(w_b, h_b) = ({w_b}, {h_b}) out of range")
     den = (1 << m) - 1
+    f = fixed_support_counts(params)
     total = Fraction(0)
     for w in range(s + 1):
         input_sum = sum((-1) ** (w - j) * binom(w, j) * binom(j * m, w_b)
@@ -105,7 +108,7 @@ def avg_binary_iowe(params: MdsParams, s: int, w_b: int, h_b: int) -> Fraction:
         if input_sum == 0:
             continue
         for h in range(w, n + 1):
-            o = iowe(params, s, w, h)
+            o = f[h] * binom(s, w) * binom(n - s, h - w)
             if o == 0:
                 continue
             rest_sum = sum((-1) ** (h - w - j) * binom(h - w, j) * binom(j * m, h_b - w_b)

@@ -72,7 +72,12 @@ def parse_code_spec(spec: str) -> LinearCode:
         with open(rest, encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
-            return code_from_generator(parse_field_spec(str(doc["field"])), doc["rows"])
+            rows = doc["rows"]
+            if not isinstance(rows, list) or any(not isinstance(row, list) or
+                                                 any(type(v) is not int for v in row)
+                                                 for row in rows):
+                raise ValueError("rows must be a list of lists of integers")
+            return code_from_generator(parse_field_spec(str(doc["field"])), rows)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"--code: bad generator file {rest!r}: {exc}")
     raise UsageError(f"--code: unknown code spec {spec!r}")

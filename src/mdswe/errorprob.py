@@ -76,8 +76,12 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .binary_avg import bits_per_symbol, pattern_weight_powers
-from .mds_enum import (InternalError, MdsParams, ParamOutOfRangeError, _validate_profile,
-                       binom, fixed_support_count, weight_distribution)
+from .mds_enum import (MdsParams, ParamOutOfRangeError, _validate_profile, binom,
+                       fixed_support_counts, weight_distribution)
+
+
+class InternalError(ArithmeticError):
+    """An exact division guaranteed by theory failed (implementation bug)."""
 
 
 class ConditionCountMismatchError(ValueError):
@@ -265,9 +269,10 @@ def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
                 for w1, c1 in enumerate(row):
                     nxt[w0 + w1] += c0 * c1
         conv = nxt
+    f = fixed_support_counts(params)
     acc = [0] * (m * n + 1)
     for w, power in zip(range(len(conv)), pattern_weight_powers(m)):
-        scale = conv[w] * fixed_support_count(params, w + full) * den ** (n - w - full)
+        scale = conv[w] * f[w + full] * den ** (n - w - full)
         if not scale:   # conv[0] = 0: the user's row carries the factor w
             continue
         for b in range(w, len(power)):   # [Z^b]G^w = 0 below b = w

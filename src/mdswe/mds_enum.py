@@ -2,30 +2,33 @@
 
 Everything here is exact big-integer combinatorics; no floating point.
 
-For an (n, k) MDS code over GF(q) with d = n - k + 1, the weight
-distribution is
+For an (n, k) MDS code over GF(q) with d = n - k + 1, the number of
+codewords nonzero exactly on one fixed h-subset of coordinates is the
+same for every subset:
 
-    E(0) = 1,  E(i) = 0 for 0 < i < d,
-    E(i) = C(n,i) * sum_{j=d}^{i} C(i,j) (-1)^(i-j) (q^(j-d+1) - 1)
+    f(0) = 1,  f(h) = 0 for 0 < h < d,
+    f(h) = sum_{j=d}^{h} C(h,j) (-1)^(h-j) (q^(j-d+1) - 1).
 
-and the partition weight enumerator for blocks of sizes (n_1..n_p) and a
-weight profile (w_1..w_p) admits two independent evaluations:
+`fixed_support_counts` tabulates f(0..n) by a one-term recurrence (the
+tests keep the alternating sum as its reference).  Every closed form
+multiplies by f and none divides: the weight distribution is
+E(h) = C(n,h) f(h), and `pwe_product` and `pwgf` give the partition
+weight enumerator f(w) prod C(n_i, w_i) with w = sum w_i, of which
+`iowe` and `coordinate_weight_sum` are the two-block and one-coordinate
+cases.
 
-  * the nested alternating sum over indices j_1..j_p, where the innermost
-    index runs from max(0, d - sum of the earlier indices) so that the
-    power of q is always positive;
-  * `pwe_product` - E(w) * prod C(n_i, w_i) / C(n, w) with w = sum w_i,
-    an exact integer division (`pwgf` tabulates it for a partition).
-
-The nested sum has two entry points over one depth-first walk of the
-blocks: `pwe_direct` for one profile and `pwe_direct_table` for every
-profile of a partition.  Neither calls `weight_at`, the product form, or
-a Vandermonde collapse of the sum, so the two evaluations stay
-independent: both must agree with each other and with exhaustive
-enumeration (`linear_code.brute_force_pwe`), and ``mdswe verify --suite
-oracle`` checks this coefficient for coefficient.  The conventions
-E(0) = 1 and E(h) = 0 below d let the product form cover every profile,
-not only those of weight >= d.
+For blocks of sizes (n_1..n_p) and a weight profile (w_1..w_p), the
+partition weight enumerator has two independent evaluations: that
+product form, and the nested alternating sum over indices j_1..j_p,
+where the innermost index runs from max(0, d - sum of the earlier
+indices) so that the power of q is always positive.  The nested sum has
+two entry points over one depth-first walk of the blocks: `pwe_direct`
+for one profile and `pwe_direct_table` for every profile of a partition.
+Neither calls `fixed_support_counts`, the product form, or a Vandermonde
+collapse of the sum, so the two evaluations stay independent: both must
+agree with each other and with exhaustive enumeration
+(`linear_code.brute_force_pwe`), and ``mdswe verify --suite oracle``
+checks this coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ class ProfileOutOfRangeError(ValueError):
 
 class ParamOutOfRangeError(ValueError):
     """A channel, distance or Krawtchouk parameter is outside its domain."""
-
-
-class InternalError(ArithmeticError):
-    """An exact division guaranteed by theory failed (implementation bug)."""
 
 
 def binom(n: int, r: int) -> int:
@@ -78,23 +77,29 @@ class MdsParams:
         return self.n - self.k + 1
 
 
-def weight_at(params: MdsParams, w: int) -> int:
-    """E(w): number of codewords of Hamming weight w."""
-    if not 0 <= w <= params.n:
-        raise ProfileOutOfRangeError(f"weight {w} not in [0, {params.n}]")
-    d, q = params.d, params.q
-    if w == 0:
-        return 1
-    if w < d:
-        return 0
-    s = sum(binom(w, j) * (-1) ** (w - j) * (q ** (j - d + 1) - 1)
-            for j in range(d, w + 1))
-    return binom(params.n, w) * s
+def fixed_support_counts(params: MdsParams) -> list[int]:
+    """f(0..n): codewords nonzero exactly on one fixed h-subset of coordinates.
+
+    f(0) = 1, f(h) = 0 for 0 < h < d, and f(h) = (q - 1) S(h) for h >= d,
+    where S(d) = 1 and
+
+        S(h+1) = (q - 1) S(h) + (-1)^(h+1-d) C(h-1, d-2),
+
+    so each step is one small multiply and one add.  The weight
+    distribution is E(h) = C(n,h) f(h).
+    """
+    n, q, d = params.n, params.q, params.d
+    counts = [1] + [0] * n
+    s = 1
+    for h in range(d, n + 1):
+        counts[h] = (q - 1) * s
+        s = (q - 1) * s + (-1) ** (h + 1 - d) * binom(h - 1, d - 2)
+    return counts
 
 
 def weight_distribution(params: MdsParams) -> list[int]:
     """The full weight distribution vector E(0..n)."""
-    return [weight_at(params, w) for w in range(params.n + 1)]
+    return [binom(params.n, h) * f for h, f in enumerate(fixed_support_counts(params))]
 
 
 def _validate_profile(params: MdsParams, sizes: Sequence[int],
@@ -180,23 +185,12 @@ def pwe_direct_table(params: MdsParams, sizes: Sequence[int]) -> dict[tuple[int,
     return _nested_sum(params, sizes, [range(s + 1) for s in sizes])
 
 
-def _product_count(e_w: int, n: int, w: int, sizes: Sequence[int],
-                   profile: Sequence[int]) -> int:
-    num = e_w * math.prod(binom(s, x) for s, x in zip(sizes, profile))
-    den = binom(n, w)
-    count, rem = divmod(num, den)
-    if rem:
-        raise InternalError(
-            f"E({w}) * prod C(n_i,w_i) = {num} not divisible by C({n},{w}) = {den}")
-    return count
-
-
 def pwe_product(params: MdsParams, sizes: Sequence[int],
                 profile: Sequence[int]) -> int:
-    """Partition weight enumerator via E(w) * prod C(n_i,w_i) / C(n,w)."""
+    """Partition weight enumerator via f(w) * prod C(n_i,w_i), w = sum w_i."""
     _validate_profile(params, sizes, profile)
-    w = sum(profile)
-    return _product_count(weight_at(params, w), params.n, w, sizes, profile)
+    return fixed_support_counts(params)[sum(profile)] * \
+        math.prod(binom(s, x) for s, x in zip(sizes, profile))
 
 
 def pwgf(params: MdsParams, sizes: Sequence[int]) -> SparsePoly:
@@ -206,13 +200,12 @@ def pwgf(params: MdsParams, sizes: Sequence[int]) -> SparsePoly:
     that weight profile; the coefficients sum to q^k.
     """
     _validate_profile(params, sizes, [0] * len(sizes))
-    weights = weight_distribution(params)
+    counts = fixed_support_counts(params)
     terms: dict[tuple[int, ...], int] = {}
     for profile in iter_product(*[range(s + 1) for s in sizes]):
-        w = sum(profile)
-        if weights[w] == 0:
-            continue
-        terms[profile] = _product_count(weights[w], params.n, w, sizes, profile)
+        f = counts[sum(profile)]
+        if f:
+            terms[profile] = f * math.prod(binom(s, x) for s, x in zip(sizes, profile))
     return SparsePoly(len(sizes), terms)
 
 
@@ -220,59 +213,32 @@ def iowe(params: MdsParams, s: int, w: int, h: int) -> int:
     """Input-output weight enumerator for an (s, n-s) coordinate split.
 
     Counts codewords of total weight h carrying weight w on a fixed set
-    of s coordinates: E(h) * C(s,w) * C(n-s,h-w) / C(n,h).  Profiles that
-    are in range but unrealizable (w > h or h - w > n - s) count zero.
+    of s coordinates: f(h) * C(s,w) * C(n-s,h-w).  Profiles that are in
+    range but unrealizable (w > h or h - w > n - s) count zero.
     """
     n = params.n
     if not 0 <= s <= n:
         raise ProfileOutOfRangeError(f"s={s} not in [0, {n}]")
     if not 0 <= w <= s or not 0 <= h <= n:
         raise ProfileOutOfRangeError(f"(w, h) = ({w}, {h}) out of range")
-    if w > h or h - w > n - s:
-        return 0
-    e = weight_at(params, h)
-    num = e * binom(s, w) * binom(n - s, h - w)
-    count, rem = divmod(num, binom(n, h))
-    if rem:
-        raise InternalError(f"IOWE division not exact at s={s}, w={w}, h={h}")
-    return count
-
-
-def fixed_support_count(params: MdsParams, h: int) -> int:
-    """Codewords nonzero exactly on one fixed h-subset of coordinates.
-
-    Equals E(h) / C(n,h); zero for 0 < h < d, one for h = 0.
-    """
-    if not 0 <= h <= params.n:
-        raise ProfileOutOfRangeError(f"h={h} not in [0, {params.n}]")
-    e = weight_at(params, h)
-    if e == 0:
-        return 0
-    count, rem = divmod(e, binom(params.n, h))
-    if rem:
-        raise InternalError(f"E({h}) = {e} not divisible by C({params.n},{h})")
-    return count
+    return fixed_support_counts(params)[h] * binom(s, w) * binom(n - s, h - w)
 
 
 def coordinate_weight_sum(params: MdsParams, h: int) -> int:
     """Total weight of any one coordinate over the weight-h subcode.
 
-    Equals h * E(h) / n, an exact integer for MDS codes.
+    Equals C(n-1,h-1) * f(h) = h * E(h) / n.
     """
     if not 0 <= h <= params.n:
         raise ProfileOutOfRangeError(f"h={h} not in [0, {params.n}]")
-    num = h * weight_at(params, h)
-    count, rem = divmod(num, params.n)
-    if rem:
-        raise InternalError(f"h*E(h) = {num} not divisible by n = {params.n}")
-    return count
+    return binom(params.n - 1, h - 1) * fixed_support_counts(params)[h]
 
 
 def psi(params: MdsParams, h: int, w: int) -> int:
     """Alternating-sum kernel of the split enumerator.
 
     psi(h, w) is the split weight enumerator at profile (w, h-w) divided
-    by its two binomial factors; psi(h, 0) = E(h) / C(n,h).
+    by its two binomial factors; psi(h, 0) = f(h) = E(h) / C(n,h).
     """
     q, d = params.q, params.d
     total = 0

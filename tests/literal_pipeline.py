@@ -6,6 +6,11 @@ module computes them the long way, as the paper writes them, over
 `SparsePoly`: materialise the PWGF, substitute X_i -> F(Z_i), keep the
 terms the block conditions allow, and collapse to one user's
 input-output enumerator.  Tests compare the two routes exactly.
+
+The same holds one level down: the package tabulates the fixed-support
+counts f(h) = E(h) / C(n,h) by a one-term recurrence
+(`mds_enum.fixed_support_counts`), and `fixed_support_counts_by_sum`
+evaluates the paper's alternating sum for each h afresh.
 """
 
 import math
@@ -13,8 +18,19 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from mdswe.errorprob import Condition, ConditionCountMismatchError
-from mdswe.mds_enum import binom
+from mdswe.mds_enum import MdsParams, binom
 from mdswe.poly import SparsePoly
+
+
+def fixed_support_counts_by_sum(params: MdsParams) -> list[int]:
+    """f(0..n) from the alternating sum: f(0) = 1, f(h) = 0 for 0 < h < d,
+
+        f(h) = sum_{j=d}^{h} C(h,j) (-1)^(h-j) (q^(j-d+1) - 1).
+    """
+    n, q, d = params.n, params.q, params.d
+    return [1] + [sum(binom(h, j) * (-1) ** (h - j) * (q ** (j - d + 1) - 1)
+                      for j in range(d, h + 1))
+                  for h in range(1, n + 1)]
 
 
 def evaluate(poly: SparsePoly, values: Sequence) -> Fraction:

@@ -466,6 +466,22 @@ class TestUsageErrors:
         assert err.startswith(f"error: --code: bad generator file {str(path)!r}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("rows", [
+        [[1.7, 0, 1], [0, True, 1]],
+        [[1, 0, 1], [0, 1.0, 1]],
+        [[1, 0, 1], [0, True, 1]],
+        [[1, 0, 1], [0, "1", 1]],
+        "101",
+    ], ids=["float-and-bool", "integral-float", "bool-entry", "string-entry", "rows-a-string"])
+    def test_generator_entries_must_be_json_integers(self, capsys, tmp_path, rows):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"field": "gf:2^1", "rows": rows}))
+        code, out, err = run_cli(capsys, "brute", "--code", f"file:{path}",
+                                 "--partition", "3")
+        assert (code, out) == (2, "")
+        assert err == (f"error: --code: bad generator file {str(path)!r}: "
+                       "rows must be a list of lists of integers\n")
+
 
 def test_installed_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "mdswe.cli", "pwe",

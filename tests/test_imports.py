@@ -28,12 +28,12 @@ EXPORTS = {
     "bm_curve", "brute_force_pwe", "brute_force_weights", "cep_bm", "cep_ml_union",
     "channel_map", "check_convolution_identity", "check_subset_identity",
     "code_from_generator", "coordinate_weight_sum", "dual",
-    "dual_property_a", "field_from_order", "fixed_support_count", "iowe", "krawtchouk",
+    "dual_property_a", "field_from_order", "fixed_support_counts", "iowe", "krawtchouk",
     "macwilliams_pwe", "macwilliams_wgf", "min_distance",
     "multiuser_bep", "multiuser_curve", "multiuser_sep", "parse_condition",
     "parse_field_spec", "property_a_check", "psi", "pwe_direct", "pwe_direct_table",
     "pwe_product", "pwgf", "rm1_code", "rs_code", "sep_bm", "snr_grid",
-    "sphere_distance_prob", "support_histogram", "weight_at",
+    "sphere_distance_prob", "support_histogram",
     "weight_distribution",
 }
 

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import Partition, brute_force_pwe, rs_code
-from mdswe.mds_enum import (InternalError, MdsParams, ProfileOutOfRangeError, binom,
+from mdswe.mds_enum import (MdsParams, ProfileOutOfRangeError, binom,
                             check_convolution_identity, check_subset_identity,
-                            coordinate_weight_sum, fixed_support_count, iowe, psi,
+                            coordinate_weight_sum, fixed_support_counts, iowe, psi,
                             pwe_direct, pwe_direct_table, pwe_product, pwgf,
-                            weight_at, weight_distribution)
+                            weight_distribution)
+
+from literal_pipeline import fixed_support_counts_by_sum
 
 P738 = MdsParams(7, 3, 8)
 P758 = MdsParams(7, 5, 8)
@@ -185,20 +187,26 @@ class TestIowe:
 
 class TestFixedSupport:
     def test_derived_value(self):
-        assert fixed_support_count(P738, 5) == 7
+        assert fixed_support_counts(P738)[5] == 7
         # exhaustive: codewords supported exactly on the first 5 coordinates
         c = rs_code(Field(2, 3), 7, 3)
         t = brute_force_pwe(c, Partition.contiguous((5, 2)))
         assert t.counts[(5, 0)] == 7
 
     def test_h_zero(self):
-        assert fixed_support_count(P738, 0) == 1
+        assert fixed_support_counts(P738)[0] == 1
 
     def test_full_length(self):
-        assert fixed_support_count(P738, 7) == 217
+        assert fixed_support_counts(P738)[7] == 217
 
     def test_below_distance(self):
-        assert fixed_support_count(P738, 3) == 0
+        assert fixed_support_counts(P738)[1:5] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n,k,q", [(7, 3, 8), (15, 11, 16), (15, 1, 16), (15, 15, 16),
+                                       (10, 4, 11), (6, 3, 7), (255, 223, 256)])
+    def test_recurrence_matches_alternating_sum(self, n, k, q):
+        prm = MdsParams(n, k, q)
+        assert fixed_support_counts(prm) == fixed_support_counts_by_sum(prm)
 
 
 class TestCoordinateWeightSum:
@@ -225,7 +233,7 @@ class TestIdentities:
     def test_convolution_rhs_is_E(self):
         # psi(h,0) * C(n,h) telescopes to the weight distribution
         for h in range(P738.d, 8):
-            assert psi(P738, h, 0) * binom(7, h) == weight_at(P738, h)
+            assert psi(P738, h, 0) * binom(7, h) == weight_distribution(P738)[h]
 
     @pytest.mark.parametrize("prm", [P738, P758])
     def test_subset_identity_all_s_h(self, prm):

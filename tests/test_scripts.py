@@ -51,3 +51,26 @@ def test_binary_spectrum(tmp_path):
     rows = read_rows(out)
     assert len(rows) == 22
     assert sum(Fraction(r["exact"]) for r in rows) == 8**3
+
+
+@pytest.mark.parametrize("spec", ["8:7", "7:5:3", "8:20:3", "8:7:x", "6:5:3"])
+def test_binary_spectrum_bad_code_exits_two(capsys, spec):
+    assert load_script("binary_spectrum").main(["--code", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --code: bad code {spec!r}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("multiuser_curves", ["--snr", "4:5:1"]),
+    ("binary_spectrum", ["--code", "8:7:3"]),
+], ids=["multiuser_curves", "binary_spectrum"])
+def test_unwritable_out_exits_two(capsys, tmp_path, script, argv):
+    out = tmp_path / "missing" / "x.csv"
+    assert load_script(script).main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
