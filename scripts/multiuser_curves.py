@@ -17,7 +17,7 @@ import argparse
 import csv
 import sys
 
-from mdswe.errorprob import FREE, FULL, ZERO, bm_curve, multiuser_curve, snr_grid
+from mdswe.errorprob import FREE, FULL, ZERO, error_curve, snr_grid
 from mdswe.mds_enum import MdsParams
 
 CONDITION_SETS = {
@@ -48,12 +48,12 @@ def main(argv=None) -> int:
     sizes = (3, 3, 5, 4)
     user = 2  # third user, zero-based
 
-    columns = {"cep": bm_curve(params, grid, "cep"),
-               "sep": bm_curve(params, grid, "sep")}
+    columns = {"cep": error_curve(params, grid, "cep"),
+               "sep": error_curve(params, grid, "sep")}
     for label, conds in CONDITION_SETS.items():
-        columns[f"sep{label}"] = multiuser_curve(params, sizes, user, conds, grid, "sep")
-        columns[f"bep{label}"] = multiuser_curve(params, sizes, user, conds, grid, "bep")
-    columns["bep"] = multiuser_curve(params, sizes, user, (FREE,) * 4, grid, "bep")
+        columns[f"sep{label}"] = error_curve(params, grid, "sep", sizes, user, conds)
+        columns[f"bep{label}"] = error_curve(params, grid, "bep", sizes, user, conds)
+    columns["bep"] = error_curve(params, grid, "bep", sizes, user, (FREE,) * 4)
 
     writer = csv.writer(out)
     writer.writerow(["gamma_db", *columns.keys()])

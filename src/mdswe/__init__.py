@@ -26,10 +26,8 @@ _EXPORTS = {
     "duality": ("PropertyAReport", "PropertyAWitness", "dual_property_a", "krawtchouk",
                 "macwilliams_pwe", "macwilliams_wgf", "property_a_check"),
     "errorprob": ("FREE", "FULL", "ZERO", "ChannelPoint", "Condition", "ErrorCurve",
-                  "at_most", "bep_curve", "bm_curve", "cep_bm",
-                  "cep_ml_union", "channel_map", "multiuser_bep", "multiuser_curve",
-                  "multiuser_sep", "parse_condition", "sep_bm", "snr_grid",
-                  "sphere_distance_prob"),
+                  "at_most", "cep_bm", "channel_map", "error_curve", "parse_condition",
+                  "sep_bm", "snr_grid", "sphere_distance_prob"),
     "montecarlo": ("BmSphereOracle",),
     "poly": ("SparsePoly",),
 }

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .binary_avg import avg_binary_weights_from_distribution, avg_binary_wgf, bits_per_symbol
-from .errorprob import (bep_curve, bm_curve, multiuser_curve, parse_condition, snr_grid)
+from .errorprob import error_curve, parse_condition, snr_grid
 from .gf import field_from_order, parse_field_spec
 from .linear_code import (BudgetExceededError, LinearCode, Partition, brute_force_pwe,
                           brute_force_weights, check_rs_params, code_from_generator, dual,
@@ -272,7 +272,6 @@ def _cmd_property_a(args) -> int:
 def _cmd_errprob(args) -> int:
     params = _require_mds(args, read_code_shape(args.code))
     gammas = parse_snr_range(args.snr)
-    metric = args.metric
 
     if args.user is not None:
         if not args.condition:
@@ -286,14 +285,12 @@ def _cmd_errprob(args) -> int:
             raise UsageError(f"--condition: {exc}")
         if not 1 <= args.user <= len(sizes):
             raise UsageError(f"--user: index {args.user} outside 1..{len(sizes)}")
-        curve = multiuser_curve(params, sizes, args.user - 1, conditions, gammas, metric)
+        curve = error_curve(params, gammas, args.metric, sizes, args.user - 1, conditions)
     elif args.partition or args.condition:
         flag = "--partition" if args.partition else "--condition"
         raise UsageError(f"{flag}: only valid with --user")
-    elif metric == "bep":
-        curve = bep_curve(params, gammas)
     else:
-        curve = bm_curve(params, gammas, metric)
+        curve = error_curve(params, gammas, args.metric)
 
     rows = [{"gamma_db": repr(g), "probability": repr(v)} for g, v in curve.points]
     doc = {"code": args.code, "decoder": curve.decoder, "metric": curve.metric,

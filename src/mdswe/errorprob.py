@@ -53,9 +53,10 @@ bit, so they only shift the result by F symbols and m F bits:
 exact integers up to that one division (the averaging factor
 (2^m-1)^-w of F(Z)^w is moved to the common denominator).  At m = 1,
 G = Z and the same contraction is the symbol profile.  'atmost' needs
-no bit cap, since b_i <= m floor(a n_i) <= floor(a m n_i).  The
-code-level bit error bound is the one-block case (n,), where
-O_h = (h/(mn)) E~(h).
+no bit cap, since b_i <= m floor(a n_i) <= floor(a m n_i).  Code-level
+SEP and BEP are the one-block case (n,) at m = 1 and m = log2 q, where
+O_h = (h/n) E(h) and (h/(mn)) E~(h); `error_curve` is the one curve entry
+point, code level and per user alike.
 
 Conditioning restricts the enumerator to the allowed codewords, with no
 Bayes renormalization, so conditional curves are joint-style quantities.
@@ -63,9 +64,9 @@ The contraction is the only route: no generating function is
 materialised, substituted into or filtered to get a profile; the tests
 keep that literal route as a reference and compare the two exactly.
 
-Floating point enters only at the last step: enumerator coefficients are
-exact integers or rationals until each term is converted to binary64,
-and term sums are accumulated smallest-first.
+Floating point enters in one place, `_floats`: coefficients are exact
+integers or rationals until it converts each to binary64, and `_bm_sum`
+and `_ml_sum` then accumulate the terms smallest-first.
 """
 
 from __future__ import annotations
@@ -100,11 +101,8 @@ def q_function(x: float) -> float:
 class ChannelPoint:
     """Bit and symbol error rates at one SNR point."""
 
-    gamma_db: float
     p_bit: float
     p_symbol: float
-    q: int
-    m: int
 
 
 def channel_map(gamma_db: float, n: int, k: int, m: int) -> ChannelPoint:
@@ -112,7 +110,7 @@ def channel_map(gamma_db: float, n: int, k: int, m: int) -> ChannelPoint:
     gamma = 10.0 ** (gamma_db / 10.0)
     p_bit = q_function(math.sqrt(2.0 * (k / n) * gamma))
     p_symbol = p_bit if m == 1 else 1.0 - (1.0 - p_bit) ** m
-    return ChannelPoint(gamma_db, p_bit, p_symbol, 1 << m, m)
+    return ChannelPoint(p_bit, p_symbol)
 
 
 # -- bounded-minimum-distance decoding ------------------------------------
@@ -142,6 +140,11 @@ def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
     return math.fsum(sorted(terms))
 
 
+def _floats(exact: dict[int, Union[int, Fraction]]) -> dict[int, float]:
+    """The float boundary: exact coefficients become binary64 here only."""
+    return {h: float(c) for h, c in exact.items()}
+
+
 def _bm_sum(coeffs: dict[int, float], n: int, q: int, tau: int, p: float) -> float:
     terms = []
     for h, c in coeffs.items():
@@ -152,22 +155,16 @@ def _bm_sum(coeffs: dict[int, float], n: int, q: int, tau: int, p: float) -> flo
     return math.fsum(sorted(terms))
 
 
-def _cep_coeffs(weights: Sequence[int], n: int, d: int) -> dict[int, float]:
-    return {h: float(weights[h]) for h in range(d, n + 1)}
-
-
-def _sep_coeffs(weights: Sequence[int], n: int, d: int) -> dict[int, float]:
-    return {h: float(Fraction(h * weights[h], n)) for h in range(d, n + 1)}
-
-
 def cep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
     """BM decoder codeword error probability (exact under the model)."""
-    return _bm_sum(_cep_coeffs(weights, n, d), n, q, (d - 1) // 2, p)
+    coeffs = _floats({h: weights[h] for h in range(d, n + 1)})
+    return _bm_sum(coeffs, n, q, (d - 1) // 2, p)
 
 
 def sep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
     """BM decoder symbol error probability: E(h) -> (h/n) E(h)."""
-    return _bm_sum(_sep_coeffs(weights, n, d), n, q, (d - 1) // 2, p)
+    coeffs = _floats({h: Fraction(h * weights[h], n) for h in range(d, n + 1)})
+    return _bm_sum(coeffs, n, q, (d - 1) // 2, p)
 
 
 # -- maximum-likelihood bounds on the binary image --------------------------
@@ -178,13 +175,6 @@ def _ml_sum(coeffs: dict[int, float], rate: float, gamma_db: float) -> float:
     terms = [c * q_function(math.sqrt(2.0 * h * rate * gamma))
              for h, c in coeffs.items() if c]
     return min(1.0, max(0.0, math.fsum(sorted(terms))))
-
-
-def cep_ml_union(avg_weights: Sequence[Fraction], n: int, m: int, k: int,
-                 gamma_db: float) -> float:
-    """Bound on ML codeword error probability: sum_h E~(h) Q(sqrt(2 h (k/n) g))."""
-    coeffs = {h: float(avg_weights[h]) for h in range(1, m * n + 1) if avg_weights[h]}
-    return _ml_sum(coeffs, k / n, gamma_db)
 
 
 # -- multiuser conditioning -------------------------------------------------
@@ -284,28 +274,6 @@ def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
     return {h: Fraction(c, total) for h, c in enumerate(acc) if c}
 
 
-def _float_profile(params: MdsParams, sizes: Sequence[int], user: int,
-                   conditions: Sequence[Condition], m: int) -> dict[int, float]:
-    profile = _user_profile(params, sizes, user, conditions, m)
-    return {h: float(c) for h, c in profile.items()}
-
-
-def multiuser_sep(params: MdsParams, sizes: Sequence[int], user: int,
-                  conditions: Sequence[Condition], p: float) -> float:
-    """Symbol error probability of one user's block under BM decoding,
-    restricted to codewords satisfying the per-block conditions."""
-    coeffs = _float_profile(params, sizes, user, conditions, 1)
-    return _bm_sum(coeffs, params.n, params.q, (params.d - 1) // 2, p)
-
-
-def multiuser_bep(params: MdsParams, sizes: Sequence[int], user: int,
-                  conditions: Sequence[Condition], gamma_db: float) -> float:
-    """Average bit error probability of one user's block (ML bound form),
-    restricted to codewords satisfying the per-block conditions."""
-    coeffs = _float_profile(params, sizes, user, conditions, bits_per_symbol(params.q))
-    return _ml_sum(coeffs, params.k / params.n, gamma_db)
-
-
 # -- SNR sweeps ----------------------------------------------------------------
 
 
@@ -338,45 +306,34 @@ def snr_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(round(span) + 1)]
 
 
-def _bm_points(params: MdsParams, coeffs: dict[int, float],
-               gammas: Sequence[float]) -> tuple[tuple[float, float], ...]:
-    n, k, q = params.n, params.k, params.q
-    m, tau = bits_per_symbol(q), (params.d - 1) // 2
-    return tuple((g, _bm_sum(coeffs, n, q, tau, channel_map(g, n, k, m).p_symbol))
-                 for g in gammas)
+def error_curve(params: MdsParams, gammas: Sequence[float], metric: str,
+                sizes: Optional[Sequence[int]] = None, user: Optional[int] = None,
+                conditions: Optional[Sequence[Condition]] = None) -> ErrorCurve:
+    """CEP or SEP of the BM decoder, or the BEP union bound, over an SNR grid.
 
-
-def _ml_points(params: MdsParams, coeffs: dict[int, float],
-               gammas: Sequence[float]) -> tuple[tuple[float, float], ...]:
-    return tuple((g, _ml_sum(coeffs, params.k / params.n, g)) for g in gammas)
-
-
-def bm_curve(params: MdsParams, gammas: Sequence[float], metric: str) -> ErrorCurve:
-    """Unconditional BM CEP or SEP over an SNR grid (closed-form weights)."""
-    if metric not in ("cep", "sep"):
-        raise ValueError(f"BM decoder computes cep or sep, not {metric!r}")
-    to_coeffs = _cep_coeffs if metric == "cep" else _sep_coeffs
-    coeffs = to_coeffs(weight_distribution(params), params.n, params.d)
-    return ErrorCurve("bm", metric, None, None, _bm_points(params, coeffs, gammas))
-
-
-def bep_curve(params: MdsParams, gammas: Sequence[float]) -> ErrorCurve:
-    """Unconditional average-binary BEP bound over an SNR grid."""
-    coeffs = _float_profile(params, (params.n,), 0, (FREE,), bits_per_symbol(params.q))
-    return ErrorCurve("ml-union", "bep", None, None, _ml_points(params, coeffs, gammas))
-
-
-def multiuser_curve(params: MdsParams, sizes: Sequence[int], user: int,
-                    conditions: Sequence[Condition], gammas: Sequence[float],
-                    metric: str) -> ErrorCurve:
-    """Conditional per-user SEP (BM) or BEP (ML bound) over an SNR grid."""
-    if metric == "sep":
-        coeffs = _float_profile(params, sizes, user, conditions, 1)
-        pts = _bm_points(params, coeffs, gammas)
-    elif metric == "bep":
-        coeffs = _float_profile(params, sizes, user, conditions, bits_per_symbol(params.q))
-        pts = _ml_points(params, coeffs, gammas)
-    else:
+    Code level (no user): CEP reads E(h) for h >= d; SEP and BEP read the
+    one-block profile (n,).  Per user: SEP or BEP of block `user` under `conditions`.
+    """
+    if (user is None) != (sizes is None) or (user is None) != (conditions is None):
+        raise ValueError("sizes and conditions are given exactly when a user is")
+    if metric not in ("cep", "sep", "bep"):
+        raise ValueError(f"metrics are cep, sep and bep, not {metric!r}")
+    if user is not None and metric == "cep":
         raise ValueError(f"per-user metrics are sep and bep, not {metric!r}")
-    return ErrorCurve("bm" if metric == "sep" else "ml-union", metric, user,
-                      tuple(conditions), pts)
+    n, k, q, m = params.n, params.k, params.q, bits_per_symbol(params.q)
+    if metric == "cep":
+        weights = weight_distribution(params)
+        exact = {h: weights[h] for h in range(params.d, n + 1)}
+    else:
+        level = 1 if metric == "sep" else m
+        exact = (_user_profile(params, (n,), 0, (FREE,), level) if user is None
+                 else _user_profile(params, sizes, user, conditions, level))
+    coeffs = _floats(exact)
+    if metric == "bep":
+        points = tuple((g, _ml_sum(coeffs, k / n, g)) for g in gammas)
+    else:
+        tau = (params.d - 1) // 2
+        points = tuple((g, _bm_sum(coeffs, n, q, tau, channel_map(g, n, k, m).p_symbol))
+                       for g in gammas)
+    return ErrorCurve("ml-union" if metric == "bep" else "bm", metric, user,
+                      None if conditions is None else tuple(conditions), points)

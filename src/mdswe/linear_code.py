@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -91,6 +92,13 @@ def _detect_systematic(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...
     return tuple(cols)  # type: ignore[arg-type]
 
 
+def _integer(v, what: str) -> int:
+    """v as an int: numpy integers pass; bool, float and str raise ValueError."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise ValueError(f"{what} {v!r} is not an integer")
+    return operator.index(v)
+
+
 class LinearCode:
     """An (n, k) linear code given by a full-rank generator matrix.
 
@@ -102,7 +110,7 @@ class LinearCode:
     def __init__(self, field: Field, generator: Sequence[Sequence[int]], *,
                  systematic_columns: Optional[Sequence[int]] = None,
                  n: Optional[int] = None, _skip_rank_check: bool = False):
-        rows = tuple(tuple(int(v) for v in row) for row in generator)
+        rows = tuple(tuple(_integer(v, "entry") for v in row) for row in generator)
         if rows:
             n = len(rows[0])
             if any(len(r) != n for r in rows):
@@ -448,7 +456,7 @@ def rs_code(field: Field, n: int, k: int,
             eval_points.append(v)
             v = field.mul(v, g)
     else:
-        eval_points = [int(v) for v in eval_points]
+        eval_points = [_integer(v, "evaluation point") for v in eval_points]
         if len(eval_points) != n or len(set(eval_points)) != n or 0 in eval_points:
             raise ValueError("evaluation points must be n distinct nonzero elements")
     info, parity = eval_points[:k], eval_points[k:]
@@ -491,7 +499,7 @@ def rm1_code(m: int) -> LinearCode:
 
 def code_from_generator(field: Field, rows: Sequence[Sequence[int]]) -> LinearCode:
     """Code spanned by the given rows; raises RankDeficientError if dependent."""
-    if not rows:
+    if len(rows) == 0:   # not `not rows`: a numpy array has no truth value
         raise ValueError("generator must have at least one row")
     return LinearCode(field, rows)
 

@@ -448,13 +448,13 @@ def suite_errorprob(rng: random.Random, seed: int, trials: int = 10**6) -> list[
 
     grid = errorprob.snr_grid(4.0, 8.0, 0.5)
     free = (errorprob.FREE,) * 4
-    curves = [errorprob.multiuser_curve(prm, sizes, u, free, grid, "sep")
+    curves = [errorprob.error_curve(prm, grid, "sep", sizes, u, free)
               for u in range(3)]
     ok = curves[0].points == curves[1].points == curves[2].points
     out.append(CheckResult("errorprob:unconditional-sep-user-independent", ok))
 
-    cep_curve = errorprob.bm_curve(prm, grid, "cep")
-    sep_curve = errorprob.bm_curve(prm, grid, "sep")
+    cep_curve = errorprob.error_curve(prm, grid, "cep")
+    sep_curve = errorprob.error_curve(prm, grid, "sep")
     ok = all(s[1] <= c[1] for s, c in zip(sep_curve.points, cep_curve.points))
     out.append(CheckResult("errorprob:sep<=cep-pointwise", ok))
 
@@ -462,7 +462,7 @@ def suite_errorprob(rng: random.Random, seed: int, trials: int = 10**6) -> list[
     cases = [(Z, Z, R, R), (Z, F_, R, R), (F_, F_, R, R)]
     ok = True
     for metric in ("sep", "bep"):
-        c00, c01, c11 = (errorprob.multiuser_curve(prm, sizes, 2, conds, grid, metric)
+        c00, c01, c11 = (errorprob.error_curve(prm, grid, metric, sizes, 2, conds)
                          for conds in cases)
         for (g, v00), (_, v01), (_, v11) in zip(c00.points, c01.points, c11.points):
             if not (v11 < v01 < v00):
@@ -470,7 +470,7 @@ def suite_errorprob(rng: random.Random, seed: int, trials: int = 10**6) -> list[
     out.append(CheckResult("errorprob:conditional-ordering-(1,1)<(0,1)<(0,0)", ok))
 
     ok = True
-    for curve in [cep_curve, sep_curve, errorprob.bep_curve(prm, grid)] + curves:
+    for curve in [cep_curve, sep_curve, errorprob.error_curve(prm, grid, "bep")] + curves:
         probs = [pt[1] for pt in curve.points]
         if any(not 0.0 <= v <= 1.0 for v in probs):
             ok = False

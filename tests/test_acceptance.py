@@ -16,8 +16,8 @@ import pytest
 
 from mdswe.binary_avg import avg_binary_iowe, avg_binary_wgf, bits_per_symbol
 from mdswe.duality import dual_property_a, macwilliams_pwe, property_a_check
-from mdswe.errorprob import (FREE, FULL, ZERO, bm_curve, cep_bm, multiuser_curve,
-                             sep_bm, snr_grid, sphere_distance_prob)
+from mdswe.errorprob import (FREE, FULL, ZERO, cep_bm, error_curve, sep_bm, snr_grid,
+                             sphere_distance_prob)
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (Partition, brute_force_pwe, brute_force_weights,
                                code_from_generator, dual, rm1_code, rs_code)
@@ -220,19 +220,19 @@ def test_criterion_8_multiuser_behavior():
         sizes = (3, 3, 5, 4)
         grid = snr_grid(4.0, 8.0, 0.25)
 
-        unconditional = [multiuser_curve(prm, sizes, u, (FREE,) * 4, grid, "sep")
+        unconditional = [error_curve(prm, grid, "sep", sizes, u, (FREE,) * 4)
                          for u in range(3)]
         assert unconditional[0].points == unconditional[1].points \
             == unconditional[2].points
 
-        sep_pts = bm_curve(prm, grid, "sep").points
-        cep_pts = bm_curve(prm, grid, "cep").points
+        sep_pts = error_curve(prm, grid, "sep").points
+        cep_pts = error_curve(prm, grid, "cep").points
         assert all(s <= c for (_, s), (_, c) in zip(sep_pts, cep_pts))
 
         cases = [(ZERO, ZERO, FREE, FREE), (ZERO, FULL, FREE, FREE),
                  (FULL, FULL, FREE, FREE)]
         for metric in ("sep", "bep"):
-            c00, c01, c11 = (multiuser_curve(prm, sizes, 2, conds, grid, metric)
+            c00, c01, c11 = (error_curve(prm, grid, metric, sizes, 2, conds)
                              for conds in cases)
             for (g, v00), (_, v01), (_, v11) in zip(c00.points, c01.points,
                                                     c11.points):
@@ -248,7 +248,7 @@ def test_criterion_9_sanity_and_verify_cli():
             assert sum(avg_binary_wgf(prm)) == prm.q**prm.k
         grid = snr_grid(2.0, 8.0, 0.5)
         for metric in ("cep", "sep"):
-            for _, v in bm_curve(MdsParams(15, 11, 16), grid, metric).points:
+            for _, v in error_curve(MdsParams(15, 11, 16), grid, metric).points:
                 assert 0.0 <= v <= 1.0
         proc = subprocess.run(
             [sys.executable, "-m", "mdswe.cli", "verify", "--suite", "all",

@@ -315,14 +315,25 @@ class TestErrprobCommand:
         assert (code, out) == (2, "")
         assert err == "error: --snr: bad range '0:1e6:1e-6': more than 100000 points\n"
 
-    def test_all_free_user_bep_equals_code_bep(self, capsys):
-        argv = ("errprob", "--code", "rs:64:63:51", "--metric", "bep", "--snr", "4:8:1",
+    @pytest.mark.parametrize("metric", ["sep", "bep"])
+    def test_all_free_user_bep_equals_code_bep(self, capsys, metric):
+        argv = ("errprob", "--code", "rs:64:63:51", "--metric", metric, "--snr", "4:8:1",
                 "--format", "csv")
         code, user_rows, _ = run_cli(capsys, *argv, "--partition", "15,15,15,18",
                                      "--user", "4", "--condition", "free,free,free,free")
         assert code == 0
         assert run_cli(capsys, *argv) == (0, user_rows, "")
         assert len(user_rows.splitlines()) == 6
+
+    @pytest.mark.parametrize("metric, user, message", [
+        ("cep", "3", "per-user metrics are sep and bep, not 'cep'"),
+        ("sep", "1", "the user under study must have a free or atmost condition"),
+    ], ids=["per-user-cep", "user-block-zero"])
+    def test_per_user_curve_errors_exit_two(self, capsys, metric, user, message):
+        assert run_cli(capsys, "errprob", "--code", "rs:16:15:11", "--metric", metric,
+                       "--partition", "3,3,5,4", "--user", user,
+                       "--condition", "zero,full,free,free", "--snr", "4:6:1") == \
+            (2, "", f"error: {message}\n")
 
     def test_user_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdswe import duality, mds_enum
-from mdswe.binary_avg import avg_binary_wgf, bits_per_symbol
+from mdswe.binary_avg import NotCharTwoError, avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ConditionCountMismatchError,
-                             ParamOutOfRangeError, at_most, bep_curve, bm_curve, cep_bm,
-                             cep_ml_union, channel_map, multiuser_bep, multiuser_curve,
-                             multiuser_sep, parse_condition, q_function, sep_bm, snr_grid,
+                             ParamOutOfRangeError, at_most, cep_bm, channel_map, error_curve,
+                             parse_condition, q_function, sep_bm, snr_grid,
                              sphere_distance_prob)
 from mdswe.gf import Field
 from mdswe.linear_code import brute_force_weights, code_from_generator, dual, rs_code
@@ -39,7 +38,7 @@ def _bep_reference(params, gamma_db):
 
 
 def _bep_point(params, gamma_db):
-    return bep_curve(params, [gamma_db]).points[0][1]
+    return error_curve(params, [gamma_db], "bep").points[0][1]
 
 
 def _distance_distribution_oracle(n, q, h, p):
@@ -150,11 +149,6 @@ class TestMlUnionBounds:
     def test_high_snr_limit(self):
         assert _bep_point(P738, 40.0) < 1e-12
 
-    def test_bep_below_cep(self):
-        avg = avg_binary_wgf(P1511)
-        for g in (2.0, 4.0, 6.0):
-            assert _bep_point(P1511, g) <= cep_ml_union(avg, 15, 4, 11, g)
-
     def test_bit_coefficient_ratio(self):
         # the BEP coefficient is (h / mn) E~(h) for every weight: the
         # one-block profile at m bits per symbol
@@ -169,23 +163,19 @@ class TestMlUnionBounds:
         # the one-block profile and the averaged spectrum give one exact
         # rational per weight, so the floats agree bit for bit
         grid = snr_grid(-5.0, 8.0, 0.5)
-        assert bep_curve(params, grid).points == \
+        assert error_curve(params, grid, "bep").points == \
             tuple((g, _bep_reference(params, g)) for g in grid)
 
     @pytest.mark.parametrize("gamma_db", [-5.0, 2.0, 6.0])
-    @pytest.mark.parametrize("metric", ["cep", "bep"])
-    def test_union_term_matches_reference_sum(self, metric, gamma_db):
+    def test_union_term_matches_reference_sum(self, gamma_db):
         # the one ML term: coeff(h) Q(sqrt(2 h R g)) with R = k/n and g the
         # linear SNR, summed over h and clipped to 1
         avg = avg_binary_wgf(P738)
-        weight = (lambda h: 1) if metric == "cep" else (lambda h: Fraction(h, 21))
         g = 10.0 ** (gamma_db / 10.0)
-        reference = sum(float(weight(h) * avg[h])
+        reference = sum(float(Fraction(h, 21) * avg[h])
                         * 0.5 * math.erfc(math.sqrt(h * (3 / 7) * g))
                         for h in range(1, 22) if avg[h])
-        bound = cep_ml_union(avg, 7, 3, 3, gamma_db) if metric == "cep" \
-            else _bep_point(P738, gamma_db)
-        assert bound == pytest.approx(min(1.0, reference), rel=1e-12)
+        assert _bep_point(P738, gamma_db) == pytest.approx(min(1.0, reference), rel=1e-12)
 
 
 class TestConditionalPwgf:
@@ -241,22 +231,26 @@ class TestUserIowe:
 
 
 class TestMultiuser:
+    GRID = (4.0, 5.0, 6.5, 8.0)
+
     def test_unconditional_sep_equals_code_sep(self):
         # with all blocks free, O_h collapses to (h/n) E(h): the user SEP
         # is the plain symbol error probability, bit for bit
         E = weight_distribution(P1511)
         for u in range(3):
-            for p in (0.01, 0.1):
-                assert multiuser_sep(P1511, SIZES_1511, u, (FREE,) * 4, p) == \
-                    sep_bm(E, 15, 5, p, 16)
+            curve = error_curve(P1511, self.GRID, "sep", SIZES_1511, u, (FREE,) * 4)
+            assert curve.points == tuple(
+                (g, sep_bm(E, 15, 5, channel_map(g, 15, 11, 4).p_symbol, 16))
+                for g in self.GRID)
 
-    def test_unconditional_bep_equals_code_bep(self):
-        # the all-free bit profile is (h/mn) E~(h) exactly, so the two
-        # bounds agree bit for bit
+    @pytest.mark.parametrize("metric", ["sep", "bep"])
+    def test_all_free_user_curve_equals_code_curve(self, metric):
+        # the all-free profile is (h/(mn)) E~(h) exactly at m = 1 and at
+        # m = log2 q, so every user's curve is the code-level one bit for bit
+        code = error_curve(P1511, self.GRID, metric)
         for u in range(4):
-            for g in (4.0, 5.0, 6.5, 8.0):
-                assert multiuser_bep(P1511, SIZES_1511, u, (FREE,) * 4, g) == \
-                    _bep_reference(P1511, g) == _bep_point(P1511, g)
+            assert error_curve(P1511, self.GRID, metric, SIZES_1511, u,
+                               (FREE,) * 4).points == code.points
 
     def test_all_free_profile_at_scale(self):
         # property A on (63,51,64): every user's all-free profile is
@@ -280,14 +274,17 @@ class TestMultiuser:
         assert _user_profile(params, (60, 60, 60, 75), 2, (FREE,) * 4, 8) == \
             {h: Fraction(h, 8 * 255) * avg[h] for h in range(1, 8 * 255 + 1) if avg[h]}
 
-    def test_zero_error_channel(self):
-        assert multiuser_sep(P1511, SIZES_1511, 2, (ZERO, FULL, FREE, FREE), 0.0) == 0.0
+    @pytest.mark.parametrize("metric", ["sep", "bep"])
+    def test_zero_error_channel(self, metric):
+        # infinite SNR: p_bit = p_symbol = 0 exactly
+        curve = error_curve(P1511, [math.inf], metric, SIZES_1511, 2,
+                            (ZERO, FULL, FREE, FREE))
+        assert curve.points == ((math.inf, 0.0),)
 
     def test_conditional_ordering_at_fixed_gamma(self):
-        p = channel_map(5.0, 15, 11, 4).p_symbol
-        v00 = multiuser_sep(P1511, SIZES_1511, 2, (ZERO, ZERO, FREE, FREE), p)
-        v01 = multiuser_sep(P1511, SIZES_1511, 2, (ZERO, FULL, FREE, FREE), p)
-        v11 = multiuser_sep(P1511, SIZES_1511, 2, (FULL, FULL, FREE, FREE), p)
+        v00, v01, v11 = (error_curve(P1511, [5.0], "sep", SIZES_1511, 2, conds).points[0][1]
+                         for conds in [(ZERO, ZERO, FREE, FREE), (ZERO, FULL, FREE, FREE),
+                                       (FULL, FULL, FREE, FREE)])
         assert v11 < v01 < v00
 
     def test_collapsed_bit_route_matches_literal_pipeline(self):
@@ -328,12 +325,12 @@ class TestMultiuser:
                 assert _user_profile(params, sizes, user, conds, scale) == expected
 
     def test_user_condition_must_be_free_or_atmost(self):
-        with pytest.raises(ValueError):
-            multiuser_sep(P1511, SIZES_1511, 1, (ZERO, FULL, FREE, FREE), 0.1)
+        with pytest.raises(ValueError, match="free or atmost"):
+            error_curve(P1511, self.GRID, "sep", SIZES_1511, 1, (ZERO, FULL, FREE, FREE))
 
     def test_condition_count_checked(self):
         with pytest.raises(ConditionCountMismatchError):
-            multiuser_sep(P1511, SIZES_1511, 0, (FREE, FREE), 0.1)
+            error_curve(P1511, self.GRID, "sep", SIZES_1511, 0, (FREE, FREE))
 
 
 class TestCurves:
@@ -359,23 +356,54 @@ class TestCurves:
 
     def test_bm_curves_monotone_and_bounded(self):
         for metric in ("cep", "sep"):
-            curve = bm_curve(P1511, self.GRID, metric)
+            curve = error_curve(P1511, self.GRID, metric)
             probs = [v for _, v in curve.points]
             assert all(0.0 <= v <= 1.0 for v in probs)
             assert all(b <= a for a, b in zip(probs, probs[1:]))
 
     def test_bep_curve_monotone(self):
-        probs = [v for _, v in bep_curve(P738, self.GRID).points]
+        probs = [v for _, v in error_curve(P738, self.GRID, "bep").points]
         assert all(b <= a for a, b in zip(probs, probs[1:]))
         assert all(0.0 <= v <= 1.0 for v in probs)
 
     def test_unconditional_sep_identical_across_users(self):
-        curves = [multiuser_curve(P1511, SIZES_1511, u, (FREE,) * 4, self.GRID, "sep")
+        curves = [error_curve(P1511, self.GRID, "sep", SIZES_1511, u, (FREE,) * 4)
                   for u in range(3)]
         assert curves[0].points == curves[1].points == curves[2].points
 
+    @pytest.mark.parametrize("params", [P1511, P6351], ids=["15,11", "63,51"])
+    def test_code_sep_equals_sep_bm(self, params):
+        # the one-block profile and (h/n) E(h) from the weight list are one
+        # exact rational per weight, so the two routes agree bit for bit
+        n, k, q = params.n, params.k, params.q
+        E, m = weight_distribution(params), bits_per_symbol(q)
+        assert error_curve(params, self.GRID, "sep").points == tuple(
+            (g, sep_bm(E, n, params.d, channel_map(g, n, k, m).p_symbol, q))
+            for g in self.GRID)
+
+    def test_code_level_fields(self):
+        for metric, decoder in [("cep", "bm"), ("sep", "bm"), ("bep", "ml-union")]:
+            curve = error_curve(P738, self.GRID, metric)
+            assert (curve.decoder, curve.metric, curve.user, curve.conditions) == \
+                (decoder, metric, None, None)
+        curve = error_curve(P738, self.GRID, "bep", (3, 4), 1, [ZERO, FREE])
+        assert (curve.user, curve.conditions) == (1, (ZERO, FREE))
+
     def test_metric_validation(self):
-        with pytest.raises(ValueError):
-            bm_curve(P1511, self.GRID, "bep")
-        with pytest.raises(ValueError):
-            multiuser_curve(P1511, SIZES_1511, 0, (FREE,) * 4, self.GRID, "cep")
+        with pytest.raises(ValueError, match="not 'ber'"):
+            error_curve(P1511, self.GRID, "ber")
+        with pytest.raises(ValueError, match="^per-user metrics are sep and bep, not 'cep'$"):
+            error_curve(P1511, self.GRID, "cep", SIZES_1511, 0, (FREE,) * 4)
+
+    @pytest.mark.parametrize("sizes, user, conditions", [
+        (SIZES_1511, None, None), (None, 0, None), (None, None, (FREE,) * 4),
+        (SIZES_1511, 0, None)],
+        ids=["sizes-only", "user-only", "conditions-only", "no-conditions"])
+    def test_user_arguments_come_together(self, sizes, user, conditions):
+        with pytest.raises(ValueError, match="exactly when a user is"):
+            error_curve(P1511, self.GRID, "sep", sizes, user, conditions)
+
+    @pytest.mark.parametrize("metric", ["cep", "sep", "bep"])
+    def test_non_char_two_field_rejected(self, metric):
+        with pytest.raises(NotCharTwoError, match="q=7 is not a power of two"):
+            error_curve(MdsParams(6, 3, 7), self.GRID, metric)

@@ -23,14 +23,12 @@ EXPORTS = {
     "BmSphereOracle", "ChannelPoint", "Condition", "DEFAULT_ENUMERATION_BUDGET",
     "ErrorCurve", "FREE", "FULL", "Field", "LinearCode", "MdsParams",
     "Partition", "PropertyAReport", "PropertyAWitness", "PweTable", "SparsePoly", "ZERO",
-    "at_most", "avg_binary_iowe", "avg_binary_wgf", "bep_curve",
-    "binomial_approx", "bits_per_symbol",
-    "bm_curve", "brute_force_pwe", "brute_force_weights", "cep_bm", "cep_ml_union",
+    "at_most", "avg_binary_iowe", "avg_binary_wgf", "binomial_approx", "bits_per_symbol",
+    "brute_force_pwe", "brute_force_weights", "cep_bm",
     "channel_map", "check_convolution_identity", "check_subset_identity",
-    "code_from_generator", "coordinate_weight_sum", "dual",
-    "dual_property_a", "field_from_order", "fixed_support_counts", "iowe", "krawtchouk",
-    "macwilliams_pwe", "macwilliams_wgf", "min_distance",
-    "multiuser_bep", "multiuser_curve", "multiuser_sep", "parse_condition",
+    "code_from_generator", "coordinate_weight_sum", "dual", "dual_property_a",
+    "error_curve", "field_from_order", "fixed_support_counts", "iowe", "krawtchouk",
+    "macwilliams_pwe", "macwilliams_wgf", "min_distance", "parse_condition",
     "parse_field_spec", "property_a_check", "psi", "pwe_direct", "pwe_direct_table",
     "pwe_product", "pwgf", "rm1_code", "rs_code", "sep_bm", "snr_grid",
     "sphere_distance_prob", "support_histogram",

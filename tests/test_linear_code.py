@@ -191,6 +191,24 @@ class TestCodeFromGenerator:
         with pytest.raises(ValueError):
             code_from_generator(F2, [[0, 2]])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: code_from_generator(F2, [[1.7, 0, 1], [0, 1, 1]]), "entry 1.7 "),
+        (lambda: code_from_generator(F2, [[1, 0, 1], [0, True, 1]]), "entry True "),
+        (lambda: code_from_generator(F2, [["1", 0, 1]]), "entry '1' "),
+        (lambda: rs_code(F8, 3, 2, eval_points=[1, 2.0, 3]), "evaluation point 2.0 "),
+    ], ids=["float", "bool", "numeric-string", "float-eval-point"])
+    def test_non_integer_entry_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}is not an integer$"):
+            build()
+
+    def test_numpy_integer_entries_accepted(self):
+        np = pytest.importorskip("numpy")
+        rows = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
+        assert code_from_generator(F2, rows).generator == ((1, 0, 1), (0, 1, 1))
+        points = np.arange(1, 8, dtype=np.uint8)
+        assert rs_code(F8, 7, 3, eval_points=points).generator == \
+            rs_code(F8, 7, 3, eval_points=list(range(1, 8))).generator
+
 
 class TestDual:
     def test_dual_of_full_space_is_zero_code(self):

@@ -68,7 +68,7 @@ class TestMdsParams:
 
     def test_order_check_loads_no_field_arithmetic(self):
         # the closed-form experiment scripts never build a field
-        probe = ("import sys\nfrom mdswe.errorprob import multiuser_curve\n"
+        probe = ("import sys\nfrom mdswe.errorprob import error_curve\n"
                  "from mdswe.mds_enum import MdsParams\nMdsParams(15, 11, 16)\n"
                  "print('mdswe.gf' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
