@@ -302,14 +302,13 @@ def _cmd_errprob(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suites
+    from .verify import run_suites, suite_names
 
-    names = [tok.strip() for tok in args.suite.split(",")]
     try:
-        ok = run_suites(names, seed=args.seed)
+        names = suite_names([tok.strip() for tok in args.suite.split(",")])
     except ValueError as exc:
         raise UsageError(f"--suite: {exc}")
-    return 0 if ok else 1
+    return 0 if run_suites(names, seed=args.seed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

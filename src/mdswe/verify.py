@@ -4,17 +4,26 @@ Each suite re-checks the package's exact invariants end to end: closed
 forms against exhaustive enumeration, identities as integer equalities,
 transforms against independently computed duals, and decoder curves
 against a seeded Monte-Carlo channel.  Every check prints one line;
-a failing check fails the run.
+a failing check fails the run, and so does an exception raised inside a
+suite, as one failed ``<suite>:raised`` check.
+
+Each suite draws from its own ``random.Random(seed)``, so the suites are
+independent: `run_suites` runs them in a pool of worker processes, one
+per usable CPU, and prints their lines in the order asked for, the same
+lines a one-at-a-time run prints.  A run of one suite, or on one CPU,
+stays in the calling process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, TextIO
+from typing import Callable, Iterable, Optional, TextIO
 
 from . import binary_avg, duality, errorprob, mds_enum
 from .gf import Field, field_from_order
@@ -189,7 +198,9 @@ def suite_oracle(rng: random.Random, partitions_per_code: int = 20) -> list[Chec
     """pwe_direct == pwe_product == brute force, coefficient for coefficient.
 
     Compares three whole tables per partition, `pwe_direct_table`, `pwgf`
-    and `brute_force_pwe`, at every profile.
+    and `brute_force_pwe`, at every profile.  The first two depend only on
+    the block sizes, so they are computed once per distinct sizes of a
+    code; the brute-force table is counted for every partition.
     """
     failures = []
     codes = 0
@@ -198,11 +209,14 @@ def suite_oracle(rng: random.Random, partitions_per_code: int = 20) -> list[Chec
         code = rs_code(field, n, k)
         params = MdsParams(n, k, q)
         codes += 1
+        closed = {}   # sizes -> (pwe_direct_table, pwgf terms)
         for _ in range(partitions_per_code):
             part = random_partition(n, rng)
             sizes = part.sizes
-            direct = mds_enum.pwe_direct_table(params, sizes)
-            prod = mds_enum.pwgf(params, sizes).terms
+            if sizes not in closed:
+                closed[sizes] = (mds_enum.pwe_direct_table(params, sizes),
+                                 mds_enum.pwgf(params, sizes).terms)
+            direct, prod = closed[sizes]
             brute = brute_force_pwe(code, part).counts
             tables += 1
             if direct == prod == brute:   # all three drop zero counts
@@ -491,18 +505,57 @@ SUITES: dict[str, Callable] = {
 }
 
 
-def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> bool:
-    """Run the named suites; print one line per check.  True iff all pass."""
-    stream = stream or sys.stdout
+def suite_names(names: list[str]) -> list[str]:
+    """The suites `names` asks for, with 'all' expanded; ValueError on an
+    unknown name."""
     if "all" in names:
-        names = list(SUITES)
-    all_ok = True
+        return list(SUITES)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from "
                              f"{', '.join([*SUITES, 'all'])}")
-        rng = random.Random(seed)
-        for check in SUITES[name](rng, seed):
+    return names
+
+
+def _run_suite(name: str, seed: int) -> list[CheckResult]:
+    """One suite's checks; an exception inside it is one failed check."""
+    try:
+        return SUITES[name](random.Random(seed), seed)
+    except Exception as exc:
+        return [CheckResult(f"{name}:raised", False, f"{type(exc).__name__}: {exc}")]
+
+
+def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> bool:
+    """Run the named suites; print one line per check.  True iff all pass.
+
+    Every name is checked before any suite runs.  With more than one suite
+    and more than one usable CPU the suites run in a pool of worker
+    processes; each suite's lines print, in the order asked for, as soon
+    as it and every suite before it are done.
+    """
+    stream = stream or sys.stdout
+    names = suite_names(names)
+    run = functools.partial(_run_suite, seed=seed)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(names), cpus)
+    if workers <= 1:
+        return _report(map(run, names), stream)
+    import multiprocessing
+    # Built before the parent loads numpy (the suites load it in the
+    # workers), so the workers fork from a single-threaded process.  Leaving
+    # the block terminates and joins them, also on an error.
+    with multiprocessing.Pool(workers) as pool:
+        ok = _report(pool.imap(run, names, chunksize=1), stream)
+        pool.close()
+        pool.join()
+    return ok
+
+
+def _report(results: Iterable[list[CheckResult]], stream: TextIO) -> bool:
+    all_ok = True
+    for checks in results:
+        for check in checks:
             status = "ok" if check.passed else "FAIL"
             detail = f"  ({check.detail})" if check.detail else ""
             print(f"{status:4s} - {check.name}{detail}", file=stream)

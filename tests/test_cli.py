@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 import random
 import subprocess
 import sys
@@ -445,6 +447,93 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2 and "--suite" in err
+        # every name is checked before any suite runs
+        code, out, err = run_cli(capsys, "verify", "--suite", "gf,nonsense")
+        assert code == 2 and out == ""
+        assert "unknown suite 'nonsense'" in err
+
+    @pytest.mark.parametrize("suites", ["identities", "identities,binary"])
+    def test_exception_in_suite_is_failed_check(self, monkeypatch, capsys, suites):
+        def boom(rng, seed):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(verify.SUITES, "identities", boom)
+        two_cpus(monkeypatch)   # the two-suite run goes through the pool
+        code, out, err = run_cli(capsys, "verify", "--suite", suites, "--seed", "7")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "FAIL - identities:raised  (ValueError: boom)"
+        if "binary" in suites:
+            assert lines[1:] == [f"ok   - {name}" for name in self.BINARY_CHECKS]
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+class TestVerifyPool:
+    """Suites run in worker processes print what the sequential loop prints."""
+
+    NAMES = ["identities", "binary", "duality"]
+
+    def _pools(self, monkeypatch):
+        built = []
+        real = multiprocessing.Pool
+
+        def spy(workers):
+            built.append(workers)
+            return real(workers)
+
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(multiprocessing, "Pool", spy)
+        return built
+
+    def test_pooled_output_is_the_one_suite_runs_in_order(self, monkeypatch, capsys):
+        alone = "".join(run_cli(capsys, "verify", "--suite", name, "--seed", "7")[1]
+                        for name in self.NAMES)
+        built = self._pools(monkeypatch)
+        code, out, err = run_cli(capsys, "verify", "--suite", ",".join(self.NAMES),
+                                 "--seed", "7")
+        assert (code, err) == (0, "")
+        assert out == alone
+        assert built == [2]
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["pass", "raise"])
+    def test_no_worker_outlives_the_run(self, monkeypatch, raises):
+        if raises:
+            monkeypatch.setitem(verify.SUITES, "binary", lambda rng, seed: 1 / 0)
+        built = self._pools(monkeypatch)
+        stream = io.StringIO()
+        assert verify.run_suites(self.NAMES, 7, stream) is not raises
+        assert built == [2]
+        assert ("FAIL - binary:raised  (ZeroDivisionError: division by zero)"
+                in stream.getvalue()) is raises
+        assert multiprocessing.active_children() == []
+
+    def test_failed_write_stops_the_workers(self, monkeypatch):
+        class Broken(io.StringIO):
+            def write(self, text):
+                raise OSError("write failed")
+
+        built = self._pools(monkeypatch)
+        with pytest.raises(OSError, match="write failed"):
+            verify.run_suites(self.NAMES, 7, Broken())
+        assert built == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_builds_no_pool(self, monkeypatch):
+        pooled = io.StringIO()
+        self._pools(monkeypatch)
+        verify.run_suites(self.NAMES, 7, pooled)
+
+        def refuse(workers):
+            raise AssertionError("pool built")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        alone = io.StringIO()
+        assert verify.run_suites(self.NAMES, 7, alone)
+        assert alone.getvalue() == pooled.getvalue()
 
 
 class TestUsageErrors:

@@ -50,6 +50,23 @@ def test_closed_forms_leave_heavy_modules_unloaded(statement):
     assert proc.stdout.split() == []
 
 
+def test_verify_builds_its_pool_before_numpy_loads():
+    # the workers are forked from a parent that has not loaded numpy
+    probe = ("import multiprocessing, os, sys\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "real = multiprocessing.Pool\n"
+             "def spy(workers):\n"
+             "    print('numpy' in sys.modules, workers)\n"
+             "    return real(workers)\n"
+             "multiprocessing.Pool = spy\n"
+             "import mdswe.cli\n"
+             "sys.exit(mdswe.cli.main(['verify', '--suite', 'identities,binary']))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False 2"
+
+
 @pytest.mark.parametrize("spec", ["rs:8:7:3", "dual:rs:8:7:3"])
 @pytest.mark.parametrize("argv", [
     ("pwe", "--partition", "3,4"),

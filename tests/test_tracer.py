@@ -35,3 +35,14 @@ def test_traced_call_matches_untraced(tmp_path, argv):
     assert traced.stdout == plain.stdout
     doc = json.loads(trace.read_text(encoding="utf-8"))
     assert set(doc) == {"spans", "counters", "caches"}
+
+
+def test_one_suite_verify_runs_traced_in_process(tmp_path):
+    # one suite builds no worker pool, so its span is recorded in the traced process
+    trace = tmp_path / "t.json"
+    traced = subprocess.run([sys.executable, str(TRACER), str(trace), "cli",
+                             "verify", "--suite", "identities", "--seed", "7"],
+                            capture_output=True, cwd=ROOT, timeout=300)
+    assert traced.returncode == 0, traced.stderr.decode()
+    doc = json.loads(trace.read_text(encoding="utf-8"))
+    assert doc["spans"]["verify.suite.identities"][0] == 1
