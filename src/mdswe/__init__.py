@@ -24,7 +24,7 @@ _EXPORTS = {
     "binary_avg": ("avg_binary_iowe", "avg_binary_wgf", "binomial_approx",
                    "bits_per_symbol"),
     "duality": ("PropertyAReport", "PropertyAWitness", "dual_property_a", "krawtchouk",
-                "macwilliams_pwe", "macwilliams_wgf", "property_a_check"),
+                "macwilliams_pwe", "property_a_check"),
     "errorprob": ("FREE", "FULL", "ZERO", "ChannelPoint", "Condition", "ErrorCurve",
                   "at_most", "cep_bm", "channel_map", "error_curve", "parse_condition",
                   "sep_bm", "snr_grid", "sphere_distance_prob"),

@@ -5,8 +5,8 @@ Subcommands
 pwe         closed-form partition weight enumerator of an MDS code
 brute       exhaustive partition weight enumerator of any code
 binary      averaged binary weight distribution (exact rationals)
-dual-pwe    two-block enumerator of the dual code via the MacWilliams
-            transform of the brute-force enumerator
+dual-pwe    the dual code's enumerator, any number of blocks, via the
+            MacWilliams transform of the brute-force enumerator
 property-a  uniform-coordinate-weight check (exit 1 + witnesses on failure)
 errprob     decoder error-probability curves over an SNR grid
 verify      run the built-in verification suites
@@ -237,8 +237,6 @@ def _cmd_dual_pwe(args) -> int:
 
     code = parse_code_spec(args.code)
     sizes = parse_partition_sizes(args.partition)
-    if len(sizes) != 2:
-        raise UsageError("--partition: dual-pwe needs exactly two block sizes")
     table = brute_force_pwe(code, Partition.contiguous(sizes), budget=args.budget)
     dual_table = macwilliams_pwe(table, code.field.order, code.k)
     doc, rows = _table_document(args, sizes, dual_table.counts,

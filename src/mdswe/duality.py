@@ -1,5 +1,6 @@
-"""Krawtchouk polynomials, the two-block MacWilliams transform, and the
-uniform-coordinate-weight property.
+"""Krawtchouk polynomials, the MacWilliams transform of a partition weight
+enumerator with any number of blocks, and the uniform-coordinate-weight
+property.
 
 A code has the uniform-coordinate-weight property (referred to as
 "property A" throughout) when, inside every fixed-weight subcode, each
@@ -41,46 +42,37 @@ def krawtchouk(q: int, beta: int, v: int, gamma: int) -> int:
                * (q - 1) ** (beta - j) for j in range(beta + 1))
 
 
-def macwilliams_wgf(weights, n: int, q: int, k: int) -> list[int]:
-    """Classical MacWilliams transform of a weight distribution."""
-    size = q**k
-    out = []
-    for j in range(n + 1):
-        s = sum(weights[i] * krawtchouk(q, j, i, n) for i in range(n + 1))
-        val, rem = divmod(s, size)
-        if rem or val < 0:
-            raise NonIntegerResultError(f"transform not a valid distribution at j={j}")
-        out.append(val)
-    return out
-
-
 def macwilliams_pwe(table: PweTable, q: int, k: int) -> PweTable:
-    """Two-block MacWilliams transform: the dual code's enumerator.
+    """MacWilliams transform of a p-block enumerator: the dual code's enumerator.
 
-        A_dual(a, b) = (1/q^k) sum_{w,v} A(w,v) K_a(w,n1) K_b(v,n2)
+        A_dual(a) = (1/q^k) sum_w A(w) prod_i K_{a_i}(w_i, n_i)
+
+    for any number p >= 1 of blocks.  The sum is separable, so block i's
+    Krawtchouk matrix is applied along axis i, one block at a time, in
+    exact integers, and q^k divides once at the end: prod(n_i + 1) *
+    sum(n_i + 1) operations.
     """
-    if len(table.sizes) != 2:
-        raise ValueError(f"transform defined for 2 blocks, got {len(table.sizes)}")
-    n1, n2 = table.sizes
     size = q**k
     if table.total() != size:
         raise IncompleteTableError(
             f"table total {table.total()} != q^k = {size}; not a complete enumerator")
-    k1 = [[krawtchouk(q, a, w, n1) for w in range(n1 + 1)] for a in range(n1 + 1)]
-    k2 = [[krawtchouk(q, b, v, n2) for v in range(n2 + 1)] for b in range(n2 + 1)]
-    items = list(table.counts.items())
-    out: dict[tuple[int, int], int] = {}
-    for a in range(n1 + 1):
-        for b in range(n2 + 1):
-            s = sum(c * k1[a][w] * k2[b][v] for (w, v), c in items)
-            val, rem = divmod(s, size)
-            if rem or val < 0:
-                raise NonIntegerResultError(
-                    f"transform entry at ({a}, {b}) is {s}/{size}; "
-                    "input is not a linear code's enumerator")
-            if val:
-                out[(a, b)] = val
-    return PweTable(table.sizes, out)
+    counts = table.counts
+    for i, n_i in enumerate(table.sizes):
+        # kraw[w][a] = K_a(w, n_i): one row per input weight w on block i
+        kraw = [[krawtchouk(q, a, w, n_i) for a in range(n_i + 1)] for w in range(n_i + 1)]
+        out: dict[tuple[int, ...], int] = {}
+        for profile, c in counts.items():
+            head, tail = profile[:i], profile[i + 1:]
+            for a, kr in enumerate(kraw[profile[i]]):
+                key = (*head, a, *tail)
+                out[key] = out.get(key, 0) + c * kr
+        counts = out
+    for profile in sorted(counts):
+        if counts[profile] % size or counts[profile] < 0:
+            raise NonIntegerResultError(
+                f"transform entry at {profile} is {counts[profile]}/{size}; "
+                "input is not a linear code's enumerator")
+    return PweTable(table.sizes, {profile: s // size for profile, s in counts.items()})
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from .gf import Field
 
@@ -241,24 +241,23 @@ def _check_budget(code: LinearCode, budget: Optional[int]) -> None:
             f"q^k = {code.size} exceeds enumeration budget {limit}")
 
 
-class SupportHistogram(dict):
-    """Map from coordinate-support bitmask to codeword count (exact).
+@dataclass(frozen=True, eq=False)
+class SupportHistogram:
+    """Coordinate-support masks of a code's words, with the exact count of each.
 
-    The same histogram is also held as arrays, which the enumerators
-    read: `masks` is (M, W) little-endian uint64 with W = ceil(n/64)
-    words per mask (bit j of the mask is coordinate j), in increasing
-    order, and `counts` is the (M,) int64 count of each.  The arrays are
-    read-only, because the histogram is cached and shared.
+    `masks` is (M, W) little-endian uint64 with W = ceil(n/64) words per
+    mask (bit j of the mask is coordinate j), in increasing order, and
+    `counts` is the (M,) int64 count of each.  The arrays are read-only,
+    because the histogram is cached and shared.
     """
 
-    def __init__(self, n: int, masks, counts):
-        masks.flags.writeable = False
-        counts.flags.writeable = False
-        self.n, self.masks, self.counts = n, masks, counts
-        ints = masks[:, -1].tolist()
-        for w in range(masks.shape[1] - 2, -1, -1):
-            ints = [(hi << 64) | lo for hi, lo in zip(ints, masks[:, w].tolist())]
-        super().__init__(zip(ints, counts.tolist()))
+    n: int
+    masks: Any
+    counts: Any
+
+    def __post_init__(self):
+        self.masks.flags.writeable = False
+        self.counts.flags.writeable = False
 
     def bits(self):
         """(M, n) uint8 array: row i holds the support of mask i, one 0/1 per coordinate."""
@@ -360,7 +359,7 @@ def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
 
 
 def support_histogram(code: LinearCode, budget: Optional[int] = None) -> SupportHistogram:
-    """Map from coordinate-support bitmask to codeword count (exact)."""
+    """The code's coordinate-support masks with their exact codeword counts."""
     _check_budget(code, budget)
     return _support_histogram_cached(code)
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, TextIO
 
 from . import binary_avg, duality, errorprob, mds_enum
 from .gf import Field, field_from_order
-from .linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, Partition,
+from .linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, Partition, PweTable,
                           RankDeficientError, brute_force_pwe, brute_force_weights,
                           code_from_generator, dual, min_distance, rm1_code, rs_code)
 from .mds_enum import MdsParams
@@ -379,25 +379,27 @@ def suite_duality(rng: random.Random) -> list[CheckResult]:
     transform_cases.append(rs_code(Field(2, 3), 7, 3))
     transform_cases.append(code_from_generator(Field(2, 1), PAPER_COUNTEREXAMPLE_ROWS))
 
-    ok = True
-    for c in transform_cases:
-        n1 = rng.randint(1, c.n - 1)
-        part = Partition.contiguous((n1, c.n - n1))
+    def transform_is_dual(c: LinearCode, part: Partition) -> bool:
         lhs = duality.macwilliams_pwe(brute_force_pwe(c, part), c.field.order, c.k)
-        rhs = brute_force_pwe(dual(c), part)
-        if lhs != rhs:
-            ok = False
+        return lhs == brute_force_pwe(dual(c), part)
+
+    ok = all(transform_is_dual(c, random_partition(c.n, rng)) for c in transform_cases)
     out.append(CheckResult(
         "duality:macwilliams==brute-force-dual",
         ok, f"{len(transform_cases)} codes over GF(2)/GF(4)/GF(8)"))
 
-    ok = True
-    for c in transform_cases[:6]:
-        wt = brute_force_weights(c)
-        classical = duality.macwilliams_wgf(wt, c.n, c.field.order, c.k)
-        if classical != brute_force_weights(dual(c)):
-            ok = False
+    ok = all(transform_is_dual(c, Partition.contiguous((c.n,))) for c in transform_cases[:6])
     out.append(CheckResult("duality:classical-wgf-transform", ok))
+
+    # the dual of an MDS code is MDS: a check on codes no enumeration reaches
+    ok = True
+    for (n, k, q), sizes in [((15, 11, 16), (3, 3, 5, 4)), ((15, 4, 16), (3, 3, 5, 4)),
+                             ((31, 25, 32), (10, 10, 11))]:
+        table = PweTable(sizes, mds_enum.pwgf(MdsParams(n, k, q), sizes).terms)
+        dual_table = PweTable(sizes, mds_enum.pwgf(MdsParams(n, n - k, q), sizes).terms)
+        if duality.macwilliams_pwe(table, q, k) != dual_table:
+            ok = False
+    out.append(CheckResult("duality:mds-dual-closed-form", ok))
 
     f8 = Field(2, 3)
     paper53 = code_from_generator(Field(2, 1), PAPER_COUNTEREXAMPLE_ROWS)
@@ -542,10 +544,13 @@ def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> 
     if workers <= 1:
         return _report(map(run, names), stream)
     import multiprocessing
+    import signal
     # Built before the parent loads numpy (the suites load it in the
-    # workers), so the workers fork from a single-threaded process.  Leaving
-    # the block terminates and joins them, also on an error.
-    with multiprocessing.Pool(workers) as pool:
+    # workers), so the workers fork from a single-threaded process.  The
+    # workers ignore SIGINT: an interrupt reaches the parent alone, and
+    # leaving the block terminates and joins them, also on an error.
+    with multiprocessing.Pool(workers, initializer=signal.signal,
+                              initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
         ok = _report(pool.imap(run, names, chunksize=1), stream)
         pool.close()
         pool.join()

@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,15 +222,41 @@ class TestSpecDerivedParams:
 
 
 class TestDualPweCommand:
-    def test_matches_brute_force_of_dual(self, capsys):
+    @pytest.mark.parametrize("sizes", [(3, 4), (7,), (2, 2, 3)])
+    def test_matches_brute_force_of_dual(self, capsys, sizes):
         code, out, _ = run_cli(capsys, "dual-pwe", "--code", "rs:8:7:3",
-                               "--partition", "3,4")
+                               "--partition", ",".join(map(str, sizes)))
         assert code == 0
         doc = json.loads(out)
         got = {tuple(t["profile"]): int(t["count"]) for t in doc["terms"]}
         expected = brute_force_pwe(dual(rs_code(Field(2, 3), 7, 3)),
-                                   Partition.contiguous((3, 4))).counts
+                                   Partition.contiguous(sizes)).counts
         assert got == expected
+
+    # SHA-256 of each output, pinned when the transform took two blocks only:
+    # the general transform leaves two-block output byte for byte the same
+    @pytest.mark.parametrize("spec, sizes, fmt, digest", [
+        ("rs:8:7:3", "3,4", "json",
+         "8185db88ed5c02bba97cf7121079706d564d97bfb943319b315d7430287f902a"),
+        ("rs:8:7:3", "3,4", "csv",
+         "96a2c99cb3b1fb171e141a356c726090ca26a13138c7b3b23d4328701e9b0a57"),
+        ("rm1:3", "3,5", "json",
+         "4b528639781785f663474fe5160141516b949242f51ab571c4499c87a6ed1546"),
+        ("rm1:3", "3,5", "csv",
+         "8b534c26ac313afabf0feceb8e8d23e03a26ece9ab04f983b2462218aba2ca83"),
+        ("file:paper53.json", "2,3", "json",
+         "5bffd04a659c3d09172608e9772f30afebe5978ea28da749d56a027d136122f6"),
+        ("file:paper53.json", "2,3", "csv",
+         "37922b4126d4a3cb71e491c84d8bd3232d2fba6e0d302b4de9cbfd2d1606b64f"),
+    ])
+    def test_two_block_output_unchanged(self, capsys, monkeypatch, tmp_path,
+                                        spec, sizes, fmt, digest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "paper53.json").write_text(json.dumps(PAPER53_DOC))
+        code, out, _ = run_cli(capsys, "dual-pwe", "--code", spec, "--partition", sizes,
+                               "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPropertyACommand:
@@ -480,9 +509,9 @@ class TestVerifyPool:
         built = []
         real = multiprocessing.Pool
 
-        def spy(workers):
+        def spy(workers, **kwargs):
             built.append(workers)
-            return real(workers)
+            return real(workers, **kwargs)
 
         two_cpus(monkeypatch)
         monkeypatch.setattr(multiprocessing, "Pool", spy)
@@ -521,12 +550,40 @@ class TestVerifyPool:
         assert built == [2]
         assert multiprocessing.active_children() == []
 
+    def test_interrupt_stops_the_workers_quietly(self):
+        # Ctrl-C signals the whole process group; the workers ignore it,
+        # and the parent alone stops the run
+        proc = subprocess.Popen([sys.executable, "-u", "-m", "mdswe.cli", "verify",
+                                 "--suite", "all"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        pgid = proc.pid
+        try:
+            assert proc.stdout.readline().startswith("ok")
+            os.killpg(pgid, signal.SIGINT)
+            deadline = time.monotonic() + 5
+            _, err = proc.communicate(timeout=5)
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a process of the run is still alive"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert "ForkPoolWorker" not in err
+        assert "KeyboardInterrupt" in err
+
     def test_one_cpu_builds_no_pool(self, monkeypatch):
         pooled = io.StringIO()
         self._pools(monkeypatch)
         verify.run_suites(self.NAMES, 7, pooled)
 
-        def refuse(workers):
+        def refuse(workers, **kwargs):
             raise AssertionError("pool built")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from mdswe.gf import Field, field_from_order
 from mdswe.duality import (IncompleteTableError, NonIntegerResultError,
                            ParamOutOfRangeError, dual_property_a, krawtchouk,
-                           macwilliams_pwe, macwilliams_wgf, property_a_check)
+                           macwilliams_pwe, property_a_check)
 from mdswe.linear_code import (Partition, PweTable, RankDeficientError, brute_force_pwe,
                                brute_force_weights, code_from_generator, dual, rm1_code,
                                rs_code)
+from mdswe.mds_enum import MdsParams, pwgf
 from mdswe.poly import SparsePoly
 
 F2 = Field(2, 1)
@@ -27,6 +29,13 @@ def _random_code(field, n, k, rng):
             return code_from_generator(field, rows)
         except RankDeficientError:
             continue
+
+
+def _scattered(n, p, rng):
+    """Partition of n coordinates into p blocks, coordinates shuffled."""
+    assignment = [j % p for j in range(n)]
+    rng.shuffle(assignment)
+    return Partition(tuple(assignment.count(b) for b in range(p)), tuple(assignment))
 
 
 class TestKrawtchouk:
@@ -71,29 +80,32 @@ class TestMacWilliamsPwe:
         lhs = macwilliams_pwe(brute_force_pwe(c, part), 8, 3)
         assert lhs == brute_force_pwe(dual(c), part)
 
-    def test_involution(self):
+    @pytest.mark.parametrize("part", [Partition.contiguous((2, 3)),
+                                      Partition((2, 1, 2), (1, 0, 2, 2, 0))],
+                             ids=["2-blocks", "3-blocks"])
+    def test_involution(self, part):
         c = code_from_generator(F2, ROWS_53)
-        part = Partition.contiguous((2, 3))
         table = brute_force_pwe(c, part)
         again = macwilliams_pwe(macwilliams_pwe(table, 2, 3), 2, 2)
         assert again == table
 
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
     @pytest.mark.parametrize("q", [2, 4, 8])
-    def test_random_codes(self, q):
+    def test_random_codes(self, q, blocks):
         rng = random.Random(q)
         field = field_from_order(q)
         for _ in range(4):
-            n = rng.randint(3, 10)
+            n = rng.randint(max(3, blocks), 10)
             k = rng.randint(1, min(n - 1, 4))
             c = _random_code(field, n, k, rng)
-            n1 = rng.randint(1, n - 1)
-            part = Partition.contiguous((n1, n - n1))
+            part = _scattered(n, blocks, rng)
             lhs = macwilliams_pwe(brute_force_pwe(c, part), q, k)
             assert lhs == brute_force_pwe(dual(c), part)
 
-    def test_incomplete_table_rejected(self):
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1)])
+    def test_incomplete_table_rejected(self, sizes):
         with pytest.raises(IncompleteTableError):
-            macwilliams_pwe(PweTable((1, 1), {(0, 0): 1}), 2, 1)
+            macwilliams_pwe(PweTable(sizes, {(0,) * len(sizes): 1}), 2, 1)
 
     def test_non_code_table_rejected(self):
         # two words both of profile (1,0): not closed under addition
@@ -101,13 +113,32 @@ class TestMacWilliamsPwe:
         with pytest.raises(NonIntegerResultError):
             macwilliams_pwe(bogus, 2, 1)
 
+    @pytest.mark.parametrize("counts, k, message", [
+        ({(0, 0, 0): 3, (0, 0, 1): 1}, 2, "entry at (0, 0, 1) is 2/4;"),    # remainder
+        ({(0, 0, 1): 1, (0, 1, 0): 1}, 1, "entry at (0, 1, 1) is -2/2;"),   # negative
+    ], ids=["remainder", "negative"])
+    def test_three_block_non_code_table_names_the_profile(self, counts, k, message):
+        with pytest.raises(NonIntegerResultError, match=re.escape(message)):
+            macwilliams_pwe(PweTable((1, 1, 1), counts), 2, k)
+
     def test_collapse_matches_classical_transform(self):
         c = rs_code(F8, 7, 3)
-        part = Partition.contiguous((3, 4))
-        two_block = macwilliams_pwe(brute_force_pwe(c, part), 8, 3)
+        two_block = macwilliams_pwe(brute_force_pwe(c, Partition.contiguous((3, 4))), 8, 3)
         by_weight = SparsePoly(2, two_block.counts).collapse([0, 0], 1)
-        classical = macwilliams_wgf(brute_force_weights(c), 7, 8, 3)
-        assert by_weight == SparsePoly(1, {(h,): v for h, v in enumerate(classical) if v})
+        one_block = macwilliams_pwe(brute_force_pwe(c, Partition.contiguous((7,))), 8, 3)
+        assert by_weight.terms == one_block.counts
+        assert [one_block.counts.get((h,), 0) for h in range(8)] == brute_force_weights(dual(c))
+
+    @pytest.mark.parametrize("sizes", [(7,), (3, 4), (2, 2, 3), (1, 2, 2, 2),
+                                       (15,), (7, 8), (3, 5, 7), (3, 3, 5, 4)])
+    def test_mds_dual_closed_form(self, sizes):
+        # the dual of an (n, k) MDS code is an (n, n - k) MDS code
+        q = 8 if sum(sizes) == 7 else 16
+        n = sum(sizes)
+        for k in range(1, n):
+            table = PweTable(sizes, pwgf(MdsParams(n, k, q), sizes).terms)
+            expected = PweTable(sizes, pwgf(MdsParams(n, n - k, q), sizes).terms)
+            assert macwilliams_pwe(table, q, k) == expected, k
 
 
 class TestPropertyA:

@@ -28,7 +28,7 @@ EXPORTS = {
     "channel_map", "check_convolution_identity", "check_subset_identity",
     "code_from_generator", "coordinate_weight_sum", "dual", "dual_property_a",
     "error_curve", "field_from_order", "fixed_support_counts", "iowe", "krawtchouk",
-    "macwilliams_pwe", "macwilliams_wgf", "min_distance", "parse_condition",
+    "macwilliams_pwe", "min_distance", "parse_condition",
     "parse_field_spec", "property_a_check", "psi", "pwe_direct", "pwe_direct_table",
     "pwe_product", "pwgf", "rm1_code", "rs_code", "sep_bm", "snr_grid",
     "sphere_distance_prob", "support_histogram",
@@ -55,9 +55,9 @@ def test_verify_builds_its_pool_before_numpy_loads():
     probe = ("import multiprocessing, os, sys\n"
              "os.sched_getaffinity = lambda pid: {0, 1}\n"
              "real = multiprocessing.Pool\n"
-             "def spy(workers):\n"
+             "def spy(workers, **kwargs):\n"
              "    print('numpy' in sys.modules, workers)\n"
-             "    return real(workers)\n"
+             "    return real(workers, **kwargs)\n"
              "multiprocessing.Pool = spy\n"
              "import mdswe.cli\n"
              "sys.exit(mdswe.cli.main(['verify', '--suite', 'identities,binary']))\n")
