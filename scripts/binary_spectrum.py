@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from mdswe.binary_avg import avg_binary_wgf, binomial_approx, bits_per_symbol
-from mdswe.gf import field_from_order
-from mdswe.linear_code import check_rs_params
+from mdswe.gf import check_rs_params, field_from_order
 from mdswe.mds_enum import MdsParams
 
 

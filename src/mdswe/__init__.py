@@ -3,8 +3,13 @@ averaged binary images, MacWilliams duality, the uniform-coordinate-weight
 property, and bounded-distance / ML-bound decoder error curves.
 
 The names below load their module on first access (PEP 562), so
-``import mdswe`` is cheap and a closed-form computation never loads numpy,
-the exhaustive oracles or the verification suites.
+``import mdswe`` is cheap.  A closed-form computation (``pwe``, ``binary``
+and ``errprob`` on ``rs:`` specs, the multiuser script) loads only
+``primes``, ``gf``, ``mds_enum``, ``binary_avg``, ``errorprob`` and
+``cli``, plus ``poly`` for a ``pwgf`` table: never numpy, ``dataclasses``,
+``linear_code``, the exhaustive oracles or the verification suites.  Its
+records (``MdsParams``, ``Condition``, ``ChannelPoint``, ``ErrorCurve``)
+are named tuples, each equal to the plain tuple of its fields.
 """
 
 import importlib

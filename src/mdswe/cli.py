@@ -28,15 +28,17 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .binary_avg import avg_binary_weights_from_distribution, avg_binary_wgf, bits_per_symbol
 from .errorprob import error_curve, parse_condition, snr_grid
-from .gf import field_from_order, parse_field_spec
-from .linear_code import (BudgetExceededError, LinearCode, Partition, brute_force_pwe,
-                          brute_force_weights, check_rs_params, code_from_generator, dual,
-                          min_distance, rm1_code, rs_code)
+from .gf import check_rs_params, field_from_order, parse_field_spec
 from .mds_enum import MdsParams, pwgf
+
+# `linear_code` is imported only where a generator is built or enumerated,
+# so that the closed forms on `rs:` specs never load it
+if TYPE_CHECKING:
+    from .linear_code import LinearCode
 
 # the names of verify.SUITES, so that building the parser does not load the
 # suites (tests/test_imports.py keeps the two in step)
@@ -57,6 +59,8 @@ def _parse_rs_spec(spec: str) -> tuple[int, int, int]:
 
 
 def parse_code_spec(spec: str) -> LinearCode:
+    from .linear_code import code_from_generator, dual, rm1_code, rs_code
+
     kind, _, rest = spec.partition(":")
     if kind == "rs":
         q, n, k = _parse_rs_spec(spec)
@@ -177,9 +181,11 @@ def _mds_params(args, shape: CodeShape) -> Optional[MdsParams]:
     if shape.k == 0:
         return None
     params = MdsParams(shape.n, shape.k, shape.q)
-    if shape.code is None or min_distance(shape.code, budget=args.budget) == params.d:
+    if shape.code is None:
         return params
-    return None
+    from .linear_code import min_distance
+
+    return params if min_distance(shape.code, budget=args.budget) == params.d else None
 
 
 def _require_mds(args, shape: CodeShape) -> MdsParams:
@@ -203,6 +209,8 @@ def _cmd_pwe(args) -> int:
 
 
 def _cmd_brute(args) -> int:
+    from .linear_code import Partition, brute_force_pwe
+
     code = parse_code_spec(args.code)
     sizes = parse_partition_sizes(args.partition)
     table = brute_force_pwe(code, Partition.contiguous(sizes), budget=args.budget)
@@ -220,6 +228,8 @@ def _cmd_binary(args) -> int:
         weights = avg_binary_wgf(params)
     else:
         # a non-MDS code, or the zero code (the dual of an rs:<q>:<n>:<n> spec)
+        from .linear_code import brute_force_weights
+
         code = shape.code if shape.code is not None else parse_code_spec(args.code)
         weights = avg_binary_weights_from_distribution(
             brute_force_weights(code, budget=args.budget), m)
@@ -234,6 +244,7 @@ def _cmd_binary(args) -> int:
 
 def _cmd_dual_pwe(args) -> int:
     from .duality import macwilliams_pwe
+    from .linear_code import Partition, brute_force_pwe
 
     code = parse_code_spec(args.code)
     sizes = parse_partition_sizes(args.partition)
@@ -370,10 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, BudgetExceededError) as exc:
+    except (ValueError, OSError) as exc:   # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -42,15 +42,40 @@ def krawtchouk(q: int, beta: int, v: int, gamma: int) -> int:
                * (q - 1) ** (beta - j) for j in range(beta + 1))
 
 
+def krawtchouk_matrix(q: int, gamma: int) -> list[list[int]]:
+    """rows[v][beta] = K_beta(v, gamma) over GF(q), for 0 <= v, beta <= gamma.
+
+    Row v is the coefficient list of
+
+        sum_beta K_beta(v, gamma) z^beta = (1 + (q-1) z)^(gamma-v) (1 - z)^v,
+
+    so row v + 1 is row v times (1 - z), divided exactly by 1 + (q-1) z:
+    O(gamma) integer operations per row, where `krawtchouk`, the
+    reference, spends O(gamma) on each entry.
+    """
+    row = [binom(gamma, beta) * (q - 1) ** beta for beta in range(gamma + 1)]
+    rows = [row]
+    for _ in range(gamma):
+        nxt, prev, quot = [], 0, 0
+        for c in row:
+            # coefficient of (1 - z) * row, less (q-1) z times the quotient so far
+            quot = c - prev - (q - 1) * quot
+            prev = c
+            nxt.append(quot)
+        row = nxt
+        rows.append(row)
+    return rows
+
+
 def macwilliams_pwe(table: PweTable, q: int, k: int) -> PweTable:
     """MacWilliams transform of a p-block enumerator: the dual code's enumerator.
 
         A_dual(a) = (1/q^k) sum_w A(w) prod_i K_{a_i}(w_i, n_i)
 
     for any number p >= 1 of blocks.  The sum is separable, so block i's
-    Krawtchouk matrix is applied along axis i, one block at a time, in
-    exact integers, and q^k divides once at the end: prod(n_i + 1) *
-    sum(n_i + 1) operations.
+    Krawtchouk matrix (`krawtchouk_matrix`, O(n_i^2) to build) is applied
+    along axis i, one block at a time, in exact integers, and q^k divides
+    once at the end: prod(n_i + 1) * sum(n_i + 1) operations.
     """
     size = q**k
     if table.total() != size:
@@ -59,7 +84,7 @@ def macwilliams_pwe(table: PweTable, q: int, k: int) -> PweTable:
     counts = table.counts
     for i, n_i in enumerate(table.sizes):
         # kraw[w][a] = K_a(w, n_i): one row per input weight w on block i
-        kraw = [[krawtchouk(q, a, w, n_i) for a in range(n_i + 1)] for w in range(n_i + 1)]
+        kraw = krawtchouk_matrix(q, n_i)
         out: dict[tuple[int, ...], int] = {}
         for profile, c in counts.items():
             head, tail = profile[:i], profile[i + 1:]

@@ -72,9 +72,8 @@ and `_ml_sum` then accumulate the terms smallest-first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .binary_avg import bits_per_symbol, pattern_weight_powers
 from .mds_enum import (MdsParams, ParamOutOfRangeError, _validate_profile, binom,
@@ -97,8 +96,7 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class ChannelPoint:
+class ChannelPoint(NamedTuple):
     """Bit and symbol error rates at one SNR point."""
 
     p_bit: float
@@ -180,21 +178,28 @@ def _ml_sum(coeffs: dict[int, float], rate: float, gamma_db: float) -> float:
 # -- multiuser conditioning -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Condition:
-    """Per-block constraint on codeword weight: free / zero / full, or at
-    most a fraction of the block ('atmost')."""
-
+class _ConditionFields(NamedTuple):
     kind: str
-    fraction: Optional[Fraction] = None
+    fraction: Optional[Fraction]
 
-    def __post_init__(self):
-        if self.kind not in ("free", "zero", "full", "atmost"):
-            raise ValueError(f"unknown condition kind {self.kind!r}")
-        if (self.kind == "atmost") != (self.fraction is not None):
+
+class Condition(_ConditionFields):
+    """Per-block constraint on codeword weight: free / zero / full, or at
+    most a fraction of the block ('atmost').
+
+    A tuple: it compares equal to the plain tuple (kind, fraction).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, fraction: Optional[Fraction] = None):
+        if kind not in ("free", "zero", "full", "atmost"):
+            raise ValueError(f"unknown condition kind {kind!r}")
+        if (kind == "atmost") != (fraction is not None):
             raise ValueError("exactly the 'atmost' condition carries a fraction")
-        if self.fraction is not None and not 0 <= self.fraction <= 1:
-            raise ValueError(f"fraction {self.fraction} not in [0, 1]")
+        if fraction is not None and not 0 <= fraction <= 1:
+            raise ValueError(f"fraction {fraction} not in [0, 1]")
+        return super().__new__(cls, kind, fraction)
 
     def __str__(self) -> str:
         return f"atmost:{self.fraction}" if self.kind == "atmost" else self.kind
@@ -277,8 +282,7 @@ def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
 # -- SNR sweeps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrorCurve:
+class ErrorCurve(NamedTuple):
     """A decoder error-probability curve over an SNR grid."""
 
     decoder: str                       # "bm" or "ml-union"

@@ -47,6 +47,10 @@ class DegreeMismatchError(ValueError):
     """Reduction polynomial is not monic of the requested degree."""
 
 
+class LengthExceedsFieldError(ValueError):
+    """Requested RS length exceeds q - 1."""
+
+
 # Primitive polynomials for GF(2^m), bitmask form (bit i = coeff of x^i).
 _GF2_DEFAULT_POLY = {
     1: 0b10,
@@ -329,6 +333,16 @@ def field_from_order(q: int) -> Field:
     if pm is None:
         raise NotPrimeError(f"{q} is not a prime power")
     return Field(*pm)
+
+
+def check_rs_params(field: Field, n: int, k: int) -> None:
+    """Raise ValueError unless `field` has an (n, k) Reed-Solomon code:
+    1 <= k <= n <= q - 1."""
+    q = field.order
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n > q - 1:
+        raise LengthExceedsFieldError(f"length {n} exceeds q-1 = {q - 1}")
 
 
 def parse_field_spec(spec: str) -> Field:

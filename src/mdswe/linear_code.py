@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
-from .gf import Field
+from .gf import Field, LengthExceedsFieldError, check_rs_params  # noqa: F401 (re-exported)
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
@@ -38,15 +38,11 @@ DEFAULT_ENUMERATION_BUDGET = 1 << 26
 _CHUNK_ROWS = 1 << 18
 
 
-class LengthExceedsFieldError(ValueError):
-    """Requested RS length exceeds q - 1."""
-
-
 class RankDeficientError(ValueError):
     """Generator rows are linearly dependent."""
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ValueError):
     """q^k exceeds the configured enumeration budget."""
 
 
@@ -400,16 +396,6 @@ def min_distance(code: LinearCode, budget: Optional[int] = None) -> int:
 
 
 # -- constructions ------------------------------------------------------------
-
-
-def check_rs_params(field: Field, n: int, k: int) -> None:
-    """Raise ValueError unless `field` has an (n, k) Reed-Solomon code:
-    1 <= k <= n <= q - 1."""
-    q = field.order
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > q - 1:
-        raise LengthExceedsFieldError(f"length {n} exceeds q-1 = {q - 1}")
 
 
 def _batch_inv(field: Field, values: Sequence[int]) -> list[int]:

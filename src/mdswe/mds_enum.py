@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .primes import prime_power
-from .poly import SparsePoly
+
+if TYPE_CHECKING:
+    from .poly import SparsePoly
 
 
 class ProfileOutOfRangeError(ValueError):
@@ -58,19 +59,26 @@ def binom(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-@dataclass(frozen=True)
-class MdsParams:
-    """Parameters (n, k, q) of an MDS code; d = n - k + 1."""
-
+class _MdsFields(NamedTuple):
     n: int
     k: int
     q: int
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if prime_power(self.q) is None:
-            raise ValueError(f"q={self.q} is not a prime power")
+
+class MdsParams(_MdsFields):
+    """Parameters (n, k, q) of an MDS code; d = n - k + 1.
+
+    A tuple: it compares equal to the plain tuple (n, k, q).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, q: int):
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        if prime_power(q) is None:
+            raise ValueError(f"q={q} is not a prime power")
+        return super().__new__(cls, n, k, q)
 
     @property
     def d(self) -> int:
@@ -199,6 +207,8 @@ def pwgf(params: MdsParams, sizes: Sequence[int]) -> SparsePoly:
     Coefficient of X_1^w_1 ... X_p^w_p is the number of codewords with
     that weight profile; the coefficients sum to q^k.
     """
+    from .poly import SparsePoly
+
     _validate_profile(params, sizes, [0] * len(sizes))
     counts = fixed_support_counts(params)
     terms: dict[tuple[int, ...], int] = {}

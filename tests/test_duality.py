@@ -7,7 +7,7 @@ import pytest
 from mdswe.gf import Field, field_from_order
 from mdswe.duality import (IncompleteTableError, NonIntegerResultError,
                            ParamOutOfRangeError, dual_property_a, krawtchouk,
-                           macwilliams_pwe, property_a_check)
+                           krawtchouk_matrix, macwilliams_pwe, property_a_check)
 from mdswe.linear_code import (Partition, PweTable, RankDeficientError, brute_force_pwe,
                                brute_force_weights, code_from_generator, dual, rm1_code,
                                rs_code)
@@ -65,6 +65,13 @@ class TestKrawtchouk:
             krawtchouk(2, 3, 0, 2)
         with pytest.raises(ParamOutOfRangeError):
             krawtchouk(2, 0, 3, 2)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 16])
+    def test_matrix_matches_entrywise_sum(self, q):
+        for gamma in range(13):
+            assert krawtchouk_matrix(q, gamma) == \
+                [[krawtchouk(q, beta, v, gamma) for beta in range(gamma + 1)]
+                 for v in range(gamma + 1)], gamma
 
 
 class TestMacWilliamsPwe:
@@ -139,6 +146,12 @@ class TestMacWilliamsPwe:
             table = PweTable(sizes, pwgf(MdsParams(n, k, q), sizes).terms)
             expected = PweTable(sizes, pwgf(MdsParams(n, n - k, q), sizes).terms)
             assert macwilliams_pwe(table, q, k) == expected, k
+
+    def test_mds_dual_closed_form_rs_255_223(self):
+        # a code no enumeration reaches: RS(255,223) over GF(256), one block
+        table = PweTable((255,), pwgf(MdsParams(255, 223, 256), (255,)).terms)
+        expected = PweTable((255,), pwgf(MdsParams(255, 32, 256), (255,)).terms)
+        assert macwilliams_pwe(table, 256, 223) == expected
 
 
 class TestPropertyA:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mdswe import duality, mds_enum
 from mdswe.binary_avg import NotCharTwoError, avg_binary_wgf, bits_per_symbol
-from mdswe.errorprob import (FREE, FULL, ZERO, ConditionCountMismatchError,
+from mdswe.errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition,
+                             ConditionCountMismatchError, ErrorCurve,
                              ParamOutOfRangeError, at_most, cep_bm, channel_map, error_curve,
                              parse_condition, q_function, sep_bm, snr_grid,
                              sphere_distance_prob)
@@ -214,6 +217,30 @@ class TestConditionalPwgf:
         assert parse_condition("atmost:0.25") == at_most(Fraction(1, 4))
         with pytest.raises(ValueError):
             parse_condition("half")
+
+    @pytest.mark.parametrize("args, message", [
+        (("half",), "unknown condition kind 'half'"),
+        (("atmost",), "exactly the 'atmost' condition carries a fraction"),
+        (("free", Fraction(1, 2)), "exactly the 'atmost' condition carries a fraction"),
+        (("atmost", Fraction(3, 2)), "fraction 3/2 not in [0, 1]"),
+    ])
+    def test_condition_validation(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Condition(*args)
+
+    def test_records_are_tuples(self):
+        assert ZERO == ("zero", None) and str(ZERO) == "zero"
+        half = at_most(Fraction(1, 2))
+        assert half == ("atmost", Fraction(1, 2)) and str(half) == "atmost:1/2"
+        assert repr(half) == "Condition(kind='atmost', fraction=Fraction(1, 2))"
+        point = channel_map(6.0, 7, 3, 1)
+        assert isinstance(point, ChannelPoint) and point == (point.p_bit, point.p_symbol)
+        curve = error_curve(P738, (6.0,), "cep")
+        assert isinstance(curve, ErrorCurve)
+        assert curve == (curve.decoder, curve.metric, curve.user, curve.conditions, curve.points)
+        for record in (half, P738, curve):
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is type(record)
 
 
 class TestUserIowe:

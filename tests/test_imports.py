@@ -1,14 +1,17 @@
 """Each command loads only the layers it uses.
 
-The closed forms need neither numpy nor the exhaustive oracles: importing
-the package, the CLI or the error curves, and running a closed-form
-`errprob`, must leave them unloaded.  Each import check runs in a fresh
-interpreter, because this test process has loaded everything already.
+The closed forms need neither numpy, the generator-matrix codes, the
+exhaustive oracles nor `dataclasses` (which loads `inspect`): importing the
+package, the CLI or the error curves, running a closed-form `errprob` or
+`pwe`, and running the multiuser experiment script must leave them
+unloaded.  Each import check runs in a fresh interpreter, because this
+test process has loaded everything already.
 """
 
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,9 @@ import mdswe
 from mdswe import cli, linear_code, verify
 from mdswe.cli import main
 
-HEAVY = ("numpy", "mdswe.verify", "mdswe.montecarlo", "mdswe.duality")
+HEAVY = ("numpy", "mdswe.verify", "mdswe.montecarlo", "mdswe.duality",
+         "mdswe.linear_code", "mdswe.poly", "dataclasses", "inspect")
+MULTIUSER = str(Path(__file__).resolve().parent.parent / "scripts" / "multiuser_curves.py")
 
 # the package's public names, as the lazy export table of mdswe/__init__.py lists them
 EXPORTS = {
@@ -36,15 +41,21 @@ EXPORTS = {
 }
 
 
-@pytest.mark.parametrize("statement", [
-    "import mdswe",
-    "import mdswe.cli",
-    "import mdswe.errorprob",
-    "import mdswe.cli; mdswe.cli.main(['errprob', '--code', 'rs:64:63:51', '--metric', "
-    "'bep', '--snr', '4:8:0.25', '--format', 'csv', '--out', __import__('os').devnull])",
-], ids=["mdswe", "cli", "errorprob", "errprob-bep"])
-def test_closed_forms_leave_heavy_modules_unloaded(statement):
-    probe = f"import sys\n{statement}\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
+@pytest.mark.parametrize("statement, loads", [
+    ("import mdswe", ()),
+    ("import mdswe.cli", ()),
+    ("import mdswe.errorprob", ()),
+    ("import mdswe.cli; mdswe.cli.main(['errprob', '--code', 'rs:64:63:51', '--metric', "
+     "'bep', '--snr', '4:8:0.25', '--format', 'csv', '--out', __import__('os').devnull])", ()),
+    # the closed-form table is a SparsePoly
+    ("import mdswe.cli; mdswe.cli.main(['pwe', '--code', 'rs:8:7:3', '--partition', '3,4', "
+     "'--out', __import__('os').devnull])", ("mdswe.poly",)),
+    (f"import runpy; runpy.run_path({MULTIUSER!r})['main']"
+     "(['--snr', '4:8:1', '--out', __import__('os').devnull])", ()),
+], ids=["mdswe", "cli", "errorprob", "errprob-bep", "pwe", "multiuser-script"])
+def test_closed_forms_leave_heavy_modules_unloaded(statement, loads):
+    unloaded = tuple(m for m in HEAVY if m not in loads)
+    probe = f"import sys\n{statement}\nprint(*[m for m in {unloaded!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
@@ -78,7 +89,6 @@ def test_rs_specs_build_no_generator(monkeypatch, capsys, spec, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("rs_code called")
 
-    monkeypatch.setattr(cli, "rs_code", refuse)
     monkeypatch.setattr(linear_code, "rs_code", refuse)
     assert main([*argv, "--code", spec]) == 0
     assert capsys.readouterr().err == ""

@@ -51,6 +51,10 @@ class TestMdsParams:
     def test_d(self):
         assert P738.d == 5
 
+    def test_is_a_tuple(self):
+        assert P738 == (7, 3, 8) and hash(P738) == hash((7, 3, 8))
+        assert repr(P738) == "MdsParams(n=7, k=3, q=8)"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MdsParams(3, 4, 8)
