@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from mdswe.binary_avg import avg_binary_wgf, binomial_approx, bits_per_symbol
-from mdswe.gf import check_rs_params, field_from_order
-from mdswe.mds_enum import MdsParams
+from mdswe.mds_enum import MdsParams, check_rs_params
 
 
 def main(argv=None) -> int:
@@ -26,7 +25,7 @@ def main(argv=None) -> int:
 
     try:
         q, n, k = (int(x) for x in args.code.split(":"))
-        check_rs_params(field_from_order(q), n, k)
+        check_rs_params(q, n, k)
         m = bits_per_symbol(q)
     except ValueError as exc:
         print(f"error: --code: bad code {args.code!r}; expected q:n:k of an RS code "

@@ -32,11 +32,10 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .binary_avg import avg_binary_weights_from_distribution, avg_binary_wgf, bits_per_symbol
 from .errorprob import error_curve, parse_condition, snr_grid
-from .gf import check_rs_params, field_from_order, parse_field_spec
-from .mds_enum import MdsParams, pwgf
+from .mds_enum import MdsParams, PweTable, check_rs_params, pwgf
 
-# `linear_code` is imported only where a generator is built or enumerated,
-# so that the closed forms on `rs:` specs never load it
+# `gf` and `linear_code` are imported only where a generator is built or
+# enumerated, so that the closed forms on `rs:` specs never load them
 if TYPE_CHECKING:
     from .linear_code import LinearCode
 
@@ -59,6 +58,7 @@ def _parse_rs_spec(spec: str) -> tuple[int, int, int]:
 
 
 def parse_code_spec(spec: str) -> LinearCode:
+    from .gf import field_from_order, parse_field_spec
     from .linear_code import code_from_generator, dual, rm1_code, rs_code
 
     kind, _, rest = spec.partition(":")
@@ -133,16 +133,15 @@ def _emit(doc: dict, rows: list[dict], args) -> None:
         sys.stdout.write(text)
 
 
-def _table_document(args, sizes, counts, extra: Optional[dict] = None) -> tuple[dict, list[dict]]:
+def _emit_table(args, table: PweTable, extra: dict) -> None:
+    """Write an enumerator table, its profiles in increasing order."""
     terms = [{"profile": list(profile), "count": str(count)}
-             for profile, count in sorted(counts.items())]
-    doc = {"code": args.code, "partition": list(sizes),
-           "total": str(sum(counts.values())), "terms": terms}
-    if extra:
-        doc.update(extra)
+             for profile, count in sorted(table.counts.items())]
+    doc = {"code": args.code, "partition": list(table.sizes),
+           "total": str(table.total()), "terms": terms, **extra}
     rows = [{"profile": ",".join(map(str, t["profile"])), "count": t["count"]}
             for t in terms]
-    return doc, rows
+    _emit(doc, rows, args)
 
 
 class CodeShape(NamedTuple):
@@ -167,7 +166,7 @@ def read_code_shape(spec: str) -> CodeShape:
         code = parse_code_spec(spec)
         return CodeShape(code.n, code.k, code.field.order, code)
     q, n, k = _parse_rs_spec(inner)
-    check_rs_params(field_from_order(q), n, k)
+    check_rs_params(q, n, k)
     return CodeShape(n, n - k if duals % 2 else k, q, None)
 
 
@@ -201,10 +200,7 @@ def _cmd_pwe(args) -> int:
     shape = read_code_shape(args.code)
     sizes = parse_partition_sizes(args.partition)
     params = _require_mds(args, shape)
-    poly = pwgf(params, sizes)
-    doc, rows = _table_document(args, sizes, poly.terms,
-                                {"n": params.n, "k": params.k, "q": params.q})
-    _emit(doc, rows, args)
+    _emit_table(args, pwgf(params, sizes), {"n": params.n, "k": params.k, "q": params.q})
     return 0
 
 
@@ -214,9 +210,7 @@ def _cmd_brute(args) -> int:
     code = parse_code_spec(args.code)
     sizes = parse_partition_sizes(args.partition)
     table = brute_force_pwe(code, Partition.contiguous(sizes), budget=args.budget)
-    doc, rows = _table_document(args, sizes, table.counts,
-                                {"n": code.n, "k": code.k, "q": code.field.order})
-    _emit(doc, rows, args)
+    _emit_table(args, table, {"n": code.n, "k": code.k, "q": code.field.order})
     return 0
 
 
@@ -249,11 +243,9 @@ def _cmd_dual_pwe(args) -> int:
     code = parse_code_spec(args.code)
     sizes = parse_partition_sizes(args.partition)
     table = brute_force_pwe(code, Partition.contiguous(sizes), budget=args.budget)
-    dual_table = macwilliams_pwe(table, code.field.order, code.k)
-    doc, rows = _table_document(args, sizes, dual_table.counts,
-                                {"n": code.n, "k": code.n - code.k,
-                                 "q": code.field.order, "transform": "macwilliams"})
-    _emit(doc, rows, args)
+    _emit_table(args, macwilliams_pwe(table, code.field.order, code.k),
+                {"n": code.n, "k": code.n - code.k, "q": code.field.order,
+                 "transform": "macwilliams"})
     return 0
 
 
@@ -388,6 +380,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # exact coefficients beyond ~1e308 cannot cross the float boundary
         print(f"error: an exact value exceeds the float64 range at the float "
               f"boundary ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # e.g. an rm1:<m> code of 2^m coordinates with m too large to build
+        print("error: the input needs more memory than is available", file=sys.stderr)
         return 2
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional
 
-from .linear_code import LinearCode, PweTable, dual, support_histogram
-from .mds_enum import ParamOutOfRangeError, binom
+from .linear_code import LinearCode, dual, support_histogram
+from .mds_enum import ParamOutOfRangeError, PweTable, binom
 
 
 class IncompleteTableError(ValueError):

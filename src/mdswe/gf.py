@@ -32,11 +32,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .primes import factorize, prime_power
-
-
-class NotPrimeError(ValueError):
-    """Characteristic is not a prime (or an order is not a prime power)."""
+from .primes import NotPrimeError, factorize, prime_power
 
 
 class NotIrreducibleError(ValueError):
@@ -45,10 +41,6 @@ class NotIrreducibleError(ValueError):
 
 class DegreeMismatchError(ValueError):
     """Reduction polynomial is not monic of the requested degree."""
-
-
-class LengthExceedsFieldError(ValueError):
-    """Requested RS length exceeds q - 1."""
 
 
 # Primitive polynomials for GF(2^m), bitmask form (bit i = coeff of x^i).
@@ -333,16 +325,6 @@ def field_from_order(q: int) -> Field:
     if pm is None:
         raise NotPrimeError(f"{q} is not a prime power")
     return Field(*pm)
-
-
-def check_rs_params(field: Field, n: int, k: int) -> None:
-    """Raise ValueError unless `field` has an (n, k) Reed-Solomon code:
-    1 <= k <= n <= q - 1."""
-    q = field.order
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > q - 1:
-        raise LengthExceedsFieldError(f"length {n} exceeds q-1 = {q - 1}")
 
 
 def parse_field_spec(spec: str) -> Field:

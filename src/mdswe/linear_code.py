@@ -26,7 +26,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
-from .gf import Field, LengthExceedsFieldError, check_rs_params  # noqa: F401 (re-exported)
+from .gf import Field
+from .mds_enum import LengthExceedsFieldError, PweTable, check_rs_params  # noqa: F401 (re-exported)
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
@@ -198,33 +199,6 @@ class Partition:
     @property
     def p(self) -> int:
         return len(self.sizes)
-
-
-@dataclass(frozen=True)
-class PweTable:
-    """Exact partition weight enumerator: profile tuple -> codeword count."""
-
-    sizes: tuple[int, ...]
-    counts: dict[tuple[int, ...], int]
-
-    def __post_init__(self):
-        clean = {}
-        for profile, c in self.counts.items():
-            profile = tuple(profile)
-            if len(profile) != len(self.sizes) or any(
-                    not 0 <= w <= s for w, s in zip(profile, self.sizes)):
-                raise ValueError(f"profile {profile} out of range for sizes {self.sizes}")
-            if c:
-                clean[profile] = c
-        object.__setattr__(self, "counts", clean)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PweTable):
-            return self.sizes == other.sizes and self.counts == other.counts
-        return NotImplemented
 
 
 # -- exhaustive enumeration -------------------------------------------------
@@ -432,7 +406,7 @@ def rs_code(field: Field, n: int, k: int,
     matrix, built in O(k(n-k)) field operations without row reduction:
     each row's denominators share one field inversion (`_batch_inv`).
     """
-    check_rs_params(field, n, k)
+    check_rs_params(field.order, n, k)
     if eval_points is None:
         g = field.generator()
         eval_points = []

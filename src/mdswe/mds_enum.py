@@ -17,31 +17,21 @@ weight enumerator f(w) prod C(n_i, w_i) with w = sum w_i, of which
 `iowe` and `coordinate_weight_sum` are the two-block and one-coordinate
 cases.
 
-For blocks of sizes (n_1..n_p) and a weight profile (w_1..w_p), the
-partition weight enumerator has two independent evaluations: that
-product form, and the nested alternating sum over indices j_1..j_p,
-where the innermost index runs from max(0, d - sum of the earlier
-indices) so that the power of q is always positive.  The nested sum has
-two entry points over one depth-first walk of the blocks: `pwe_direct`
-for one profile and `pwe_direct_table` for every profile of a partition.
-Neither calls `fixed_support_counts`, the product form, or a Vandermonde
-collapse of the sum, so the two evaluations stay independent: both must
-agree with each other and with exhaustive enumeration
-(`linear_code.brute_force_pwe`), and ``mdswe verify --suite oracle``
-checks this coefficient for coefficient.
+`PweTable` is the one enumerator table type: `pwgf`, the exhaustive
+tally (`linear_code.brute_force_pwe`) and the MacWilliams transform
+(`duality.macwilliams_pwe`) all return it.  `check_rs_params` validates
+Reed-Solomon parameters from q alone, so an ``rs:`` spec is checked
+without loading the field arithmetic.  The nested alternating sum, the
+evaluation kept independent of the product form, lives in `nested_sum`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from itertools import product as iter_product
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .primes import prime_power
-
-if TYPE_CHECKING:
-    from .poly import SparsePoly
+from .primes import NotPrimeError, prime_power
 
 
 class ProfileOutOfRangeError(ValueError):
@@ -50,6 +40,21 @@ class ProfileOutOfRangeError(ValueError):
 
 class ParamOutOfRangeError(ValueError):
     """A channel, distance or Krawtchouk parameter is outside its domain."""
+
+
+class LengthExceedsFieldError(ValueError):
+    """Requested RS length exceeds q - 1."""
+
+
+def check_rs_params(q: int, n: int, k: int) -> None:
+    """Raise ValueError unless GF(q) has an (n, k) Reed-Solomon code:
+    q a prime power and 1 <= k <= n <= q - 1."""
+    if prime_power(q) is None:
+        raise NotPrimeError(f"{q} is not a prime power")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n > q - 1:
+        raise LengthExceedsFieldError(f"length {n} exceeds q-1 = {q - 1}")
 
 
 def binom(n: int, r: int) -> int:
@@ -123,76 +128,6 @@ def _validate_profile(params: MdsParams, sizes: Sequence[int],
         raise ProfileOutOfRangeError(f"profile {tuple(profile)} exceeds {tuple(sizes)}")
 
 
-def _nested_sum(params: MdsParams, sizes: Sequence[int],
-                choices: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
-    """The nested alternating sum at every profile in the product of `choices`.
-
-    `choices[i]` lists the weights of block i to evaluate.  A depth-first
-    walk over the blocks carries, for each prefix (w_1..w_i), its binomial
-    scale prod C(n_i, w_i) and the vector over the running index total
-    J = j_1 + ... + j_i of sum prod C(w_i, j_i) (-1)^(w_i - j_i); profiles
-    sharing a prefix share its convolutions.  The last block's inner sum
-
-        T(w, J) = sum_{j = max(0, d - J)}^{w} C(w, j) (-1)^(w - j) (q^(J + j - d + 1) - 1)
-
-    is tabulated once over J, so each profile costs one dot product.
-    Entries that vanish are left out.
-    """
-    q, d = params.q, params.d
-    *head, last = choices
-    top = sum(max(ws) for ws in head)
-    rows = {w: [binom(w, j) * (-1) ** (w - j) for j in range(w + 1)]
-            for ws in choices for w in ws}
-    tails = {w: [sum(rows[w][j] * (q ** (acc + j - d + 1) - 1)
-                     for j in range(max(0, d - acc), w + 1))
-                 for acc in range(top + 1)]
-             for w in last}
-    table: dict[tuple[int, ...], int] = {}
-
-    def walk(i: int, prefix: tuple[int, ...], vec: list[int], scale: int) -> None:
-        if i == len(head):
-            for w in last:
-                total = sum(map(operator.mul, vec, tails[w]))
-                if total:
-                    table[(*prefix, w)] = scale * binom(sizes[i], w) * total
-            return
-        for w in head[i]:
-            row = rows[w]
-            conv = [0] * (len(vec) + w)
-            for a, v in enumerate(vec):
-                if v:
-                    for b, r in enumerate(row):
-                        conv[a + b] += v * r
-            walk(i + 1, (*prefix, w), conv, scale * binom(sizes[i], w))
-
-    walk(0, (), [1], 1)
-    if all(0 in ws for ws in choices):
-        table[(0,) * len(choices)] = 1
-    return table
-
-
-def pwe_direct(params: MdsParams, sizes: Sequence[int],
-               profile: Sequence[int]) -> int:
-    """Partition weight enumerator via the nested alternating sum.
-
-    The one-profile case of `pwe_direct_table`; retained as an
-    implementation independent of `pwe_product` for cross-validation.
-    """
-    _validate_profile(params, sizes, profile)
-    profile = tuple(profile)
-    return _nested_sum(params, sizes, [(w,) for w in profile]).get(profile, 0)
-
-
-def pwe_direct_table(params: MdsParams, sizes: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Nested-sum enumerator at every profile of one partition.
-
-    Maps each profile with a nonzero count to that count, like
-    `pwgf(params, sizes).terms`, but by the route of `pwe_direct`.
-    """
-    _validate_profile(params, sizes, [0] * len(sizes))
-    return _nested_sum(params, sizes, [range(s + 1) for s in sizes])
-
-
 def pwe_product(params: MdsParams, sizes: Sequence[int],
                 profile: Sequence[int]) -> int:
     """Partition weight enumerator via f(w) * prod C(n_i,w_i), w = sum w_i."""
@@ -201,14 +136,59 @@ def pwe_product(params: MdsParams, sizes: Sequence[int],
         math.prod(binom(s, x) for s, x in zip(sizes, profile))
 
 
-def pwgf(params: MdsParams, sizes: Sequence[int]) -> SparsePoly:
-    """The full partition weight generating polynomial.
+def _profiles_in_range(sizes: tuple[int, ...], profiles) -> bool:
+    """Whether every profile has one weight per block, within its size:
+    one pass over the lengths, then one min and one max per block."""
+    if not set(map(len, profiles)) <= {len(sizes)}:
+        return False
+    return all(0 <= min(col) and max(col) <= s
+               for col, s in zip(zip(*profiles), sizes))
 
-    Coefficient of X_1^w_1 ... X_p^w_p is the number of codewords with
-    that weight profile; the coefficients sum to q^k.
+
+class PweTable:
+    """Exact partition weight enumerator: profile tuple -> codeword count.
+
+    `sizes` are the block sizes and `counts` maps each weight profile
+    (w_1..w_p) with a nonzero count to that count; zero counts are
+    dropped.  `len` is the number of nonzero profiles.  A profile outside
+    the block sizes raises ValueError.
     """
-    from .poly import SparsePoly
 
+    __slots__ = ("sizes", "counts")
+
+    def __init__(self, sizes: Sequence[int], counts: Mapping[Sequence[int], int]):
+        self.sizes = tuple(sizes)
+        if not _profiles_in_range(self.sizes, counts):
+            for profile in counts:   # name the first profile out of range
+                profile = tuple(profile)
+                if len(profile) != len(self.sizes) or any(
+                        not 0 <= w <= s for w, s in zip(profile, self.sizes)):
+                    raise ValueError(
+                        f"profile {profile} out of range for sizes {self.sizes}")
+        self.counts = {tuple(profile): c for profile, c in counts.items() if c}
+
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PweTable):
+            return self.sizes == other.sizes and self.counts == other.counts
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PweTable(sizes={self.sizes!r}, counts={self.counts!r})"
+
+
+def pwgf(params: MdsParams, sizes: Sequence[int]) -> PweTable:
+    """The full partition weight enumerator, every profile by the product form.
+
+    The count at profile (w_1..w_p) is the coefficient of X_1^w_1 ...
+    X_p^w_p in the partition weight generating function; the counts sum
+    to q^k.
+    """
     _validate_profile(params, sizes, [0] * len(sizes))
     counts = fixed_support_counts(params)
     terms: dict[tuple[int, ...], int] = {}
@@ -216,7 +196,7 @@ def pwgf(params: MdsParams, sizes: Sequence[int]) -> SparsePoly:
         f = counts[sum(profile)]
         if f:
             terms[profile] = f * math.prod(binom(s, x) for s, x in zip(sizes, profile))
-    return SparsePoly(len(sizes), terms)
+    return PweTable(sizes, terms)
 
 
 def iowe(params: MdsParams, s: int, w: int, h: int) -> int:
@@ -242,60 +222,3 @@ def coordinate_weight_sum(params: MdsParams, h: int) -> int:
     if not 0 <= h <= params.n:
         raise ProfileOutOfRangeError(f"h={h} not in [0, {params.n}]")
     return binom(params.n - 1, h - 1) * fixed_support_counts(params)[h]
-
-
-def psi(params: MdsParams, h: int, w: int) -> int:
-    """Alternating-sum kernel of the split enumerator.
-
-    psi(h, w) is the split weight enumerator at profile (w, h-w) divided
-    by its two binomial factors; psi(h, 0) = f(h) = E(h) / C(n,h).
-    """
-    q, d = params.q, params.d
-    total = 0
-    for j in range(w + 1):
-        inner = 0
-        for i in range(max(0, d - j), h - w + 1):
-            inner += binom(h - w, i) * (-1) ** (h - w - i) * (q ** (i + j - d + 1) - 1)
-        total += binom(w, j) * (-1) ** (w - j) * inner
-    return total
-
-
-class IdentityCheck(NamedTuple):
-    holds: bool
-    lhs: int
-    rhs: int
-
-
-def check_convolution_identity(params: MdsParams, h: int) -> IdentityCheck:
-    """Binomial convolution of psi against the (k, n-k) split is flat:
-
-        sum_w C(k,w) C(n-k,h-w) psi(h,w)  ==  psi(h,0) * sum_w C(k,w) C(n-k,h-w)
-
-    for d <= h <= n.  Both sides are returned for inspection.
-    """
-    n, k = params.n, params.k
-    if not params.d <= h <= n:
-        raise ProfileOutOfRangeError(f"h={h} not in [{params.d}, {n}]")
-    lhs = sum(binom(k, w) * binom(n - k, h - w) * psi(params, h, w)
-              for w in range(k + 1))
-    rhs = psi(params, h, 0) * sum(binom(k, w) * binom(n - k, h - w)
-                                  for w in range(k + 1))
-    return IdentityCheck(lhs == rhs, lhs, rhs)
-
-
-def check_subset_identity(params: MdsParams, s: int, h: int) -> IdentityCheck:
-    """The weighted form of the flatness identity, for any s coordinates:
-
-        sum_{w>=1} C(s-1,w-1) C(n-s,h-w) psi(h,w)
-            ==  psi(h,0) * sum_{w>=1} C(s-1,w-1) C(n-s,h-w).
-    """
-    n = params.n
-    if not 1 <= s <= n:
-        raise ProfileOutOfRangeError(f"s={s} not in [1, {n}]")
-    if not params.d <= h <= n:
-        raise ProfileOutOfRangeError(f"h={h} not in [{params.d}, {n}]")
-    lhs = sum(binom(s - 1, w - 1) * binom(n - s, h - w) * psi(params, h, w)
-              for w in range(1, s + 1))
-    rhs = psi(params, h, 0) * sum(binom(s - 1, w - 1) * binom(n - s, h - w)
-                                  for w in range(1, s + 1))
-    return IdentityCheck(lhs == rhs, lhs, rhs)

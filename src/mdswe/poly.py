@@ -1,12 +1,13 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A `SparsePoly` maps exponent tuples to exact coefficients (Python ints or
-`fractions.Fraction`); zero coefficients are never stored.  It is the
-result type of `mds_enum.pwgf`, the symbol-level partition weight
-generating function with integer coefficients; `collapse` merges or drops
-its blocks.  The averaged binary image and the multiuser profiles are not
-built as polynomials: `binary_avg` and `errorprob` contract integer
-coefficient lists against the product form directly.
+`fractions.Fraction`); zero coefficients are never stored.  No module of
+the package uses it: the enumerators return `mds_enum.PweTable`, and
+`binary_avg` and `errorprob` contract integer coefficient lists against
+the product form directly.  It stays for the tests' literal
+generating-function pipeline (``SparsePoly(len(table.sizes),
+table.counts)`` is a table as a polynomial; `collapse` merges or drops
+its blocks) and for the benchmark's tracer, which wraps its methods.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ from __future__ import annotations
 from typing import Optional
 
 
+class NotPrimeError(ValueError):
+    """Characteristic is not a prime (or an order is not a prime power)."""
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of n; empty for n < 2."""
     out: dict[int, int] = {}

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, TextIO
 
-from . import binary_avg, duality, errorprob, mds_enum
+from . import binary_avg, duality, errorprob, mds_enum, nested_sum
 from .gf import Field, field_from_order
-from .linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, Partition, PweTable,
+from .linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, Partition,
                           RankDeficientError, brute_force_pwe, brute_force_weights,
                           code_from_generator, dual, min_distance, rm1_code, rs_code)
 from .mds_enum import MdsParams
@@ -209,13 +209,13 @@ def suite_oracle(rng: random.Random, partitions_per_code: int = 20) -> list[Chec
         code = rs_code(field, n, k)
         params = MdsParams(n, k, q)
         codes += 1
-        closed = {}   # sizes -> (pwe_direct_table, pwgf terms)
+        closed = {}   # sizes -> (pwe_direct_table, pwgf counts)
         for _ in range(partitions_per_code):
             part = random_partition(n, rng)
             sizes = part.sizes
             if sizes not in closed:
-                closed[sizes] = (mds_enum.pwe_direct_table(params, sizes),
-                                 mds_enum.pwgf(params, sizes).terms)
+                closed[sizes] = (nested_sum.pwe_direct_table(params, sizes),
+                                 mds_enum.pwgf(params, sizes).counts)
             direct, prod = closed[sizes]
             brute = brute_force_pwe(code, part).counts
             tables += 1
@@ -229,6 +229,19 @@ def suite_oracle(rng: random.Random, partitions_per_code: int = 20) -> list[Chec
     return [CheckResult("oracle:direct==product==brute-force", not failures, detail)]
 
 
+def _merge_blocks(counts: dict[tuple[int, ...], int], target: tuple[int, ...],
+                  blocks: int) -> dict[tuple[int, ...], int]:
+    """Enumerator counts with block i merged into block target[i] of `blocks`."""
+    out: dict[tuple[int, ...], int] = {}
+    for profile, c in counts.items():
+        merged = [0] * blocks
+        for w, t in zip(profile, target):
+            merged[t] += w
+        key = tuple(merged)
+        out[key] = out.get(key, 0) + c
+    return out
+
+
 IDENTITY_PARAMS = [MdsParams(7, 3, 8), MdsParams(7, 5, 8),
                    MdsParams(15, 11, 16), MdsParams(15, 7, 16)]
 
@@ -236,11 +249,11 @@ IDENTITY_PARAMS = [MdsParams(7, 3, 8), MdsParams(7, 5, 8),
 def suite_identities(rng: random.Random) -> list[CheckResult]:
     out = []
 
-    ok = all(mds_enum.check_convolution_identity(prm, h).holds
+    ok = all(nested_sum.check_convolution_identity(prm, h).holds
              for prm in IDENTITY_PARAMS for h in range(prm.d, prm.n + 1))
     out.append(CheckResult("identities:psi-convolution", ok))
 
-    ok = all(mds_enum.check_subset_identity(prm, s, h).holds
+    ok = all(nested_sum.check_subset_identity(prm, s, h).holds
              for prm in IDENTITY_PARAMS
              for s in range(1, prm.k + 1)
              for h in range(prm.d, prm.n + 1))
@@ -267,8 +280,8 @@ def suite_identities(rng: random.Random) -> list[CheckResult]:
     out.append(CheckResult("identities:iowe-marginal-is-E(h)", ok))
 
     prm = MdsParams(15, 11, 16)
-    merged = mds_enum.pwgf(prm, (3, 3, 5, 4)).collapse([0, 0, 1, 2], 3)
-    direct = mds_enum.pwgf(prm, (6, 5, 4))
+    merged = _merge_blocks(mds_enum.pwgf(prm, (3, 3, 5, 4)).counts, (0, 0, 1, 2), 3)
+    direct = mds_enum.pwgf(prm, (6, 5, 4)).counts
     out.append(CheckResult("identities:pwgf-merge-blocks", merged == direct))
 
     ok = True
@@ -295,7 +308,7 @@ def suite_identities(rng: random.Random) -> list[CheckResult]:
 
 
 def _avg_binary_split(prm: MdsParams, s: int) -> dict[tuple[int, int], Fraction]:
-    """Averaged binary two-block table from the terms of pwgf(prm, (s, n - s)).
+    """Averaged binary two-block table from the counts of pwgf(prm, (s, n - s)).
 
     A term c X1^w1 X2^w2 becomes c F(XY)^w1 F(Y)^w2, so it adds
     c P[w1][b1] P[w2][b2] / (2^m-1)^(w1+w2) at (b1, b1 + b2) = (input bits,
@@ -305,7 +318,7 @@ def _avg_binary_split(prm: MdsParams, s: int) -> dict[tuple[int, int], Fraction]
     den = (1 << m) - 1
     powers = list(itertools.islice(binary_avg.pattern_weight_powers(m), prm.n + 1))
     acc: dict[tuple[int, int], int] = {}
-    for (w1, w2), c in mds_enum.pwgf(prm, (s, prm.n - s)).terms.items():
+    for (w1, w2), c in mds_enum.pwgf(prm, (s, prm.n - s)).counts.items():
         scale = c * den ** (prm.n - w1 - w2)
         for b1, c1 in enumerate(powers[w1]):
             for b2, c2 in enumerate(powers[w2]):
@@ -395,9 +408,9 @@ def suite_duality(rng: random.Random) -> list[CheckResult]:
     ok = True
     for (n, k, q), sizes in [((15, 11, 16), (3, 3, 5, 4)), ((15, 4, 16), (3, 3, 5, 4)),
                              ((31, 25, 32), (10, 10, 11))]:
-        table = PweTable(sizes, mds_enum.pwgf(MdsParams(n, k, q), sizes).terms)
-        dual_table = PweTable(sizes, mds_enum.pwgf(MdsParams(n, n - k, q), sizes).terms)
-        if duality.macwilliams_pwe(table, q, k) != dual_table:
+        table = mds_enum.pwgf(MdsParams(n, k, q), sizes)
+        dual_table = mds_enum.pwgf(MdsParams(n, n - k, q), sizes)
+        if duality.macwilliams_pwe(table, q, k).counts != dual_table.counts:
             ok = False
     out.append(CheckResult("duality:mds-dual-closed-form", ok))
 
@@ -449,12 +462,12 @@ def suite_errorprob(rng: random.Random, seed: int, trials: int = 10**6) -> list[
 
     prm = MdsParams(15, 11, 16)
     sizes = (3, 3, 5, 4)
-    poly = mds_enum.pwgf(prm, sizes)
+    table = mds_enum.pwgf(prm, sizes)
     E15 = mds_enum.weight_distribution(prm)
     ok = True
     for j in range(4):
         ow: dict[tuple[int, int], int] = {}   # (user weight, total weight) -> count
-        for exps, c in poly.terms.items():
+        for exps, c in table.counts.items():
             key = (exps[j], sum(exps))
             ow[key] = ow.get(key, 0) + c
         for h in range(16):

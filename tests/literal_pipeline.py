@@ -3,9 +3,10 @@
 The package gets the averaged binary image and the per-user profiles
 from one product-form contraction (`binary_avg`, `errorprob`).  This
 module computes them the long way, as the paper writes them, over
-`SparsePoly`: materialise the PWGF, substitute X_i -> F(Z_i), keep the
-terms the block conditions allow, and collapse to one user's
-input-output enumerator.  Tests compare the two routes exactly.
+`SparsePoly`: materialise the PWGF (`as_poly` of a `PweTable`),
+substitute X_i -> F(Z_i), keep the terms the block conditions allow, and
+collapse to one user's input-output enumerator.  Tests compare the two
+routes exactly.
 
 The same holds one level down: the package tabulates the fixed-support
 counts f(h) = E(h) / C(n,h) by a one-term recurrence
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from mdswe.errorprob import Condition, ConditionCountMismatchError
-from mdswe.mds_enum import MdsParams, binom
+from mdswe.mds_enum import MdsParams, PweTable, binom
 from mdswe.poly import SparsePoly
 
 
@@ -31,6 +32,12 @@ def fixed_support_counts_by_sum(params: MdsParams) -> list[int]:
     return [1] + [sum(binom(h, j) * (-1) ** (h - j) * (q ** (j - d + 1) - 1)
                       for j in range(d, h + 1))
                   for h in range(1, n + 1)]
+
+
+def as_poly(table: PweTable) -> SparsePoly:
+    """The generating function of an enumerator table: one variable per
+    block, the count at profile w the coefficient of X^w."""
+    return SparsePoly(len(table.sizes), table.counts)
 
 
 def evaluate(poly: SparsePoly, values: Sequence) -> Fraction:

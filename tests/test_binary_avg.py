@@ -7,7 +7,8 @@ from mdswe.binary_avg import (NotCharTwoError, avg_binary_iowe, avg_binary_wgf,
 from mdswe.mds_enum import MdsParams, ProfileOutOfRangeError, binom, pwgf
 from mdswe.poly import SparsePoly
 
-from literal_pipeline import avg_binary_pwgf, bit_substitution_poly, evaluate, substitute
+from literal_pipeline import (as_poly, avg_binary_pwgf, bit_substitution_poly, evaluate,
+                              substitute)
 
 P738 = MdsParams(7, 3, 8)
 P758 = MdsParams(7, 5, 8)
@@ -20,7 +21,7 @@ def _substitution_oracle(prm, s):
     f = bit_substitution_poly(m)
     f_xy = SparsePoly(2, {(e, e): c for (e,), c in f.terms.items()})
     f_y = SparsePoly(2, {(0, e): c for (e,), c in f.terms.items()})
-    return substitute(pwgf(prm, (s, prm.n - s)), [f_xy, f_y])
+    return substitute(as_poly(pwgf(prm, (s, prm.n - s))), [f_xy, f_y])
 
 
 class TestBitSubstitutionPoly:
@@ -69,23 +70,23 @@ class TestAvgBinaryWgf:
 class TestAvgBinaryPwgf:
     def test_m1_is_identity_substitution(self):
         prm = MdsParams(3, 2, 2)
-        sym = pwgf(prm, (1, 2))
+        sym = as_poly(pwgf(prm, (1, 2)))
         assert avg_binary_pwgf(sym, 1) == sym
 
     def test_coefficient_sum(self):
-        sub = avg_binary_pwgf(pwgf(P738, (1, 6)), 3)
+        sub = avg_binary_pwgf(as_poly(pwgf(P738, (1, 6))), 3)
         assert sub.coefficient_sum() == 512
 
     def test_two_evaluation_orders_agree(self):
         # collapsing the second block before or after substitution
-        sym = pwgf(P738, (1, 6))
+        sym = as_poly(pwgf(P738, (1, 6)))
         sub_then_collapse = avg_binary_pwgf(sym, 3).collapse([0, None], 1)
         collapse_then_sub = avg_binary_pwgf(sym.collapse([0, None], 1), 3)
         assert sub_then_collapse == collapse_then_sub
 
     @pytest.mark.parametrize("sizes", [(3, 4), (1, 2, 4)])
     def test_collapse_matches_wgf(self, sizes):
-        merged = avg_binary_pwgf(pwgf(P738, sizes), 3).collapse([0] * len(sizes), 1)
+        merged = avg_binary_pwgf(as_poly(pwgf(P738, sizes)), 3).collapse([0] * len(sizes), 1)
         E_b = avg_binary_wgf(P738)
         assert merged == SparsePoly(1, {(h,): c for h, c in enumerate(E_b) if c})
 

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdswe import binary_avg, mds_enum, verify
+from mdswe import binary_avg, nested_sum, verify
 from mdswe.cli import main, parse_code_spec, parse_partition_sizes, parse_snr_range
 from mdswe.binary_avg import avg_binary_wgf
 from mdswe.gf import Field
@@ -311,6 +312,19 @@ class TestErrprobCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["pwe", "brute"])
+    def test_out_of_memory_exits_two(self, command):
+        # rm1:40 has 2^40 coordinates, too many to build; the child's address
+        # space is capped, so it fails the same wherever it runs
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+        proc = subprocess.run([sys.executable, "-m", "mdswe.cli", command, "--code", "rm1:40",
+                               "--partition", "3"], capture_output=True, text=True,
+                              preexec_fn=cap_memory)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the input needs more memory than is available\n"
+
     def test_condition_requires_user_partition(self, capsys):
         code, _, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11",
                                "--metric", "sep", "--user", "3", "--snr", "4:6:1")
@@ -420,7 +434,7 @@ class TestVerifyCommand:
     def test_oracle_suite_catches_one_wrong_entry(self, monkeypatch):
         field = verify.field_from_order(8)
         monkeypatch.setattr(verify, "_oracle_codes", lambda: iter([(field, 8, 7, 3)]))
-        original = mds_enum.pwe_direct_table
+        original = nested_sum.pwe_direct_table
         seen = []
 
         def perturbed(params, sizes):
@@ -430,7 +444,7 @@ class TestVerifyCommand:
                 table[tuple(sizes)] += 1
             return table
 
-        monkeypatch.setattr(mds_enum, "pwe_direct_table", perturbed)
+        monkeypatch.setattr(nested_sum, "pwe_direct_table", perturbed)
         [result] = verify.suite_oracle(random.Random(7), partitions_per_code=3)
         assert not result.passed
         assert f"failures: [(8, 7, 3, {seen[0]}, {seen[0]})]" in result.detail

@@ -8,10 +8,10 @@ from mdswe.gf import Field, field_from_order
 from mdswe.duality import (IncompleteTableError, NonIntegerResultError,
                            ParamOutOfRangeError, dual_property_a, krawtchouk,
                            krawtchouk_matrix, macwilliams_pwe, property_a_check)
-from mdswe.linear_code import (Partition, PweTable, RankDeficientError, brute_force_pwe,
+from mdswe.linear_code import (Partition, RankDeficientError, brute_force_pwe,
                                brute_force_weights, code_from_generator, dual, rm1_code,
                                rs_code)
-from mdswe.mds_enum import MdsParams, pwgf
+from mdswe.mds_enum import MdsParams, PweTable, pwgf
 from mdswe.poly import SparsePoly
 
 F2 = Field(2, 1)
@@ -143,14 +143,14 @@ class TestMacWilliamsPwe:
         q = 8 if sum(sizes) == 7 else 16
         n = sum(sizes)
         for k in range(1, n):
-            table = PweTable(sizes, pwgf(MdsParams(n, k, q), sizes).terms)
-            expected = PweTable(sizes, pwgf(MdsParams(n, n - k, q), sizes).terms)
+            table = pwgf(MdsParams(n, k, q), sizes)
+            expected = pwgf(MdsParams(n, n - k, q), sizes)
             assert macwilliams_pwe(table, q, k) == expected, k
 
     def test_mds_dual_closed_form_rs_255_223(self):
         # a code no enumeration reaches: RS(255,223) over GF(256), one block
-        table = PweTable((255,), pwgf(MdsParams(255, 223, 256), (255,)).terms)
-        expected = PweTable((255,), pwgf(MdsParams(255, 32, 256), (255,)).terms)
+        table = pwgf(MdsParams(255, 223, 256), (255,))
+        expected = pwgf(MdsParams(255, 32, 256), (255,))
         assert macwilliams_pwe(table, 256, 223) == expected
 
 

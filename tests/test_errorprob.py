@@ -19,7 +19,7 @@ from mdswe.linear_code import brute_force_weights, code_from_generator, dual, rs
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
 from mdswe.montecarlo import BmSphereOracle
 
-from literal_pipeline import avg_binary_pwgf, conditional_pwgf, user_iowe
+from literal_pipeline import as_poly, avg_binary_pwgf, conditional_pwgf, user_iowe
 
 P738 = MdsParams(7, 3, 8)
 P1511 = MdsParams(15, 11, 16)
@@ -183,32 +183,32 @@ class TestMlUnionBounds:
 
 class TestConditionalPwgf:
     def test_paper_filter(self):
-        poly = pwgf(P738, (1, 1, 2, 3))
+        poly = as_poly(pwgf(P738, (1, 1, 2, 3)))
         kept = conditional_pwgf(poly, (1, 1, 2, 3), (ZERO, FULL, FREE, FREE))
         assert kept.terms == {(0, 1, 1, 3): 14, (0, 1, 2, 2): 21, (0, 1, 2, 3): 21}
 
     def test_all_free_unchanged(self):
-        poly = pwgf(P738, (1, 1, 2, 3))
+        poly = as_poly(pwgf(P738, (1, 1, 2, 3)))
         assert conditional_pwgf(poly, (1, 1, 2, 3), (FREE,) * 4) == poly
 
     def test_all_full_single_term(self):
-        poly = pwgf(P738, (1, 1, 2, 3))
+        poly = as_poly(pwgf(P738, (1, 1, 2, 3)))
         kept = conditional_pwgf(poly, (1, 1, 2, 3), (FULL,) * 4)
         assert kept.terms == {(1, 1, 2, 3): 217}
 
     def test_at_most_fraction(self):
-        poly = pwgf(P738, (3, 4))
+        poly = as_poly(pwgf(P738, (3, 4)))
         kept = conditional_pwgf(poly, (3, 4), (at_most(Fraction(1, 3)), FREE))
         assert all(e[0] <= 1 for e in kept.terms)
 
     def test_binary_full_weight(self):
-        binary = avg_binary_pwgf(pwgf(P738, (3, 4)), 3)
+        binary = avg_binary_pwgf(as_poly(pwgf(P738, (3, 4))), 3)
         kept = conditional_pwgf(binary, (3, 4), (FULL, FREE), binary=True, m=3)
         assert all(e[0] == 9 for e in kept.terms)
         assert len(kept) > 0
 
     def test_condition_count_mismatch(self):
-        poly = pwgf(P738, (3, 4))
+        poly = as_poly(pwgf(P738, (3, 4)))
         with pytest.raises(ConditionCountMismatchError):
             conditional_pwgf(poly, (3, 4), (FREE,))
 
@@ -245,7 +245,7 @@ class TestConditionalPwgf:
 
 class TestUserIowe:
     def test_marginal_is_weight_distribution(self):
-        poly = pwgf(P1511, SIZES_1511)
+        poly = as_poly(pwgf(P1511, SIZES_1511))
         E = weight_distribution(P1511)
         for j in range(4):
             ow = user_iowe(poly, j)
@@ -254,7 +254,7 @@ class TestUserIowe:
 
     def test_user_index_validated(self):
         with pytest.raises(ValueError):
-            user_iowe(pwgf(P738, (3, 4)), 2)
+            user_iowe(as_poly(pwgf(P738, (3, 4))), 2)
 
 
 class TestMultiuser:
@@ -337,7 +337,7 @@ class TestMultiuser:
                   for conds in [(FREE,) * 3, (ZERO, FREE, FULL), (FULL, half, FREE)]
                   for user in (1, 2) if conds[user].kind not in ("zero", "full")]
         for params, sizes, user, conds in cases:
-            sym = conditional_pwgf(pwgf(params, sizes), sizes, conds)
+            sym = conditional_pwgf(as_poly(pwgf(params, sizes)), sizes, conds)
             levels = [(1, sym)]
             if params.q & (params.q - 1) == 0:   # binary image over GF(2^m)
                 m = bits_per_symbol(params.q)

@@ -1,9 +1,10 @@
 """Each command loads only the layers it uses.
 
-The closed forms need neither numpy, the generator-matrix codes, the
-exhaustive oracles nor `dataclasses` (which loads `inspect`): importing the
-package, the CLI or the error curves, running a closed-form `errprob` or
-`pwe`, and running the multiuser experiment script must leave them
+The closed forms need neither numpy, the field arithmetic, the
+generator-matrix codes, `SparsePoly`, the nested-sum and exhaustive
+oracles nor `dataclasses` (which loads `inspect`): importing the package,
+the CLI or the error curves, running a closed-form `errprob`, `pwe` or
+`binary`, and running either experiment script must leave them
 unloaded.  Each import check runs in a fresh interpreter, because this
 test process has loaded everything already.
 """
@@ -20,8 +21,11 @@ from mdswe import cli, linear_code, verify
 from mdswe.cli import main
 
 HEAVY = ("numpy", "mdswe.verify", "mdswe.montecarlo", "mdswe.duality",
-         "mdswe.linear_code", "mdswe.poly", "dataclasses", "inspect")
-MULTIUSER = str(Path(__file__).resolve().parent.parent / "scripts" / "multiuser_curves.py")
+         "mdswe.linear_code", "mdswe.poly", "mdswe.gf", "mdswe.nested_sum",
+         "dataclasses", "inspect")
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+MULTIUSER = str(SCRIPTS / "multiuser_curves.py")
+SPECTRUM = str(SCRIPTS / "binary_spectrum.py")
 
 # the package's public names, as the lazy export table of mdswe/__init__.py lists them
 EXPORTS = {
@@ -41,21 +45,27 @@ EXPORTS = {
 }
 
 
-@pytest.mark.parametrize("statement, loads", [
-    ("import mdswe", ()),
-    ("import mdswe.cli", ()),
-    ("import mdswe.errorprob", ()),
-    ("import mdswe.cli; mdswe.cli.main(['errprob', '--code', 'rs:64:63:51', '--metric', "
-     "'bep', '--snr', '4:8:0.25', '--format', 'csv', '--out', __import__('os').devnull])", ()),
-    # the closed-form table is a SparsePoly
-    ("import mdswe.cli; mdswe.cli.main(['pwe', '--code', 'rs:8:7:3', '--partition', '3,4', "
-     "'--out', __import__('os').devnull])", ("mdswe.poly",)),
-    (f"import runpy; runpy.run_path({MULTIUSER!r})['main']"
-     "(['--snr', '4:8:1', '--out', __import__('os').devnull])", ()),
-], ids=["mdswe", "cli", "errorprob", "errprob-bep", "pwe", "multiuser-script"])
-def test_closed_forms_leave_heavy_modules_unloaded(statement, loads):
-    unloaded = tuple(m for m in HEAVY if m not in loads)
-    probe = f"import sys\n{statement}\nprint(*[m for m in {unloaded!r} if m in sys.modules])"
+@pytest.mark.parametrize("statement", [
+    "import mdswe",
+    "import mdswe.cli",
+    "import mdswe.errorprob",
+    "import mdswe.cli; mdswe.cli.main(['errprob', '--code', 'rs:64:63:51', '--metric', "
+    "'bep', '--snr', '4:8:0.25', '--format', 'csv', '--out', __import__('os').devnull])",
+    "import mdswe.cli; mdswe.cli.main(['pwe', '--code', 'rs:8:7:3', '--partition', '3,4', "
+    "'--out', __import__('os').devnull])",
+    "import mdswe.cli; mdswe.cli.main(['binary', '--code', 'dual:rs:8:7:3', "
+    "'--out', __import__('os').devnull])",
+    # a rejected rs: spec is checked from q alone
+    "import mdswe.cli; assert mdswe.cli.main(['pwe', '--code', 'rs:6:5:3', "
+    "'--partition', '5']) == 2",
+    f"import runpy; runpy.run_path({MULTIUSER!r})['main']"
+    "(['--snr', '4:8:1', '--out', __import__('os').devnull])",
+    f"import runpy; runpy.run_path({SPECTRUM!r})['main']"
+    "(['--code', '16:15:11', '--out', __import__('os').devnull])",
+], ids=["mdswe", "cli", "errorprob", "errprob-bep", "pwe", "binary", "pwe-rejected-rs",
+        "multiuser-script", "spectrum-script"])
+def test_closed_forms_leave_heavy_modules_unloaded(statement):
+    probe = f"import sys\n{statement}\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []

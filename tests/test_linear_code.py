@@ -7,11 +7,11 @@ import pytest
 from mdswe import linear_code
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (BudgetExceededError, LengthExceedsFieldError, LinearCode,
-                               Partition, PweTable, RankDeficientError, _batch_inv, _row_reduce,
+                               Partition, RankDeficientError, _batch_inv, _row_reduce,
                                brute_force_pwe,
                                brute_force_weights, code_from_generator, dual, min_distance,
                                rm1_code, rs_code, support_histogram)
-from mdswe.mds_enum import MdsParams, pwgf
+from mdswe.mds_enum import MdsParams, PweTable, pwgf
 
 F2 = Field(2, 1)
 F8 = Field(2, 3)
@@ -434,7 +434,7 @@ class TestSupportHistogram:
             monkeypatch.setattr(linear_code, "_CHUNK_ROWS", chunk_rows)
         code = rs_code(field_from_order(16), 15, 5)
         part = Partition((5, 5, 5), tuple(j % 3 for j in range(15)))
-        assert brute_force_pwe(code, part).counts == pwgf(MdsParams(15, 5, 16), (5, 5, 5)).terms
+        assert brute_force_pwe(code, part).counts == pwgf(MdsParams(15, 5, 16), (5, 5, 5)).counts
 
     @pytest.mark.parametrize("chunk_rows", [None, 64])
     @pytest.mark.parametrize("code", [

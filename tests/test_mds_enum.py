@@ -1,20 +1,22 @@
 import itertools
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdswe import gf, linear_code, verify
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import Partition, brute_force_pwe, rs_code
-from mdswe.mds_enum import (MdsParams, ProfileOutOfRangeError, binom,
-                            check_convolution_identity, check_subset_identity,
-                            coordinate_weight_sum, fixed_support_counts, iowe, psi,
-                            pwe_direct, pwe_direct_table, pwe_product, pwgf,
-                            weight_distribution)
+from mdswe.mds_enum import (MdsParams, ProfileOutOfRangeError, PweTable, binom,
+                            check_rs_params, coordinate_weight_sum, fixed_support_counts,
+                            iowe, pwe_product, pwgf, weight_distribution)
+from mdswe.nested_sum import (check_convolution_identity, check_subset_identity, psi,
+                              pwe_direct, pwe_direct_table)
 
-from literal_pipeline import fixed_support_counts_by_sum
+from literal_pipeline import as_poly, fixed_support_counts_by_sum
 
 P738 = MdsParams(7, 3, 8)
 P758 = MdsParams(7, 5, 8)
@@ -79,6 +81,32 @@ class TestMdsParams:
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+class TestCheckRsParams:
+    @pytest.mark.parametrize("q, n, k, error, message", [
+        (6, 5, 3, gf.NotPrimeError, "6 is not a prime power"),
+        (6, 3, 5, gf.NotPrimeError, "6 is not a prime power"),       # checked first
+        (1, 9, 0, gf.NotPrimeError, "1 is not a prime power"),
+        (8, 3, 5, ValueError, "need 1 <= k <= n, got k=5, n=3"),
+        (8, 9, 12, ValueError, "need 1 <= k <= n, got k=12, n=9"),   # before n <= q - 1
+        (8, 7, 0, ValueError, "need 1 <= k <= n, got k=0, n=7"),
+        (8, 8, 3, linear_code.LengthExceedsFieldError, "length 8 exceeds q-1 = 7"),
+    ])
+    def test_rejections_in_order(self, q, n, k, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check_rs_params(q, n, k)
+
+    @pytest.mark.parametrize("q, n, k", [(2, 1, 1), (8, 7, 3), (8, 7, 7), (9, 8, 1),
+                                         (256, 255, 223)])
+    def test_accepts(self, q, n, k):
+        assert check_rs_params(q, n, k) is None
+
+    def test_rs_code_applies_it(self):
+        with pytest.raises(linear_code.LengthExceedsFieldError):
+            rs_code(Field(2, 3), 8, 3)
+        with pytest.raises(ValueError, match=r"^need 1 <= k <= n, got k=4, n=3$"):
+            rs_code(Field(2, 3), 3, 4)
+
+
 class TestWeightDistribution:
     def test_7_3_8(self):
         assert weight_distribution(P738) == [1, 0, 0, 0, 0, 147, 147, 217]
@@ -133,15 +161,49 @@ class TestPweProduct:
 
 class TestPwgf:
     def test_paper_polynomial_exact(self):
-        poly = pwgf(P738, (1, 1, 2, 3))
-        assert poly.terms == EXPECTED_PWGF_738
+        table = pwgf(P738, (1, 1, 2, 3))
+        assert table.counts == EXPECTED_PWGF_738
 
     def test_coefficient_sum_is_512(self):
-        assert pwgf(P738, (1, 1, 2, 3)).coefficient_sum() == 512
+        assert pwgf(P738, (1, 1, 2, 3)).total() == 512
 
     def test_single_block_is_wgf(self):
-        poly = pwgf(P738, (7,))
-        assert poly.terms == {(0,): 1, (5,): 147, (6,): 147, (7,): 217}
+        table = pwgf(P738, (7,))
+        assert table.counts == {(0,): 1, (5,): 147, (6,): 147, (7,): 217}
+
+    def test_is_the_brute_force_table_type(self):
+        table = pwgf(P738, (1, 1, 2, 3))
+        assert type(table) is PweTable and table.sizes == (1, 1, 2, 3)
+        assert len(table) == 14
+        c = rs_code(Field(2, 3), 7, 3)
+        assert brute_force_pwe(c, Partition.contiguous((1, 1, 2, 3))) == table
+
+
+class TestPweTable:
+    def test_len_counts_nonzero_profiles(self):
+        assert len(PweTable((2,), {(0,): 1, (1,): 0, (2,): 3})) == 2
+        assert len(PweTable((1, 1), {})) == 0
+
+    def test_keys_become_tuples(self):
+        assert PweTable([2], {(2,): 3}).counts == {(2,): 3}
+        assert PweTable((2,), {(2,): 3}).sizes == (2,)
+
+    @pytest.mark.parametrize("counts, named", [
+        ({(0, 0): 1, (1, 3): 0, (3, 1): 1}, (1, 3)),     # a zero count is checked too
+        ({(0, 0): 1, (2, 2): 1, (0, -1): 1}, (0, -1)),
+        ({(0, 0): 1, (0,): 1, (0, 0, 0): 1}, (0,)),
+        ({(1, 1): 1, (0, 0, 0): 1, (3, 0): 1}, (0, 0, 0)),
+    ])
+    def test_out_of_range_names_the_first_bad_profile(self, counts, named):
+        message = f"profile {named} out of range for sizes (2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PweTable((2, 2), counts)
+
+    def test_equality(self):
+        table = PweTable((1, 1), {(0, 0): 1, (1, 1): 1})
+        assert table == PweTable((1, 1), {(1, 1): 1, (0, 0): 1, (1, 0): 0})
+        assert table != PweTable((2,), {(0,): 1, (2,): 1})
+        assert table != table.counts
 
 
 class TestSplitWe:
@@ -286,7 +348,7 @@ class TestOracleEquivalence:
         for _ in range(5):
             sizes = _random_sizes(rng, n)
             table = pwe_direct_table(prm, sizes)
-            assert table == pwgf(prm, sizes).terms, sizes
+            assert table == pwgf(prm, sizes).counts, sizes
             for profile in itertools.product(*[range(s + 1) for s in sizes]):
                 assert table.get(profile, 0) == pwe_direct(prm, sizes, profile), \
                     (sizes, profile)
@@ -297,14 +359,21 @@ class TestOracleEquivalence:
 
     def test_total_is_q_to_k(self):
         for prm in (P738, P758, MdsParams(6, 4, 8)):
-            poly = pwgf(prm, (2, 2, prm.n - 4))
-            assert poly.coefficient_sum() == prm.q**prm.k
+            table = pwgf(prm, (2, 2, prm.n - 4))
+            assert table.total() == prm.q**prm.k
 
 
 class TestStructuralProperties:
     def test_merge_blocks_matches_merged_partition(self):
-        merged = pwgf(P1511, (3, 3, 5, 4)).collapse([0, 0, 1, 2], 3)
-        assert merged == pwgf(P1511, (6, 5, 4))
+        merged = as_poly(pwgf(P1511, (3, 3, 5, 4))).collapse([0, 0, 1, 2], 3)
+        assert merged == as_poly(pwgf(P1511, (6, 5, 4)))
+
+    @pytest.mark.parametrize("sizes, target, blocks", [
+        ((3, 3, 5, 4), (0, 0, 1, 2), 3), ((1, 1, 2, 3), (1, 0, 1, 0), 2), ((7,), (0,), 1)])
+    def test_verify_merge_matches_collapse(self, sizes, target, blocks):
+        prm = MdsParams(sum(sizes), 3, 16)
+        merged = verify._merge_blocks(pwgf(prm, sizes).counts, target, blocks)
+        assert merged == as_poly(pwgf(prm, sizes)).collapse(target, blocks).terms
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -345,4 +414,4 @@ class TestStructuralProperties:
             st.lists(st.integers(1, n - 1), min_size=p - 1, max_size=p - 1,
                      unique=True))) if p > 1 else []
         sizes = tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
-        assert pwe_direct_table(prm, sizes) == pwgf(prm, sizes).terms
+        assert pwe_direct_table(prm, sizes) == pwgf(prm, sizes).counts
