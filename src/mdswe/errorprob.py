@@ -71,6 +71,7 @@ and `_ml_sum` then accumulate the terms smallest-first.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -143,13 +144,18 @@ def _floats(exact: dict[int, Union[int, Fraction]]) -> dict[int, float]:
     return {h: float(c) for h, c in exact.items()}
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _decoded_prob(n: int, q: int, tau: int, h: int, p: float) -> float:
+    """sum_{t <= tau} P_t^h(p): the chance that the received word lies in
+    the radius-tau sphere of a fixed codeword of weight h.  It does not
+    depend on the metric or the conditions, so the curves of one code and
+    grid share it within a process."""
+    return math.fsum(sorted(sphere_distance_prob(n, q, h, t, p)
+                            for t in range(tau + 1)))
+
+
 def _bm_sum(coeffs: dict[int, float], n: int, q: int, tau: int, p: float) -> float:
-    terms = []
-    for h, c in coeffs.items():
-        if c:
-            inner = math.fsum(sorted(sphere_distance_prob(n, q, h, t, p)
-                                     for t in range(tau + 1)))
-            terms.append(c * inner)
+    terms = [c * _decoded_prob(n, q, tau, h, p) for h, c in coeffs.items() if c]
     return math.fsum(sorted(terms))
 
 

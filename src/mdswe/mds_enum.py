@@ -191,11 +191,13 @@ def pwgf(params: MdsParams, sizes: Sequence[int]) -> PweTable:
     """
     _validate_profile(params, sizes, [0] * len(sizes))
     counts = fixed_support_counts(params)
+    rows = [[math.comb(s, x) for x in range(s + 1)] for s in sizes]
     terms: dict[tuple[int, ...], int] = {}
-    for profile in iter_product(*[range(s + 1) for s in sizes]):
+    for profile, binoms in zip(iter_product(*[range(s + 1) for s in sizes]),
+                               iter_product(*rows)):
         f = counts[sum(profile)]
         if f:
-            terms[profile] = f * math.prod(binom(s, x) for s, x in zip(sizes, profile))
+            terms[profile] = f * math.prod(binoms)
     return PweTable(sizes, terms)
 
 

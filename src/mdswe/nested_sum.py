@@ -15,6 +15,16 @@ agree with each other and with exhaustive enumeration
 (`linear_code.brute_force_pwe`), and ``mdswe verify --suite oracle``
 checks this coefficient for coefficient.
 
+The walk's vector for a prefix (w_1..w_i) of a profile, the
+convolution of the signed binomial rows C(w_j, .)(-1)^(w_j - .) over its
+blocks, depends on the prefix alone and not on q, d or the block sizes.
+`_prefix_row` computes it once per process from its parent prefix's
+vector, and every table and profile that shares the prefix reads it.
+This is not the collapse: the convolution stays explicit and is keyed
+by the ordered prefix, so (1, 2), (2, 1) and (3,) are three entries,
+each convolved block by block, although Vandermonde's identity makes
+their vectors equal.
+
 `psi` is the two-block kernel of the same sum, and
 `check_convolution_identity` and `check_subset_identity` check the
 flatness identities it satisfies.  Only the verification suites and the
@@ -23,10 +33,34 @@ tests use this module; the closed forms never load it.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import NamedTuple, Sequence
 
 from .mds_enum import MdsParams, ProfileOutOfRangeError, _validate_profile, binom
+
+
+def _signed_binomials(w: int) -> list[int]:
+    """C(w, j) (-1)^(w - j) for j = 0..w."""
+    return [binom(w, j) * (-1) ** (w - j) for j in range(w + 1)]
+
+
+@functools.lru_cache(maxsize=1 << 13)
+def _prefix_row(prefix: tuple[int, ...]) -> tuple[int, ...]:
+    """The vector over J = j_1 + ... + j_i of sum prod C(w_i, j_i) (-1)^(w_i - j_i)
+    for the prefix (w_1..w_i), by convolving its parent prefix's vector
+    with the signed binomials of w_i.  It depends on the ordered weights
+    alone, not on q, d or the block sizes, so every table shares it."""
+    if not prefix:
+        return (1,)
+    vec = _prefix_row(prefix[:-1])
+    row = _signed_binomials(prefix[-1])
+    conv = [0] * (len(vec) + len(row) - 1)
+    for a, v in enumerate(vec):
+        if v:
+            for b, r in enumerate(row):
+                conv[a + b] += v * r
+    return tuple(conv)
 
 
 def _nested_sum(params: MdsParams, sizes: Sequence[int],
@@ -35,43 +69,39 @@ def _nested_sum(params: MdsParams, sizes: Sequence[int],
 
     `choices[i]` lists the weights of block i to evaluate.  A depth-first
     walk over the blocks carries, for each prefix (w_1..w_i), its binomial
-    scale prod C(n_i, w_i) and the vector over the running index total
-    J = j_1 + ... + j_i of sum prod C(w_i, j_i) (-1)^(w_i - j_i); profiles
-    sharing a prefix share its convolutions.  The last block's inner sum
+    scale prod C(n_i, w_i); the prefix's vector over the running index
+    total J = j_1 + ... + j_i comes from `_prefix_row`.  The last block's
+    inner sum
 
         T(w, J) = sum_{j = max(0, d - J)}^{w} C(w, j) (-1)^(w - j) (q^(J + j - d + 1) - 1)
 
-    is tabulated once over J, so each profile costs one dot product.
-    Entries that vanish are left out.
+    is tabulated once over J, times the last block's C(n_p, w), so each
+    profile costs one dot product.  Entries that vanish are left out.
     """
     q, d = params.q, params.d
     *head, last = choices
     top = sum(max(ws) for ws in head)
-    rows = {w: [binom(w, j) * (-1) ** (w - j) for j in range(w + 1)]
-            for ws in choices for w in ws}
-    tails = {w: [sum(rows[w][j] * (q ** (acc + j - d + 1) - 1)
-                     for j in range(max(0, d - acc), w + 1))
-                 for acc in range(top + 1)]
-             for w in last}
+    tails = {}
+    for w in last:
+        row = _signed_binomials(w)
+        size_binom = binom(sizes[-1], w)
+        tails[w] = [size_binom * sum(row[j] * (q ** (acc + j - d + 1) - 1)
+                                     for j in range(max(0, d - acc), w + 1))
+                    for acc in range(top + 1)]
     table: dict[tuple[int, ...], int] = {}
 
-    def walk(i: int, prefix: tuple[int, ...], vec: list[int], scale: int) -> None:
+    def walk(i: int, prefix: tuple[int, ...], scale: int) -> None:
         if i == len(head):
+            vec = _prefix_row(prefix)
             for w in last:
                 total = sum(map(operator.mul, vec, tails[w]))
                 if total:
-                    table[(*prefix, w)] = scale * binom(sizes[i], w) * total
+                    table[(*prefix, w)] = scale * total
             return
         for w in head[i]:
-            row = rows[w]
-            conv = [0] * (len(vec) + w)
-            for a, v in enumerate(vec):
-                if v:
-                    for b, r in enumerate(row):
-                        conv[a + b] += v * r
-            walk(i + 1, (*prefix, w), conv, scale * binom(sizes[i], w))
+            walk(i + 1, (*prefix, w), scale * binom(sizes[i], w))
 
-    walk(0, (), [1], 1)
+    walk(0, (), 1)
     if all(0 in ws for ws in choices):
         table[(0,) * len(choices)] = 1
     return table

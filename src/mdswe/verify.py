@@ -9,14 +9,17 @@ suite, as one failed ``<suite>:raised`` check.
 
 Each suite draws from its own ``random.Random(seed)``, so the suites are
 independent: `run_suites` runs them in a pool of worker processes, one
-per usable CPU, and prints their lines in the order asked for, the same
-lines a one-at-a-time run prints.  A run of one suite, or on one CPU,
-stays in the calling process.
+per usable CPU.  The pool starts the longest suites first, ``oracle``
+and then ``errorprob`` (`LONGEST_FIRST`), and the rest in the order asked
+for, so the short suites fill in around the long ones.  The lines still
+print in the order asked for, the same lines a one-at-a-time run prints:
+each suite's lines as soon as it and every suite before it are done.  A
+name asked for twice runs and prints twice.  A run of one suite, or on
+one CPU, stays in the calling process.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import random
@@ -540,22 +543,33 @@ def _run_suite(name: str, seed: int) -> list[CheckResult]:
         return [CheckResult(f"{name}:raised", False, f"{type(exc).__name__}: {exc}")]
 
 
+# The longest suites, started first so that no worker is left running one
+# of them alone at the end of the run.
+LONGEST_FIRST = ("oracle", "errorprob")
+
+
+def _start_order(names: list[str]) -> list[int]:
+    """Positions in `names`, the `LONGEST_FIRST` suites first, the rest as asked."""
+    return ([i for first in LONGEST_FIRST for i, name in enumerate(names) if name == first]
+            + [i for i, name in enumerate(names) if name not in LONGEST_FIRST])
+
+
 def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> bool:
     """Run the named suites; print one line per check.  True iff all pass.
 
     Every name is checked before any suite runs.  With more than one suite
     and more than one usable CPU the suites run in a pool of worker
-    processes; each suite's lines print, in the order asked for, as soon
-    as it and every suite before it are done.
+    processes, started longest first (`LONGEST_FIRST`); each suite's lines
+    print, in the order asked for, as soon as it and every suite before it
+    are done.
     """
     stream = stream or sys.stdout
     names = suite_names(names)
-    run = functools.partial(_run_suite, seed=seed)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(names), cpus)
     if workers <= 1:
-        return _report(map(run, names), stream)
+        return _report((_run_suite(name, seed) for name in names), stream)
     import multiprocessing
     import signal
     # Built before the parent loads numpy (the suites load it in the
@@ -564,7 +578,10 @@ def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> 
     # leaving the block terminates and joins them, also on an error.
     with multiprocessing.Pool(workers, initializer=signal.signal,
                               initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-        ok = _report(pool.imap(run, names, chunksize=1), stream)
+        pending: list = [None] * len(names)
+        for i in _start_order(names):
+            pending[i] = pool.apply_async(_run_suite, (names[i], seed))
+        ok = _report((result.get() for result in pending), stream)
         pool.close()
         pool.join()
     return ok

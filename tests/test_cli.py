@@ -592,6 +592,38 @@ class TestVerifyPool:
         assert "ForkPoolWorker" not in err
         assert "KeyboardInterrupt" in err
 
+    def test_longest_suites_start_first(self):
+        names = ["gf", "errorprob", "identities", "oracle", "gf"]
+        assert [names[i] for i in verify._start_order(names)] == \
+            ["oracle", "errorprob", "gf", "identities", "gf"]
+
+    def test_output_keeps_the_asked_order_and_repeats(self, monkeypatch, capsys):
+        names = ["errorprob", "gf", "identities", "gf"]
+        alone = "".join(run_cli(capsys, "verify", "--suite", name, "--seed", "3")[1]
+                        for name in names)
+        built = self._pools(monkeypatch)
+        code, out, err = run_cli(capsys, "verify", "--suite", ",".join(names), "--seed", "3")
+        assert (code, err) == (0, "")
+        assert out == alone
+        assert built == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_raising_suite_prints_in_its_asked_place(self, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "oracle", lambda rng, seed: 1 / 0)
+        alone = io.StringIO()
+        verify.run_suites(["identities"], 7, alone)
+        built = self._pools(monkeypatch)
+        stream = io.StringIO()
+        assert not verify.run_suites(["identities", "oracle", "binary"], 7, stream)
+        assert built == [2]
+        lines = stream.getvalue().splitlines()
+        raised = [i for i, line in enumerate(lines) if "raised" in line]
+        assert raised == [len(alone.getvalue().splitlines())]
+        assert lines[raised[0]] == \
+            "FAIL - oracle:raised  (ZeroDivisionError: division by zero)"
+        assert lines[-1].startswith("ok   - binary:")
+        assert multiprocessing.active_children() == []
+
     def test_one_cpu_builds_no_pool(self, monkeypatch):
         pooled = io.StringIO()
         self._pools(monkeypatch)

@@ -1,13 +1,15 @@
+import ast
 import itertools
 import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdswe import gf, linear_code, verify
+from mdswe import gf, linear_code, nested_sum, verify
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import Partition, brute_force_pwe, rs_code
 from mdswe.mds_enum import (MdsParams, ProfileOutOfRangeError, PweTable, binom,
@@ -361,6 +363,34 @@ class TestOracleEquivalence:
         for prm in (P738, P758, MdsParams(6, 4, 8)):
             table = pwgf(prm, (2, 2, prm.n - 4))
             assert table.total() == prm.q**prm.k
+
+
+class TestNestedSumIndependence:
+    """The nested sum stays an oracle: it reads no closed form, and its
+    shared prefix rows carry nothing of q, d or the block sizes."""
+
+    def test_imports_only_the_shared_helpers(self):
+        tree = ast.parse(Path(nested_sum.__file__).read_text(encoding="utf-8"))
+        package = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or
+                                                     (node.module or "").startswith("mdswe")):
+                module = (node.module or "").removeprefix("mdswe").lstrip(".")
+                package |= {(module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("mdswe") for a in node.names)
+        assert package == {("mds_enum", name) for name in
+                           ("MdsParams", "ProfileOutOfRangeError", "_validate_profile", "binom")}
+
+    def test_shared_rows_keep_tables_apart(self):
+        for prm, sizes in [(MdsParams(7, 3, 8), (2, 5)), (MdsParams(9, 4, 16), (3, 2, 4)),
+                           (MdsParams(6, 2, 8), (3, 3))]:   # warm-up on other codes
+            pwe_direct_table(prm, sizes)
+        sizes = (3, 2, 4, 1)
+        for q, k in [(16, 3), (4, 7), (32, 3), (8, 7), (4, 3), (32, 7), (8, 3), (16, 7),
+                     (4, 3), (16, 3)]:
+            prm = MdsParams(10, k, q)
+            assert pwe_direct_table(prm, sizes) == pwgf(prm, sizes).counts, (q, k)
 
 
 class TestStructuralProperties:

@@ -101,6 +101,19 @@ def test_multichunk_simulation_matches_reference():
         _reference_simulate(keys, info, 8, 7, 3, 0.2, trials, 3)
 
 
+# simulate(p, 10**5, seed=7) on RS(7,3,8), recorded before the heavy-trial
+# filter counted each trial's weight by summing its error columns
+PINNED_ESTIMATES = {0.05: (0.00046, 0.0003333333333333334),
+                    0.1: (0.00305, 0.00219),
+                    0.2: (0.02236, 0.016053333333333336)}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_ESTIMATES))
+def test_estimates_are_pinned(p):
+    sim = BmSphereOracle(rs_code(Field(2, 3), 7, 3)).simulate(p, 10**5, 7)
+    assert (sim.cep.value, sim.sep.value) == PINNED_ESTIMATES[p]
+
+
 @pytest.mark.parametrize("q, n", [(2, 64), (4, 32), (256, 8), (2, 100)])
 def test_words_wider_than_int64_rejected_before_enumeration(monkeypatch, q, n):
     def refuse(*args, **kwargs):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from mdswe import errorprob
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -32,6 +34,29 @@ def test_multiuser_curves(tmp_path):
     for r in rows:
         assert all(0.0 <= float(v) <= 1.0 for k, v in r.items() if k != "gamma_db")
         assert float(r["bep(1,1)"]) < float(r["bep(0,1)"]) < float(r["bep(0,0)"])
+
+
+def test_multiuser_curves_share_the_bm_inner_sums(monkeypatch, capsys):
+    # five BM curves on one code and grid: each P_t^h(p) is computed once
+    script = load_script("multiuser_curves")
+    real = errorprob.sphere_distance_prob
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(errorprob, "sphere_distance_prob", counting)
+    errorprob._decoded_prob.cache_clear()
+    assert script.main([]) == 0
+    shared = capsys.readouterr().out
+    assert len(calls) == len(set(calls)) == 561
+    # without the cache: four times the calls, and the same CSV byte for byte
+    monkeypatch.setattr(errorprob, "_decoded_prob", errorprob._decoded_prob.__wrapped__)
+    calls.clear()
+    assert script.main([]) == 0
+    assert capsys.readouterr().out == shared
+    assert len(calls) == 2244
 
 
 @pytest.mark.parametrize("snr, reason", [
