@@ -13,16 +13,22 @@ averaged weight distribution contracts those integer lists against E(w)
 over one common denominator (2^m - 1)^n.  `avg_binary_iowe` is an
 independent closed form of the two-block table.  All arithmetic here is
 exact (integers, or `Fraction` where a result needs it), which keeps
-every check a strict pass/fail.
+every check a strict pass/fail.  A product by (1+Z)^m - 1 is m passes of
+c_i + c_(i-1), one per factor 1+Z, less the polynomial itself, so no
+coefficient is multiplied.  `fractions` is imported by the functions
+that return a Fraction, so the error curves, which read only the
+polynomial products, never load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .mds_enum import (MdsParams, ProfileOutOfRangeError, binom, fixed_support_counts,
                        weight_distribution)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NotCharTwoError(ValueError):
@@ -37,6 +43,19 @@ def bits_per_symbol(q: int) -> int:
     return m
 
 
+def _times_one_plus_z(poly: list[int], times: int) -> list[int]:
+    """Coefficients of poly(Z) (1+Z)^times, one factor at a time."""
+    poly = poly + [0] * times
+    for _ in range(times):
+        poly = [a + b for a, b in zip(poly, [0, *poly])]
+    return poly
+
+
+def _times_pattern_poly(poly: list[int], m: int) -> list[int]:
+    """Coefficients of poly(Z) ((1+Z)^m - 1)."""
+    return [a - b for a, b in zip(_times_one_plus_z(poly, m), poly + [0] * m)]
+
+
 def pattern_weight_powers(m: int) -> Iterator[list[int]]:
     """Integer coefficient lists of ((1+Z)^m - 1)^w for w = 0, 1, 2, ...
 
@@ -44,16 +63,10 @@ def pattern_weight_powers(m: int) -> Iterator[list[int]]:
     carry b set bits in total; it is (2^m - 1)^w times the coefficient of
     Z^b in F(Z)^w, so callers stay in integers and divide once.
     """
-    g = [binom(m, j) for j in range(m + 1)]
     power = [1]
     while True:
         yield power
-        nxt = [0] * (len(power) + m)
-        for i, a in enumerate(power):
-            if a:
-                for j in range(1, m + 1):
-                    nxt[i + j] += a * g[j]
-        power = nxt
+        power = _times_pattern_poly(power, m)
 
 
 def avg_binary_weights_from_distribution(weights: Sequence[int], m: int) -> list[Fraction]:
@@ -63,6 +76,8 @@ def avg_binary_weights_from_distribution(weights: Sequence[int], m: int) -> list
     denominator (2^m-1)^n; returns the coefficient vector over binary
     weights 0..m*n.
     """
+    from fractions import Fraction
+
     n = len(weights) - 1
     den = (1 << m) - 1
     acc = [0] * (m * n + 1)
@@ -99,6 +114,8 @@ def avg_binary_iowe(params: MdsParams, s: int, w_b: int, h_b: int) -> Fraction:
         raise ProfileOutOfRangeError(f"s={s} not in [0, {n}]")
     if not 0 <= w_b <= m * s or not 0 <= h_b <= m * n:
         raise ProfileOutOfRangeError(f"(w_b, h_b) = ({w_b}, {h_b}) out of range")
+    from fractions import Fraction
+
     den = (1 << m) - 1
     f = fixed_support_counts(params)
     total = Fraction(0)
@@ -128,4 +145,6 @@ def binomial_approx(params: MdsParams, h_b: int) -> Fraction:
     m = bits_per_symbol(params.q)
     if not 0 <= h_b <= m * params.n:
         raise ProfileOutOfRangeError(f"h_b={h_b} not in [0, {m * params.n}]")
+    from fractions import Fraction
+
     return Fraction(binom(m * params.n, h_b), params.q ** (params.n - params.k))

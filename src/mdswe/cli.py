@@ -25,9 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .binary_avg import avg_binary_weights_from_distribution, avg_binary_wgf, bits_per_symbol
@@ -35,7 +33,8 @@ from .errorprob import error_curve, parse_condition, snr_grid
 from .mds_enum import MdsParams, PweTable, check_rs_params, pwgf
 
 # `gf` and `linear_code` are imported only where a generator is built or
-# enumerated, so that the closed forms on `rs:` specs never load them
+# enumerated, so that the closed forms on `rs:` specs never load them; `json`
+# only where JSON is read or written, so that a CSV curve never loads it
 if TYPE_CHECKING:
     from .linear_code import LinearCode
 
@@ -73,6 +72,8 @@ def parse_code_spec(spec: str) -> LinearCode:
     if kind == "dual":
         return dual(parse_code_spec(rest))
     if kind == "file":
+        import json
+
         with open(rest, encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
@@ -109,15 +110,16 @@ def parse_snr_range(text: str) -> list[float]:
 
 
 def _format_exact(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-            else str(value.numerator)
-    return str(value)
+    """An int or Fraction as "num/denom", or "num" when it is an integer."""
+    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
+        else str(value.numerator)
 
 
 def _emit(doc: dict, rows: list[dict], args) -> None:
     """Write the document as canonical JSON or CSV to --out / stdout."""
     if args.format == "json":
+        import json
+
         text = json.dumps(doc, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -227,7 +229,7 @@ def _cmd_binary(args) -> int:
         code = shape.code if shape.code is not None else parse_code_spec(args.code)
         weights = avg_binary_weights_from_distribution(
             brute_force_weights(code, budget=args.budget), m)
-    rows = [{"h_b": h, "exact": _format_exact(Fraction(w)), "float64": repr(float(w))}
+    rows = [{"h_b": h, "exact": _format_exact(w), "float64": repr(float(w))}
             for h, w in enumerate(weights)]
     doc = {"code": args.code, "bits_per_symbol": m,
            "rows": [{"h_b": r["h_b"], "exact": r["exact"],

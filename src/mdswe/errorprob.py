@@ -51,7 +51,11 @@ bit, so they only shift the result by F symbols and m F bits:
                / ((2^m-1)^n m n_u),
 
 exact integers up to that one division (the averaging factor
-(2^m-1)^-w of F(Z)^w is moved to the common denominator).  At m = 1,
+(2^m-1)^-w of F(Z)^w is moved to the common denominator).  Since
+(b/w) [Z^b]G^w = [Z^b] Z G' G^(w-1), the sum over w is the one product
+Z G'(Z) H(Z) with H = sum_w s_w G^(w-1), s_w = U(w) f(w+F) (2^m-1)^(n-w-F),
+and H is evaluated by Horner's rule: one multiplication by G per symbol
+weight, and no power of G is kept and no division made.  At m = 1,
 G = Z and the same contraction is the symbol profile.  'atmost' needs
 no bit cap, since b_i <= m floor(a n_i) <= floor(a m n_i).  Code-level
 SEP and BEP are the one-block case (n,) at m = 1 and m = log2 q, where
@@ -65,24 +69,29 @@ materialised, substituted into or filtered to get a profile; the tests
 keep that literal route as a reference and compare the two exactly.
 
 Floating point enters in one place, `_floats`: coefficients are exact
-integers or rationals until it converts each to binary64, and `_bm_sum`
-and `_ml_sum` then accumulate the terms smallest-first.
+integers, or integer numerators over one common denominator, until it
+divides each once (integer true division is correctly rounded, so c / den
+is float(Fraction(c, den)) and no Fraction is built).  `_bm_sum` and
+`_ml_sum` then add the terms with `math.fsum`, which is correctly rounded
+and so needs no sort.  The BM inner sum reads its binomials and float
+powers from cached tables (`_binomial_rows`, `_power_rows`); each term
+multiplies the same factors in the same order as the plain expression, so
+the floats do not change.  `fractions` is loaded only where a value is a
+Fraction: an 'atmost' condition.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
-from .binary_avg import bits_per_symbol, pattern_weight_powers
+from .binary_avg import _times_one_plus_z, _times_pattern_poly, bits_per_symbol
 from .mds_enum import (MdsParams, ParamOutOfRangeError, _validate_profile, binom,
                        fixed_support_counts, weight_distribution)
 
-
-class InternalError(ArithmeticError):
-    """An exact division guaranteed by theory failed (implementation bug)."""
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ConditionCountMismatchError(ValueError):
@@ -104,15 +113,37 @@ class ChannelPoint(NamedTuple):
     p_symbol: float
 
 
+def _linear_snr(gamma_db: float) -> float:
+    """10^(gamma_db / 10), or inf where that exceeds the float64 range."""
+    try:
+        return 10.0 ** (gamma_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def channel_map(gamma_db: float, n: int, k: int, m: int) -> ChannelPoint:
     """Map Eb/N0 in dB to bit/symbol error probabilities (rate-k/n BPSK)."""
-    gamma = 10.0 ** (gamma_db / 10.0)
-    p_bit = q_function(math.sqrt(2.0 * (k / n) * gamma))
+    p_bit = q_function(math.sqrt(2.0 * (k / n) * _linear_snr(gamma_db)))
     p_symbol = p_bit if m == 1 else 1.0 - (1.0 - p_bit) ** m
     return ChannelPoint(p_bit, p_symbol)
 
 
 # -- bounded-minimum-distance decoding ------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_rows(n: int, t: int) -> list[list[int]]:
+    """C(r, j) for r = 0..n and j = 0..min(r, t), all that P_t^h reads;
+    shared by every caller, so read only."""
+    return [[math.comb(r, j) for j in range(min(r, t) + 1)] for r in range(n + 1)]
+
+
+@functools.lru_cache(maxsize=64)
+def _power_rows(n: int, q: int, p: float) -> list[list[float]]:
+    """x**a for a = 0..n, by the same `**` as the plain expression, for x
+    = p1, 1 - p1, p and 1 - p with p1 = p/(q-1); read only."""
+    p1 = p / (q - 1)
+    return [[x**a for a in range(n + 1)] for x in (p1, 1.0 - p1, p, 1.0 - p)]
 
 
 def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
@@ -122,26 +153,30 @@ def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
 
     Splits over a = number of support coordinates where the error equals
     the codeword symbol (probability p/(q-1) each); the off-support part
-    must then contribute exactly t - h + a errors.
+    must then contribute exactly t - h + a errors.  Each term is
+    C(h, a) p1^a (1-p1)^(h-a) C(n-h, e) p^e (1-p)^(n-h-e) with p1 = p/(q-1),
+    its factors read from the cached rows (C(h, a) as C(h, h-a)).
     """
     if not 0 <= h <= n or not 0 <= t <= n:
         raise ParamOutOfRangeError(f"need 0 <= t, h <= n; got t={t}, h={h}, n={n}")
     if not 0.0 <= p <= 1.0:
         raise ParamOutOfRangeError(f"need 0 <= p <= 1, got {p}")
-    p1 = p / (q - 1)
-    terms = []
-    for a in range(max(0, h - t), h + 1):
+    binoms = _binomial_rows(n, t)
+    on, off = binoms[h], binoms[n - h]
+    p1, not_p1, pe, not_pe = _power_rows(n, q, p)
+    terms = []   # a loop: cheaper than a comprehension for these few terms
+    for a in range(max(0, h - t), min(h, n - t) + 1):
         e = t - h + a
-        if e < 0 or e > n - h:
-            continue
-        terms.append(binom(h, a) * p1**a * (1.0 - p1) ** (h - a)
-                     * binom(n - h, e) * p**e * (1.0 - p) ** (n - h - e))
-    return math.fsum(sorted(terms))
+        terms.append(on[h - a] * p1[a] * not_p1[h - a] * off[e] * pe[e] * not_pe[n - t - a])
+    return math.fsum(terms)
 
 
-def _floats(exact: dict[int, Union[int, Fraction]]) -> dict[int, float]:
-    """The float boundary: exact coefficients become binary64 here only."""
-    return {h: float(c) for h, c in exact.items()}
+def _floats(exact: dict[int, int], den: Optional[int] = None) -> dict[int, float]:
+    """The float boundary: exact integer coefficients, over the common
+    denominator `den` if one is given, become binary64 here only."""
+    if den is None:
+        return {h: float(c) for h, c in exact.items()}
+    return {h: c / den for h, c in exact.items()}
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -150,13 +185,11 @@ def _decoded_prob(n: int, q: int, tau: int, h: int, p: float) -> float:
     the radius-tau sphere of a fixed codeword of weight h.  It does not
     depend on the metric or the conditions, so the curves of one code and
     grid share it within a process."""
-    return math.fsum(sorted(sphere_distance_prob(n, q, h, t, p)
-                            for t in range(tau + 1)))
+    return math.fsum([sphere_distance_prob(n, q, h, t, p) for t in range(tau + 1)])
 
 
 def _bm_sum(coeffs: dict[int, float], n: int, q: int, tau: int, p: float) -> float:
-    terms = [c * _decoded_prob(n, q, tau, h, p) for h, c in coeffs.items() if c]
-    return math.fsum(sorted(terms))
+    return math.fsum([c * _decoded_prob(n, q, tau, h, p) for h, c in coeffs.items() if c])
 
 
 def cep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
@@ -167,7 +200,7 @@ def cep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
 
 def sep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
     """BM decoder symbol error probability: E(h) -> (h/n) E(h)."""
-    coeffs = _floats({h: Fraction(h * weights[h], n) for h in range(d, n + 1)})
+    coeffs = _floats({h: h * weights[h] for h in range(d, n + 1)}, n)
     return _bm_sum(coeffs, n, q, (d - 1) // 2, p)
 
 
@@ -175,10 +208,9 @@ def sep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
 
 def _ml_sum(coeffs: dict[int, float], rate: float, gamma_db: float) -> float:
     """Union bound sum_h coeff(h) Q(sqrt(2 h rate g)) for BPSK/AWGN, clipped."""
-    gamma = 10.0 ** (gamma_db / 10.0)
-    terms = [c * q_function(math.sqrt(2.0 * h * rate * gamma))
-             for h, c in coeffs.items() if c]
-    return min(1.0, max(0.0, math.fsum(sorted(terms))))
+    gamma = _linear_snr(gamma_db)
+    return min(1.0, max(0.0, math.fsum([c * q_function(math.sqrt(2.0 * h * rate * gamma))
+                                        for h, c in coeffs.items() if c])))
 
 
 # -- multiuser conditioning -------------------------------------------------
@@ -217,6 +249,8 @@ FULL = Condition("full")
 
 
 def at_most(fraction: Union[Fraction, float, str, int]) -> Condition:
+    from fractions import Fraction
+
     return Condition("atmost", Fraction(fraction))
 
 
@@ -244,10 +278,11 @@ def _cap(cond: Condition, block_total: int) -> int:
 
 
 def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
-                  conditions: Sequence[Condition], m: int) -> dict[int, Fraction]:
+                  conditions: Sequence[Condition], m: int) -> tuple[dict[int, int], int]:
     """Conditioned profile of one user at m bits per symbol (m = 1: symbol
     level): total weight -> sum of the user's weight share, by the
-    product-form contraction in the module docstring."""
+    product-form contraction in the module docstring.  Returned as the
+    nonzero integer numerators and their one common denominator."""
     if len(conditions) != len(sizes):
         raise ConditionCountMismatchError(
             f"{len(sizes)} blocks but {len(conditions)} conditions")
@@ -270,19 +305,15 @@ def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
                 for w1, c1 in enumerate(row):
                     nxt[w0 + w1] += c0 * c1
         conv = nxt
-    f = fixed_support_counts(params)
-    acc = [0] * (m * n + 1)
-    for w, power in zip(range(len(conv)), pattern_weight_powers(m)):
-        scale = conv[w] * f[w + full] * den ** (n - w - full)
-        if not scale:   # conv[0] = 0: the user's row carries the factor w
-            continue
-        for b in range(w, len(power)):   # [Z^b]G^w = 0 below b = w
-            share, rem = divmod(b * power[b], w)   # [Z^b] Z G'(Z) G(Z)^(w-1)
-            if rem:
-                raise InternalError(f"{b} * [Z^{b}]G^{w} = {b * power[b]} not divisible by {w}")
-            acc[b + m * full] += scale * share
-    total = den**n * m * sizes[user]
-    return {h: Fraction(c, total) for h, c in enumerate(acc) if c}
+    # H(Z) = sum_{w >= 1} s_w G^(w-1) with s_w = U(w) f(w+F) (2^m-1)^(n-w-F),
+    # by Horner's rule; U(0) = 0, since the user's row carries the factor w
+    f, h = fixed_support_counts(params), [0]
+    for w in range(len(conv) - 1, 0, -1):
+        h = _times_pattern_poly(h, m)
+        h[0] += conv[w] * f[w + full] * den ** (n - w - full)
+    # [Z^b] Z G'(Z) H(Z), with Z G'(Z) = m Z (1+Z)^(m-1)
+    return ({b + 1 + m * full: m * c for b, c in enumerate(_times_one_plus_z(h, m - 1)) if c},
+            den**n * m * sizes[user])
 
 
 # -- SNR sweeps ----------------------------------------------------------------
@@ -333,12 +364,11 @@ def error_curve(params: MdsParams, gammas: Sequence[float], metric: str,
     n, k, q, m = params.n, params.k, params.q, bits_per_symbol(params.q)
     if metric == "cep":
         weights = weight_distribution(params)
-        exact = {h: weights[h] for h in range(params.d, n + 1)}
+        coeffs = _floats({h: weights[h] for h in range(params.d, n + 1)})
     else:
         level = 1 if metric == "sep" else m
-        exact = (_user_profile(params, (n,), 0, (FREE,), level) if user is None
-                 else _user_profile(params, sizes, user, conditions, level))
-    coeffs = _floats(exact)
+        coeffs = _floats(*(_user_profile(params, (n,), 0, (FREE,), level) if user is None
+                           else _user_profile(params, sizes, user, conditions, level)))
     if metric == "bep":
         points = tuple((g, _ml_sum(coeffs, k / n, g)) for g in gammas)
     else:

@@ -133,8 +133,8 @@ class BmSphereOracle:
         weight = flags[:, 0].copy()
         for j in range(1, self.n):
             weight += flags[:, j]
-        heavy = weight >= self._min_weight
-        received = np.where(errors[heavy], values[heavy], 0) @ self._qpow
+        rows = np.flatnonzero(weight >= self._min_weight)
+        received = (values[rows] * errors[rows]) @ self._qpow
         idx = np.searchsorted(self._keys, received)
         idx = np.clip(idx, 0, len(self._keys) - 1)
         hit = self._keys[idx] == received

@@ -301,6 +301,13 @@ class TestErrprobCommand:
                                "--metric", "bep", "--snr", "4:6:1")
         assert code == 0
 
+    def test_snr_beyond_float_range_exits_zero(self, capsys):
+        # the linear SNR overflows to inf: an error-free channel, not an
+        # exact value at the float boundary
+        code, out, err = run_cli(capsys, "errprob", "--code", "rs:16:15:11", "--metric",
+                                 "cep", "--snr", "1e308:1e308:1", "--format", "csv")
+        assert (code, out, err) == (0, "gamma_db,probability\r\n1e+308,0.0\r\n", "")
+
     @pytest.mark.parametrize("metric", ["cep", "bep"])
     def test_float_overflow_exits_two(self, metric):
         # E(h) of (255,223,256) exceeds the float64 range

@@ -11,9 +11,9 @@ from mdswe import duality, mds_enum
 from mdswe.binary_avg import NotCharTwoError, avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition,
                              ConditionCountMismatchError, ErrorCurve,
-                             ParamOutOfRangeError, at_most, cep_bm, channel_map, error_curve,
-                             parse_condition, q_function, sep_bm, snr_grid,
-                             sphere_distance_prob)
+                             ParamOutOfRangeError, _floats, _user_profile, at_most, cep_bm,
+                             channel_map, error_curve, parse_condition, q_function, sep_bm,
+                             snr_grid, sphere_distance_prob)
 from mdswe.gf import Field
 from mdswe.linear_code import brute_force_weights, code_from_generator, dual, rs_code
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
@@ -38,6 +38,27 @@ def _bep_reference(params, gamma_db):
              * q_function(math.sqrt(2.0 * h * (params.k / n) * gamma))
              for h in range(1, m * n + 1) if avg[h]]
     return min(1.0, math.fsum(sorted(terms)))
+
+
+def _exact_profile(params, sizes, user, conditions, m):
+    """The user profile as exact Fractions, built from the integer
+    numerators and the one common denominator `_user_profile` returns."""
+    numerators, den = _user_profile(params, sizes, user, conditions, m)
+    return {h: Fraction(c, den) for h, c in numerators.items()}
+
+
+def _plain_sphere_distance_prob(n, q, h, t, p):
+    """P_t^h with every binomial and power recomputed in each term and the
+    terms summed sorted: the expression the cached rows must reproduce."""
+    p1 = p / (q - 1)
+    terms = []
+    for a in range(max(0, h - t), h + 1):
+        e = t - h + a
+        if e < 0 or e > n - h:
+            continue
+        terms.append(math.comb(h, a) * p1**a * (1.0 - p1) ** (h - a)
+                     * math.comb(n - h, e) * p**e * (1.0 - p) ** (n - h - e))
+    return math.fsum(sorted(terms))
 
 
 def _bep_point(params, gamma_db):
@@ -109,6 +130,14 @@ class TestSphereDistanceProb:
         v = sphere_distance_prob(7, 8, h, t, p)
         assert -1e-15 <= v <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("n,q", [(7, 8), (15, 16), (63, 64)])
+    @pytest.mark.parametrize("p", [0.0, 1e-6, 0.01, 0.3, 1.0])
+    def test_bit_identical_to_plain_expression(self, n, q, p):
+        for h in range(n + 1):
+            for t in range(n + 1):
+                assert sphere_distance_prob(n, q, h, t, p).hex() == \
+                    _plain_sphere_distance_prob(n, q, h, t, p).hex(), (h, t)
+
     def test_param_validation(self):
         with pytest.raises(ParamOutOfRangeError):
             sphere_distance_prob(7, 8, 9, 0, 0.1)
@@ -128,6 +157,20 @@ class TestBmDecoder:
         E = weight_distribution(P738)
         assert cep_bm(E, 7, 5, 0.0, 8) == 0.0
         assert sep_bm(E, 7, 5, 0.0, 8) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 6])
+    @pytest.mark.parametrize("sizes,user,conditions", [
+        ((63,), 0, (FREE,)), (SIZES_6351, 1, (FREE,) * 4),
+        (SIZES_6351, 2, (ZERO, FULL, FREE, at_most(Fraction(1, 2))))],
+        ids=["code", "free", "conditioned"])
+    def test_float_boundary_equals_fraction_floats(self, m, sizes, user, conditions):
+        # integer true division is correctly rounded, as float(Fraction) is
+        numerators, den = _user_profile(P6351, sizes, user, conditions, m)
+        assert numerators and all(numerators.values())
+        assert _floats(numerators, den) == \
+            {h: float(Fraction(c, den)) for h, c in numerators.items()}
+        E = weight_distribution(P6351)
+        assert _floats({h: E[h] for h in range(64)}) == {h: float(E[h]) for h in range(64)}
 
     def test_sep_below_cep(self):
         E = weight_distribution(P1511)
@@ -155,10 +198,8 @@ class TestMlUnionBounds:
     def test_bit_coefficient_ratio(self):
         # the BEP coefficient is (h / mn) E~(h) for every weight: the
         # one-block profile at m bits per symbol
-        from mdswe.errorprob import _user_profile
-
         avg = avg_binary_wgf(P738)
-        assert _user_profile(P738, (7,), 0, (FREE,), 3) == \
+        assert _exact_profile(P738, (7,), 0, (FREE,), 3) == \
             {h: Fraction(h, 21) * avg[h] for h in range(1, 22) if avg[h]}
 
     @pytest.mark.parametrize("params", [P738, P1511, P6351], ids=["7,3", "15,11", "63,51"])
@@ -282,23 +323,19 @@ class TestMultiuser:
     def test_all_free_profile_at_scale(self):
         # property A on (63,51,64): every user's all-free profile is
         # h E(h) / n at symbol level and (h/(mn)) E~(h) at m = 6, exactly
-        from mdswe.errorprob import _user_profile
-
         E, avg = weight_distribution(P6351), avg_binary_wgf(P6351)
         symbol = {h: Fraction(h * E[h], 63) for h in range(1, 64) if E[h]}
         bits = {h: Fraction(h, 6 * 63) * avg[h] for h in range(1, 6 * 63 + 1) if avg[h]}
         for u in range(4):
-            assert _user_profile(P6351, SIZES_6351, u, (FREE,) * 4, 1) == symbol
-            assert _user_profile(P6351, SIZES_6351, u, (FREE,) * 4, 6) == bits
+            assert _exact_profile(P6351, SIZES_6351, u, (FREE,) * 4, 1) == symbol
+            assert _exact_profile(P6351, SIZES_6351, u, (FREE,) * 4, 6) == bits
 
     def test_all_free_bit_profile_at_paper_scale(self):
         # (255,223,256), blocks (60,60,60,75): one 1-D convolution over
         # symbol weight, then the same exact identity as above
-        from mdswe.errorprob import _user_profile
-
         params = MdsParams(255, 223, 256)
         avg = avg_binary_wgf(params)
-        assert _user_profile(params, (60, 60, 60, 75), 2, (FREE,) * 4, 8) == \
+        assert _exact_profile(params, (60, 60, 60, 75), 2, (FREE,) * 4, 8) == \
             {h: Fraction(h, 8 * 255) * avg[h] for h in range(1, 8 * 255 + 1) if avg[h]}
 
     @pytest.mark.parametrize("metric", ["sep", "bep"])
@@ -319,8 +356,6 @@ class TestMultiuser:
         # contracts them against f(w); the literal pipeline materialises
         # the PWGF, substitutes into all blocks, filters at bit level, then
         # extracts
-        from mdswe.errorprob import _user_profile
-
         half = at_most(Fraction(1, 2))
         cases = [(P738, (1, 1, 2, 3), user, conds)
                  for conds in [(FREE,) * 4, (ZERO, FULL, FREE, FREE),
@@ -349,7 +384,7 @@ class TestMultiuser:
                     if w:
                         expected[h] = expected.get(h, Fraction(0)) + \
                             Fraction(w, scale * sizes[user]) * c
-                assert _user_profile(params, sizes, user, conds, scale) == expected
+                assert _exact_profile(params, sizes, user, conds, scale) == expected
 
     def test_user_condition_must_be_free_or_atmost(self):
         with pytest.raises(ValueError, match="free or atmost"):
@@ -387,6 +422,14 @@ class TestCurves:
             probs = [v for _, v in curve.points]
             assert all(0.0 <= v <= 1.0 for v in probs)
             assert all(b <= a for a, b in zip(probs, probs[1:]))
+
+    @pytest.mark.parametrize("metric", ["cep", "sep", "bep"])
+    def test_snr_beyond_float_range_is_error_free(self, metric):
+        # 10^(g/10) overflows binary64 above ~3082.5 dB; the linear SNR is
+        # then inf and the channel error-free, as at 3000 dB and at inf
+        grid = [3000.0, 3083.0, 1e4, 1e308, math.inf]
+        assert error_curve(P1511, grid, metric).points == tuple((g, 0.0) for g in grid)
+        assert channel_map(1e4, 15, 11, 4) == (0.0, 0.0)
 
     def test_bep_curve_monotone(self):
         probs = [v for _, v in error_curve(P738, self.GRID, "bep").points]

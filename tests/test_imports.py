@@ -5,8 +5,11 @@ generator-matrix codes, `SparsePoly`, the nested-sum and exhaustive
 oracles nor `dataclasses` (which loads `inspect`): importing the package,
 the CLI or the error curves, running a closed-form `errprob`, `pwe` or
 `binary`, and running either experiment script must leave them
-unloaded.  Each import check runs in a fresh interpreter, because this
-test process has loaded everything already.
+unloaded.  A CSV error curve also leaves `fractions` (with `decimal`) and
+`json` unloaded; the commands that print a Fraction or JSON, or parse an
+'atmost' fraction, load them where they do.  Each import check runs in a
+fresh interpreter, because this test process has loaded everything
+already.
 """
 
 import re
@@ -23,6 +26,8 @@ from mdswe.cli import main
 HEAVY = ("numpy", "mdswe.verify", "mdswe.montecarlo", "mdswe.duality",
          "mdswe.linear_code", "mdswe.poly", "mdswe.gf", "mdswe.nested_sum",
          "dataclasses", "inspect")
+# unused by a CSV curve: loaded only for a Fraction result or a JSON document
+CURVE_UNUSED = ("fractions", "decimal", "json")
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 MULTIUSER = str(SCRIPTS / "multiuser_curves.py")
 SPECTRUM = str(SCRIPTS / "binary_spectrum.py")
@@ -69,6 +74,39 @@ def test_closed_forms_leave_heavy_modules_unloaded(statement):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def _unloaded_after(statement: str, modules: tuple[str, ...]) -> list[str]:
+    probe = f"import sys\n{statement}\nprint(*[m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("statement", [
+    *(f"import mdswe.cli, os; assert mdswe.cli.main(['errprob', '--code', 'rs:64:63:51', "
+      f"'--metric', '{metric}', '--snr', '4:8:0.25', '--format', 'csv', '--out', "
+      "os.devnull]) == 0" for metric in ("cep", "bep")),
+    f"import runpy; runpy.run_path({MULTIUSER!r})['main']"
+    "(['--snr', '4:8:1', '--out', __import__('os').devnull])",
+], ids=["errprob-cep-csv", "errprob-bep-csv", "multiuser-script"])
+def test_csv_curves_leave_fractions_and_json_unloaded(statement):
+    assert _unloaded_after(statement, CURVE_UNUSED) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("errprob", "--code", "rs:16:15:11", "--metric", "cep", "--snr", "4:6:1"),
+    ("binary", "--code", "rs:8:7:3", "--format", "csv"),
+    ("errprob", "--code", "rs:16:15:11", "--metric", "sep", "--snr", "4:6:1", "--format",
+     "csv", "--partition", "3,3,5,4", "--user", "3", "--condition",
+     "atmost:1/2,free,free,free"),
+], ids=["errprob-json", "binary", "atmost-condition"])
+def test_lazy_imports_load_where_used(capsys, argv):
+    # a cold call prints what this process, which has every module loaded, prints
+    proc = subprocess.run([sys.executable, "-m", "mdswe.cli", *argv], capture_output=True)
+    assert main(list(argv)) == 0
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == \
+        (0, capsys.readouterr().out, b"")
 
 
 def test_verify_builds_its_pool_before_numpy_loads():
