@@ -229,12 +229,10 @@ def _cmd_binary(args) -> int:
         code = shape.code if shape.code is not None else parse_code_spec(args.code)
         weights = avg_binary_weights_from_distribution(
             brute_force_weights(code, budget=args.budget), m)
-    rows = [{"h_b": h, "exact": _format_exact(w), "float64": repr(float(w))}
-            for h, w in enumerate(weights)]
-    doc = {"code": args.code, "bits_per_symbol": m,
-           "rows": [{"h_b": r["h_b"], "exact": r["exact"],
-                     "float64": float(r["float64"])} for r in rows]}
-    _emit(doc, rows, args)
+    doc_rows = [{"h_b": h, "exact": _format_exact(w), "float64": float(w)}
+                for h, w in enumerate(weights)]
+    rows = [{**r, "float64": repr(r["float64"])} for r in doc_rows]
+    _emit({"code": args.code, "bits_per_symbol": m, "rows": doc_rows}, rows, args)
     return 0
 
 

@@ -13,7 +13,7 @@ property; a code has it iff its dual does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -112,17 +112,19 @@ class PropertyAWitness:
 class PropertyAReport:
     """Outcome of the uniform-coordinate-weight check.
 
-    `holds` is true iff `witnesses` is empty; each witness records a
+    The property holds iff `witnesses` is empty; each witness records a
     (coordinate, weight class) pair whose observed coordinate weight sum
     differs from h*E(h)/n.
     """
 
-    holds: bool
     witnesses: tuple[PropertyAWitness, ...]
-    method: str = dataclass_field(
-        default="per-coordinate sums compared exactly against h*E(h)/n; "
-                "subset sums are linear in coordinate sums, so this is "
-                "equivalent to the all-subsets statement")
+    method = ("per-coordinate sums compared exactly against h*E(h)/n; "
+              "subset sums are linear in coordinate sums, so this is "
+              "equivalent to the all-subsets statement")
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
     def __bool__(self) -> bool:
         return self.holds
@@ -150,7 +152,7 @@ def property_a_check(code: LinearCode, budget: Optional[int] = None) -> Property
         for i in range(n):
             if per_coord[h][i] != expected:
                 witnesses.append(PropertyAWitness(i, h, per_coord[h][i], expected))
-    return PropertyAReport(not witnesses, tuple(witnesses))
+    return PropertyAReport(tuple(witnesses))
 
 
 def dual_property_a(code: LinearCode, budget: Optional[int] = None) -> tuple[bool, bool]:

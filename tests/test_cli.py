@@ -418,26 +418,6 @@ def test_removed_flags_are_usage_errors(capsys, argv):
 
 
 class TestVerifyCommand:
-    def test_identities_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "identities",
-                               "--seed", "7")
-        assert code == 0
-        assert "FAIL" not in out
-
-    @pytest.mark.parametrize("seed", ["0", "5"])
-    def test_duality_suite_passes_at_seed(self, capsys, seed):
-        # at these seeds some first (n, k) draw over GF(8) has a dual beyond
-        # the enumeration budget, so the suite must draw again
-        code, out, _ = run_cli(capsys, "verify", "--suite", "duality", "--seed", seed)
-        assert code == 0
-        assert "FAIL" not in out
-
-    def test_oracle_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--seed", "7")
-        assert code == 0
-        assert out.startswith("ok   - oracle:direct==product==brute-force")
-        assert "(98 codes, 1960 tables)" in out
-
     def test_oracle_suite_catches_one_wrong_entry(self, monkeypatch):
         field = verify.field_from_order(8)
         monkeypatch.setattr(verify, "_oracle_codes", lambda: iter([(field, 8, 7, 3)]))
@@ -452,7 +432,7 @@ class TestVerifyCommand:
             return table
 
         monkeypatch.setattr(nested_sum, "pwe_direct_table", perturbed)
-        [result] = verify.suite_oracle(random.Random(7), partitions_per_code=3)
+        [result] = verify.suite_oracle(random.Random(7), 7, partitions_per_code=3)
         assert not result.passed
         assert f"failures: [(8, 7, 3, {seen[0]}, {seen[0]})]" in result.detail
 
@@ -571,12 +551,24 @@ class TestVerifyPool:
         assert built == [2]
         assert multiprocessing.active_children() == []
 
+    # a run whose second suite blocks: the pool forks, so its workers
+    # inherit the registered suite, and the run cannot end before the interrupt
+    BLOCKED_RUN = "\n".join([
+        "import time",
+        "from mdswe import cli, verify",
+        "def suite_block(rng, seed):",
+        "    time.sleep(60)",
+        "    return []",
+        "verify.SUITES['block'] = suite_block",
+        "cli.main(['verify', '--suite', 'gf,block'])",
+    ])
+
     def test_interrupt_stops_the_workers_quietly(self):
         # Ctrl-C signals the whole process group; the workers ignore it,
         # and the parent alone stops the run
-        proc = subprocess.Popen([sys.executable, "-u", "-m", "mdswe.cli", "verify",
-                                 "--suite", "all"], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        proc = subprocess.Popen([sys.executable, "-u", "-c", self.BLOCKED_RUN],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
         pgid = proc.pid
         try:
             assert proc.stdout.readline().startswith("ok")

@@ -15,7 +15,7 @@ from mdswe.errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition,
                              channel_map, error_curve, parse_condition, q_function, sep_bm,
                              snr_grid, sphere_distance_prob)
 from mdswe.gf import Field
-from mdswe.linear_code import brute_force_weights, code_from_generator, dual, rs_code
+from mdswe.linear_code import code_from_generator, dual
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
 from mdswe.montecarlo import BmSphereOracle
 
@@ -117,13 +117,6 @@ class TestSphereDistanceProb:
             assert sphere_distance_prob(n, q, h, t, p) == pytest.approx(
                 oracle[t], abs=1e-14)
 
-    @pytest.mark.parametrize("q,n", [(2, 7), (8, 7), (16, 15)])
-    def test_total_probability(self, q, n):
-        for h in range(n + 1):
-            for p in (0.01, 0.1, 0.4):
-                total = sum(sphere_distance_prob(n, q, h, t, p) for t in range(n + 1))
-                assert abs(total - 1.0) <= 1e-12
-
     @given(st.floats(0.0, 1.0), st.integers(0, 7), st.integers(0, 7))
     @settings(max_examples=60, deadline=None)
     def test_in_unit_interval(self, p, h, t):
@@ -176,14 +169,6 @@ class TestBmDecoder:
         E = weight_distribution(P1511)
         for p in (0.01, 0.05, 0.2):
             assert sep_bm(E, 15, 5, p, 16) <= cep_bm(E, 15, 5, p, 16)
-
-    @pytest.mark.parametrize("p", [0.05, 0.1, 0.2])
-    def test_monte_carlo_agreement(self, p):
-        code = rs_code(Field(2, 3), 7, 3)
-        E = brute_force_weights(code)
-        sim = BmSphereOracle(code).simulate(p, 200_000, seed=7)
-        assert sim.cep.within(cep_bm(E, 7, 5, p, 8))
-        assert sim.sep.within(sep_bm(E, 7, 5, p, 8))
 
     def test_oracle_rejects_zero_code(self):
         zero = dual(code_from_generator(Field(2, 1), [[1, 0], [0, 1]]))
@@ -345,12 +330,6 @@ class TestMultiuser:
                             (ZERO, FULL, FREE, FREE))
         assert curve.points == ((math.inf, 0.0),)
 
-    def test_conditional_ordering_at_fixed_gamma(self):
-        v00, v01, v11 = (error_curve(P1511, [5.0], "sep", SIZES_1511, 2, conds).points[0][1]
-                         for conds in [(ZERO, ZERO, FREE, FREE), (ZERO, FULL, FREE, FREE),
-                                       (FULL, FULL, FREE, FREE)])
-        assert v11 < v01 < v00
-
     def test_collapsed_bit_route_matches_literal_pipeline(self):
         # the production path convolves per-block symbol-weight rows and
         # contracts them against f(w); the literal pipeline materialises
@@ -416,13 +395,6 @@ class TestCurves:
         with pytest.raises(ValueError, match="more than 100000 points"):
             snr_grid(0.0, 100_000.0, 1.0)
 
-    def test_bm_curves_monotone_and_bounded(self):
-        for metric in ("cep", "sep"):
-            curve = error_curve(P1511, self.GRID, metric)
-            probs = [v for _, v in curve.points]
-            assert all(0.0 <= v <= 1.0 for v in probs)
-            assert all(b <= a for a, b in zip(probs, probs[1:]))
-
     @pytest.mark.parametrize("metric", ["cep", "sep", "bep"])
     def test_snr_beyond_float_range_is_error_free(self, metric):
         # 10^(g/10) overflows binary64 above ~3082.5 dB; the linear SNR is
@@ -435,11 +407,6 @@ class TestCurves:
         probs = [v for _, v in error_curve(P738, self.GRID, "bep").points]
         assert all(b <= a for a, b in zip(probs, probs[1:]))
         assert all(0.0 <= v <= 1.0 for v in probs)
-
-    def test_unconditional_sep_identical_across_users(self):
-        curves = [error_curve(P1511, self.GRID, "sep", SIZES_1511, u, (FREE,) * 4)
-                  for u in range(3)]
-        assert curves[0].points == curves[1].points == curves[2].points
 
     @pytest.mark.parametrize("params", [P1511, P6351], ids=["15,11", "63,51"])
     def test_code_sep_equals_sep_bm(self, params):

@@ -4,9 +4,6 @@ from hypothesis import given, strategies as st
 from mdswe.gf import (DegreeMismatchError, Field, NotIrreducibleError, NotPrimeError,
                       field_from_order, parse_field_spec)
 
-SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
-LARGER_ORDERS = [27, 32, 64, 128, 256]
-
 
 def test_construction_gf8():
     f = Field(2, 3, (1, 1, 0, 1))  # x^3 + x + 1
@@ -56,47 +53,6 @@ def test_division_by_zero():
     f = Field(2, 3)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-
-
-@pytest.mark.parametrize("q", SMALL_ORDERS + LARGER_ORDERS)
-def test_inverses_exhaustive(q):
-    f = field_from_order(q)
-    for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == 1
-
-
-@pytest.mark.parametrize("q", SMALL_ORDERS)
-def test_ring_axioms_exhaustive(q):
-    f = field_from_order(q)
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-
-
-@pytest.mark.parametrize("q", SMALL_ORDERS + LARGER_ORDERS)
-def test_multiplicative_group_is_cyclic(q):
-    f = field_from_order(q)
-    g = f.generator()
-    seen = set()
-    v = 1
-    for _ in range(q - 1):
-        seen.add(v)
-        v = f.mul(v, g)
-    assert seen == set(range(1, q))
-
-
-@pytest.mark.parametrize("q", [8, 16, 64, 256])
-def test_table_path_matches_raw_exhaustive(q):
-    f = field_from_order(q)
-    f.build_tables()
-    for a in range(q):
-        for b in range(q):
-            assert f.mul(a, b) == f._mul_raw(a, b)
-    for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == 1
 
 
 @given(st.sampled_from([4, 8, 9, 16, 27]), st.data())

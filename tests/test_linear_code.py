@@ -126,14 +126,6 @@ class TestRsCode:
         for i in range(3):
             assert [c.generator[i][j] for j in range(3)] == [int(i == j) for j in range(3)]
 
-    def test_eval_point_order_does_not_change_enumerator(self):
-        g = F8.generator()
-        pts = [F8.pow(g, i) for i in range(7)]
-        part = Partition.contiguous((2, 5))
-        t1 = brute_force_pwe(rs_code(F8, 7, 3, eval_points=pts), part)
-        t2 = brute_force_pwe(rs_code(F8, 7, 3, eval_points=list(reversed(pts))), part)
-        assert t1 == t2
-
     def test_min_weight_at_least_d_exhaustive(self):
         for q, n, k in [(4, 3, 2), (8, 7, 3), (8, 7, 5), (16, 15, 4)]:
             c = rs_code(Field(2, q.bit_length() - 1), n, k)

@@ -15,8 +15,7 @@ from mdswe.linear_code import Partition, brute_force_pwe, rs_code
 from mdswe.mds_enum import (MdsParams, ProfileOutOfRangeError, PweTable, binom,
                             check_rs_params, coordinate_weight_sum, fixed_support_counts,
                             iowe, pwe_product, pwgf, weight_distribution)
-from mdswe.nested_sum import (check_convolution_identity, check_subset_identity, psi,
-                              pwe_direct, pwe_direct_table)
+from mdswe.nested_sum import psi, pwe_direct, pwe_direct_table
 
 from literal_pipeline import as_poly, fixed_support_counts_by_sum
 
@@ -293,30 +292,10 @@ class TestCoordinateWeightSum:
 
 
 class TestIdentities:
-    @pytest.mark.parametrize("prm,h", [(P738, 5), (P1511, 5), (P738, 7)])
-    def test_convolution_identity(self, prm, h):
-        res = check_convolution_identity(prm, h)
-        assert res.holds and res.lhs == res.rhs
-
     def test_convolution_rhs_is_E(self):
         # psi(h,0) * C(n,h) telescopes to the weight distribution
         for h in range(P738.d, 8):
             assert psi(P738, h, 0) * binom(7, h) == weight_distribution(P738)[h]
-
-    @pytest.mark.parametrize("prm", [P738, P758])
-    def test_subset_identity_all_s_h(self, prm):
-        for s in range(1, prm.k + 1):
-            for h in range(prm.d, prm.n + 1):
-                assert check_subset_identity(prm, s, h).holds
-
-    def test_s_coordinate_weight_share(self):
-        # n * sum_w w * iowe(s, w, h) == s * h * E(h), as integers
-        for prm in (P738, P758):
-            E = weight_distribution(prm)
-            for s in range(1, prm.n):
-                for h in range(prm.n + 1):
-                    lhs = prm.n * sum(w * iowe(prm, s, w, h) for w in range(1, s + 1))
-                    assert lhs == s * h * E[h]
 
 
 def _random_sizes(rng, n):
