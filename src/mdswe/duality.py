@@ -136,13 +136,13 @@ def property_a_check(code: LinearCode, budget: Optional[int] = None) -> Property
 
     hist = support_histogram(code, budget)
     n = code.n
-    bits = hist.bits()
-    weight = bits.sum(axis=1)
     weights = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(weights, weight, hist.counts)
     # per_coord[h][i]: total count of the weight-h masks covering coordinate i
     per_coord = np.zeros((n + 1, n), dtype=np.int64)
-    np.add.at(per_coord, weight, bits * hist.counts[:, None])
+    for bits, counts in hist.bit_chunks():
+        weight = bits.sum(axis=1)
+        np.add.at(weights, weight, counts)
+        np.add.at(per_coord, weight, bits * counts[:, None])
     weights, per_coord = weights.tolist(), per_coord.tolist()
     witnesses = []
     for h in range(1, n + 1):

@@ -31,12 +31,13 @@ from .mds_enum import LengthExceedsFieldError, PweTable, check_rs_params  # noqa
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
-# rows per numpy chunk during enumeration (memory cap, not a semantics knob).
-# Chunks stay at a few MB: glibc serves later arrays smaller than the
-# largest one freed so far from its heap, where freed memory stays resident
-# (`mdswe verify --suite all` peaked at 105 MB with 1 << 21 rows, 81 MB
-# with 1 << 18).
-_CHUNK_ROWS = 1 << 18
+# bytes per numpy chunk during enumeration and unpacking (memory cap, not a
+# semantics knob): a chunk of codewords, or of unpacked support bits, holds
+# at most this many bytes, whatever the code's length.  Chunks stay at a
+# few MB: glibc serves later arrays smaller than the largest one freed so
+# far from its heap, where freed memory stays resident (`mdswe verify
+# --suite all` peaked at 105 MB with 32 MiB chunks, 81 MB with 4 MiB).
+_CHUNK_BYTES = 1 << 22
 
 
 class RankDeficientError(ValueError):
@@ -229,12 +230,19 @@ class SupportHistogram:
         self.masks.flags.writeable = False
         self.counts.flags.writeable = False
 
-    def bits(self):
-        """(M, n) uint8 array: row i holds the support of mask i, one 0/1 per coordinate."""
+    def bit_chunks(self) -> Iterator[tuple[Any, Any]]:
+        """The masks' support bits in consecutive row chunks of at most
+        `_CHUNK_BYTES` (one chunk when all fit), as (bits, counts) pairs: row
+        i of the (R, n) uint8 `bits` holds one 0/1 per coordinate, and
+        `counts` is the (R,) slice of `self.counts` for those rows."""
         import numpy as np
 
-        return np.unpackbits(self.masks.view(np.uint8), axis=1, count=self.n,
-                             bitorder="little")
+        step = max(1, _CHUNK_BYTES // max(1, self.n))
+        for start in range(0, len(self.counts), step):
+            masks = self.masks[start:start + step]
+            yield (np.unpackbits(masks.view(np.uint8), axis=1, count=self.n,
+                                 bitorder="little"),
+                   self.counts[start:start + step])
 
 
 def _sum_by_row(rows, counts):
@@ -310,7 +318,8 @@ def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
     # nonzero message symbol is 1 are tallied: g_t + span(g_0..g_{t-1}) for
     # t = 0..k-1, (q^k - 1)/(q - 1) words, each standing for q - 1.  The
     # span of the first i rows is held as one array while it fits in a
-    # chunk; the rest of the span is added one offset at a time.
+    # chunk of `_CHUNK_BYTES`; the rest of the span is added one offset at a
+    # time.
     span = np.zeros((1, padded * planes), dtype=dtype)
     i = 0
     for t in range(k):
@@ -319,7 +328,7 @@ def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
             for row_idx, v in enumerate(combo, start=i):
                 offset = combine(offset, mult[row_idx][v])
             tally(combine(span, offset))
-        if i == t < k - 1 and len(span) * q <= _CHUNK_ROWS:
+        if i == t < k - 1 and q * span.nbytes <= _CHUNK_BYTES:
             span = combine(span[None, :, :], mult[t][:, None, :]).reshape(-1, span.shape[1])
             i += 1
     masks, counts = _sum_by_row(np.concatenate([f[0] for f in found]),
@@ -346,7 +355,9 @@ def brute_force_pwe(code: LinearCode, partition: Partition,
     # indicator, in the narrowest type that holds n (small keys sort fast)
     member = np.zeros((code.n, partition.p), dtype=np.min_scalar_type(code.n))
     member[np.arange(code.n), partition.assignment] = 1
-    profiles, counts = _sum_by_row(hist.bits() @ member, hist.counts)
+    parts = [bits @ member for bits, _ in hist.bit_chunks()]
+    profiles, counts = _sum_by_row(parts[0] if len(parts) == 1 else np.concatenate(parts),
+                                   hist.counts)
     return PweTable(partition.sizes, dict(zip(map(tuple, profiles.tolist()), counts.tolist())))
 
 
@@ -356,7 +367,8 @@ def brute_force_weights(code: LinearCode, budget: Optional[int] = None) -> list[
 
     hist = support_histogram(code, budget)
     E = np.zeros(code.n + 1, dtype=np.int64)
-    np.add.at(E, hist.bits().sum(axis=1), hist.counts)
+    for bits, counts in hist.bit_chunks():
+        np.add.at(E, bits.sum(axis=1), counts)
     return E.tolist()
 
 

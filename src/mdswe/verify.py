@@ -14,8 +14,11 @@ and then ``errorprob`` (`LONGEST_FIRST`), and the rest in the order asked
 for, so the short suites fill in around the long ones.  The lines still
 print in the order asked for, the same lines a one-at-a-time run prints:
 each suite's lines as soon as it and every suite before it are done.  A
-name asked for twice runs and prints twice.  A run of one suite, or on
-one CPU, stays in the calling process.
+name asked for twice runs and prints twice.  Each worker starts in
+`_init_worker`, which ignores SIGINT and caps OpenBLAS at one thread
+before the worker's first numpy import: no suite calls BLAS, and the
+pool already runs one worker per CPU.  A run of one suite, or on one
+CPU, stays in the calling process.
 
 `tests/test_verify_suites.py` runs every check of `SUITES` as one pytest
 case; a unit test does not repeat what a check covers.
@@ -576,6 +579,19 @@ def _start_order(names: list[str]) -> list[int]:
             + [i for i, name in enumerate(names) if name not in LONGEST_FIRST])
 
 
+def _init_worker() -> None:
+    """Set up a pool worker: ignore SIGINT, and cap OpenBLAS at one thread.
+
+    The interrupt reaches the parent alone.  The suites' only matrix
+    products are on integers, which numpy does not hand to BLAS, so
+    OpenBLAS's thread pool would only slow the worker's first numpy
+    import, where the variable is read.  A value already set is kept.
+    """
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
 def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> bool:
     """Run the named suites; print one line per check.  True iff all pass.
 
@@ -593,13 +609,12 @@ def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> 
     if workers <= 1:
         return _report((_run_suite(name, seed) for name in names), stream)
     import multiprocessing
-    import signal
     # Built before the parent loads numpy (the suites load it in the
-    # workers), so the workers fork from a single-threaded process.  The
-    # workers ignore SIGINT: an interrupt reaches the parent alone, and
-    # leaving the block terminates and joins them, also on an error.
-    with multiprocessing.Pool(workers, initializer=signal.signal,
-                              initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+    # workers), so the workers fork from a single-threaded process, and
+    # `_init_worker` caps each one's BLAS threads before its first numpy
+    # import.  Leaving the block terminates and joins the workers, also on
+    # an error.
+    with multiprocessing.Pool(workers, initializer=_init_worker) as pool:
         pending: list = [None] * len(names)
         for i in _start_order(names):
             pending[i] = pool.apply_async(_run_suite, (names[i], seed))

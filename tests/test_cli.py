@@ -111,6 +111,24 @@ class TestBruteCommand:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize("m, peak_mb", [(13, 128), (14, None)])
+    def test_long_code_tally_in_bounded_memory(self, tmp_path, m, peak_mb):
+        # 2^(m+1) codewords of length 2^m: the words and their support bits
+        # are held a few MB at a time, not codewords x length at once
+        out = tmp_path / "out.json"
+        with open(out, "w") as stdout:
+            proc = subprocess.Popen([sys.executable, "-m", "mdswe.cli", "brute", "--code",
+                                     f"rm1:{m}", "--partition", str(1 << m)],
+                                    stdout=stdout, stderr=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        doc = json.loads(out.read_text())
+        half = {"profile": [1 << (m - 1)], "count": str((1 << (m + 1)) - 2)}
+        assert doc["total"] == str(1 << (m + 1)) and half in doc["terms"]
+        if peak_mb is not None:
+            assert usage.ru_maxrss < peak_mb * 1024   # kB on Linux
+
 
 class TestBinaryCommand:
     def test_rows_match_library(self, capsys):
@@ -590,6 +608,37 @@ class TestVerifyPool:
             proc.wait()
         assert "ForkPoolWorker" not in err
         assert "KeyboardInterrupt" in err
+
+    @pytest.mark.parametrize("preset, expect", [(None, "1"), ("3", "3")])
+    def test_worker_init_ignores_sigint_and_caps_blas_threads(self, monkeypatch,
+                                                              preset, expect):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unrestored")   # restored at teardown
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        handler = signal.getsignal(signal.SIGINT)
+        try:
+            verify._init_worker()
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == expect
+
+    def test_workers_run_with_one_blas_thread(self, monkeypatch):
+        def suite_env(rng, seed):
+            threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+            return [verify.CheckResult("env:blas-threads", True, threads)]
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unrestored")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setitem(verify.SUITES, "env", suite_env)
+        built = self._pools(monkeypatch)
+        stream = io.StringIO()
+        assert verify.run_suites(["env", "env"], 7, stream)
+        assert built == [2]
+        assert stream.getvalue() == "ok   - env:blas-threads  (1)\n" * 2
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     def test_longest_suites_start_first(self):
         names = ["gf", "errorprob", "identities", "oracle", "gf"]

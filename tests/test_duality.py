@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdswe import linear_code
 from mdswe.gf import Field, field_from_order
 from mdswe.duality import (IncompleteTableError, NonIntegerResultError,
                            ParamOutOfRangeError, dual_property_a, krawtchouk,
@@ -174,10 +175,13 @@ class TestPropertyA:
                      id="gf9-5-2"),
         pytest.param(lambda: rm1_code(7), id="rm1-7"),
     ])
-    def test_witnesses_match_python_tally(self, code):
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_witnesses_match_python_tally(self, monkeypatch, code, chunked):
         # reference: coordinate weight sums over every codeword, one at a time
         code = code()
         n = code.n
+        if chunked:   # the support bits unpacked three masks at a time
+            monkeypatch.setattr(linear_code, "_CHUNK_BYTES", 3 * n)
         weights = [0] * (n + 1)
         per_coord = [[0] * n for _ in range(n + 1)]
         for word in code.codewords():

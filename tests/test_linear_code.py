@@ -2,6 +2,7 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from mdswe import linear_code
@@ -328,6 +329,16 @@ def _zero_code():
     return dual(code_from_generator(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
+def word_bytes(code):
+    """Bytes of one codeword row in the tally: one element of GF(2^m), or
+    the m base-p digits of one element, per coordinate of n padded to a
+    whole byte of support bits."""
+    field = code.field
+    p, m, q = field.characteristic, field.extension_degree, field.order
+    planes, largest = (1, q - 1) if p == 2 else (m, 2 * (p - 1))
+    return -(-code.n // 8) * 8 * planes * np.min_scalar_type(largest).itemsize
+
+
 def histogram_dict(hist):
     """A SupportHistogram's arrays as {support mask as an int: count}."""
     return {int.from_bytes(row.tobytes(), "little"): c
@@ -411,20 +422,20 @@ class TestSupportHistogram:
         pytest.param(_gf4_wide_code, id="gf4-70-5"),
     ])
     def test_multichunk_tally_matches_python_tally(self, monkeypatch, fresh_histograms, code):
-        monkeypatch.setattr(linear_code, "_CHUNK_ROWS", 64)
         code = code()
-        # the last row's q^(k-1) words do not fit in one chunk
+        monkeypatch.setattr(linear_code, "_CHUNK_BYTES", 64 * word_bytes(code))
+        # the last row's q^(k-1) words do not fit in one 64-word chunk
         assert code.size // code.field.order > 64
         assert histogram_dict(support_histogram(code)) == python_histogram(code)
 
     @pytest.mark.parametrize("chunk_rows", [None, 1 << 12])
     def test_chunked_tally_matches_closed_form(self, monkeypatch, fresh_histograms,
                                                chunk_rows):
-        # q^k = 2^20 codewords, 69,905 of them tallied; with 2^12-row chunks
+        # q^k = 2^20 codewords, 69,905 of them tallied; with 2^12-word chunks
         # the last 65,536 are tallied in 16 chunks
-        if chunk_rows is not None:
-            monkeypatch.setattr(linear_code, "_CHUNK_ROWS", chunk_rows)
         code = rs_code(field_from_order(16), 15, 5)
+        if chunk_rows is not None:
+            monkeypatch.setattr(linear_code, "_CHUNK_BYTES", chunk_rows * word_bytes(code))
         part = Partition((5, 5, 5), tuple(j % 3 for j in range(15)))
         assert brute_force_pwe(code, part).counts == pwgf(MdsParams(15, 5, 16), (5, 5, 5)).counts
 
@@ -437,17 +448,17 @@ class TestSupportHistogram:
     ])
     def test_one_word_per_scalar_class(self, monkeypatch, fresh_histograms, chunk_rows, code):
         # only the words whose last nonzero message symbol is 1 are tallied
+        code = code()
         if chunk_rows is not None:
-            monkeypatch.setattr(linear_code, "_CHUNK_ROWS", chunk_rows)
+            monkeypatch.setattr(linear_code, "_CHUNK_BYTES", chunk_rows * word_bytes(code))
         rows = []
         masks = linear_code._support_masks
         monkeypatch.setattr(linear_code, "_support_masks",
                             lambda nonzero, width: rows.append(len(nonzero)) or
                             masks(nonzero, width))
-        code = code()
         support_histogram(code)
         assert sum(rows) == (code.size - 1) // (code.field.order - 1)
-        assert max(rows) <= (chunk_rows or linear_code._CHUNK_ROWS)
+        assert max(rows) * word_bytes(code) <= linear_code._CHUNK_BYTES
 
 
 def _scattered(n, p, seed):
@@ -459,10 +470,18 @@ def _scattered(n, p, seed):
 class TestBruteForceProjection:
     """brute_force_pwe and brute_force_weights against per-mask Python projection."""
 
+    @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("code", HISTOGRAM_CODES)
-    def test_partitions_match_python_projection(self, code):
+    def test_partitions_match_python_projection(self, monkeypatch, fresh_histograms,
+                                                code, chunked):
         code = code()
         n = code.n
+        if chunked:   # three masks' support bits per unpacked chunk
+            monkeypatch.setattr(linear_code, "_CHUNK_BYTES", 3 * n)
+            hist = support_histogram(code)
+            chunks = list(hist.bit_chunks())
+            assert all(bits.nbytes <= 3 * n for bits, _ in chunks)
+            assert np.array_equal(np.concatenate([c for _, c in chunks]), hist.counts)
         partitions = [Partition.contiguous((n,)), Partition.contiguous((1,) * n),
                       _scattered(n, min(n, 3), n), _scattered(n, min(n, 5), n + 1)]
         for part in partitions:
@@ -471,6 +490,12 @@ class TestBruteForceProjection:
         for mask, c in python_histogram(code).items():
             E[mask.bit_count()] += c
         assert brute_force_weights(code) == E
+
+    def test_one_chunk_when_all_fit(self):
+        hist = support_histogram(rs_code(F8, 7, 3))
+        ((bits, counts),) = hist.bit_chunks()
+        assert bits.shape == (len(hist.masks), 7) and bits.dtype == np.uint8
+        assert np.shares_memory(counts, hist.counts)
 
 
 class TestPweTable:

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import random
 import re
 import subprocess
@@ -370,6 +371,55 @@ class TestNestedSumIndependence:
                      (4, 3), (16, 3)]:
             prm = MdsParams(10, k, q)
             assert pwe_direct_table(prm, sizes) == pwgf(prm, sizes).counts, (q, k)
+
+
+def unpruned_nested_sum(prm, sizes):
+    """Every profile's nested alternating sum, term by term from the formula
+    in the `nested_sum` docstring, with no profile or prefix skipped: the
+    innermost index runs from max(0, d - J), J the sum of the earlier
+    indices.  The zero profile counts the zero word."""
+    q, d = prm.q, prm.d
+    table = {}
+    for profile in itertools.product(*[range(s + 1) for s in sizes]):
+        *head, last = profile
+        total = 0
+        for js in itertools.product(*[range(w + 1) for w in head]):
+            outer = math.prod(binom(w, j) * (-1) ** (w - j) for w, j in zip(head, js))
+            total += outer * sum(binom(last, j) * (-1) ** (last - j) *
+                                 (q ** (sum(js) + j - d + 1) - 1)
+                                 for j in range(max(0, d - sum(js)), last + 1))
+        total *= math.prod(binom(s, w) for s, w in zip(sizes, profile))
+        if total:
+            table[profile] = total
+    table[(0,) * len(sizes)] = 1
+    return table
+
+
+# low rates: most profiles lie below d, where the walk skips them
+LOW_RATE_CASES = [(MdsParams(15, 2, 16), (3, 3, 5, 4)), (MdsParams(7, 1, 8), (1,) * 7),
+                  (MdsParams(10, 3, 4), (4, 3, 3))]
+
+
+class TestNestedSumPruning:
+    """The walk skips every profile and prefix whose innermost sums are all
+    empty; the unpruned sum gives the same values."""
+
+    @pytest.mark.parametrize("prm, sizes", LOW_RATE_CASES)
+    def test_table_matches_unpruned_sum(self, prm, sizes):
+        assert pwe_direct_table(prm, sizes) == unpruned_nested_sum(prm, sizes)
+
+    @pytest.mark.parametrize("prm, sizes", LOW_RATE_CASES)
+    def test_profiles_at_weight_d_minus_one_and_d(self, prm, sizes):
+        seen = set()
+        for profile in itertools.product(*[range(s + 1) for s in sizes]):
+            h = sum(profile)
+            if h == prm.d - 1:
+                assert pwe_direct(prm, sizes, profile) == 0, profile
+            elif h == prm.d:
+                direct = pwe_direct(prm, sizes, profile)
+                assert direct == pwe_product(prm, sizes, profile) != 0, profile
+            seen.add(h)
+        assert {prm.d - 1, prm.d} <= seen
 
 
 class TestStructuralProperties:
