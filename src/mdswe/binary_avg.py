@@ -7,17 +7,18 @@ generating function turns into a bit-level one through the substitution
 
     F(Z) = ((1 + Z)^m - 1) / (2^m - 1),
 
-applied per variable.  No polynomial is substituted into: F(Z)^w is the
-w-th list of `pattern_weight_powers(m)` over (2^m - 1)^w, and the
-averaged weight distribution contracts those integer lists against E(w)
-over one common denominator (2^m - 1)^n.  `avg_binary_iowe` is an
-independent closed form of the two-block table.  All arithmetic here is
-exact (integers, or `Fraction` where a result needs it), which keeps
-every check a strict pass/fail.  A product by (1+Z)^m - 1 is m passes of
-c_i + c_(i-1), one per factor 1+Z, less the polynomial itself, so no
-coefficient is multiplied.  `fractions` is imported by the functions
-that return a Fraction, so the error curves, which read only the
-polynomial products, never load it.
+applied per variable.  No polynomial is substituted into: with
+G(Z) = (1+Z)^m - 1, the averaged weight distribution is the sum of
+E(h) (2^m - 1)^(n-h) G^h over (2^m - 1)^n, which `_horner` evaluates by
+Horner's rule, keeping no power of G; `errorprob`'s per-user profiles use
+the same contraction.  `pattern_weight_powers` (the powers themselves)
+and `avg_binary_iowe` (the two-block table) are independent routes for
+the checks.  All arithmetic here is exact (integers, or `Fraction` where
+a result needs it), which keeps every check a strict pass/fail.  A
+product by G is m passes of c_i + c_(i-1), one per factor 1+Z, less the
+polynomial itself, so no coefficient is multiplied.  `fractions` is
+imported by the functions that return a Fraction, so the error curves,
+which read only the polynomial products, never load it.
 """
 
 from __future__ import annotations
@@ -69,26 +70,25 @@ def pattern_weight_powers(m: int) -> Iterator[list[int]]:
         power = _times_pattern_poly(power, m)
 
 
-def avg_binary_weights_from_distribution(weights: Sequence[int], m: int) -> list[Fraction]:
-    """Averaged binary weight distribution from a symbol weight distribution.
+def _horner(s: Sequence[int], m: int) -> list[int]:
+    """Coefficients of sum_w s[w] G^w with G(Z) = (1+Z)^m - 1, by Horner's
+    rule; a list of length m (len(s) - 1) + 1, and [0] for s == []."""
+    acc = [s[-1]] if s else [0]
+    for c in reversed(s[:-1]):
+        acc = _times_pattern_poly(acc, m)
+        acc[0] += c
+    return acc
 
-    Expands sum_h E(h)/(2^m-1)^h * ((1+X)^m - 1)^h over the common
-    denominator (2^m-1)^n; returns the coefficient vector over binary
-    weights 0..m*n.
-    """
+
+def avg_binary_weights_from_distribution(weights: Sequence[int], m: int) -> list[Fraction]:
+    """Averaged binary weight distribution from a symbol weight distribution:
+    sum_h E(h)/(2^m-1)^h * ((1+X)^m - 1)^h, as the coefficient vector over
+    binary weights 0..m*n."""
     from fractions import Fraction
 
-    n = len(weights) - 1
-    den = (1 << m) - 1
-    acc = [0] * (m * n + 1)
-    for h, power in zip(range(n + 1), pattern_weight_powers(m)):
-        if weights[h]:
-            scale = weights[h] * den ** (n - h)
-            for i, c in enumerate(power):
-                if c:
-                    acc[i] += scale * c
-    top = den**n
-    return [Fraction(a, top) for a in acc]
+    n, den = len(weights) - 1, (1 << m) - 1
+    scaled = _horner([e * den ** (n - h) for h, e in enumerate(weights)], m)
+    return [Fraction(a, den**n) for a in scaled]
 
 
 def avg_binary_wgf(params: MdsParams) -> list[Fraction]:

@@ -28,9 +28,9 @@ import io
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .binary_avg import avg_binary_weights_from_distribution, avg_binary_wgf, bits_per_symbol
+from .binary_avg import avg_binary_weights_from_distribution, bits_per_symbol
 from .errorprob import error_curve, parse_condition, snr_grid
-from .mds_enum import MdsParams, PweTable, check_rs_params, pwgf
+from .mds_enum import MdsParams, PweTable, check_rs_params, pwgf, weight_distribution
 
 # `gf` and `linear_code` are imported only where a generator is built or
 # enumerated, so that the closed forms on `rs:` specs never load them; `json`
@@ -221,14 +221,14 @@ def _cmd_binary(args) -> int:
     m = bits_per_symbol(shape.q)
     params = _mds_params(args, shape)
     if params is not None:
-        weights = avg_binary_wgf(params)
+        symbol_weights = weight_distribution(params)
     else:
         # a non-MDS code, or the zero code (the dual of an rs:<q>:<n>:<n> spec)
         from .linear_code import brute_force_weights
 
         code = shape.code if shape.code is not None else parse_code_spec(args.code)
-        weights = avg_binary_weights_from_distribution(
-            brute_force_weights(code, budget=args.budget), m)
+        symbol_weights = brute_force_weights(code, budget=args.budget)
+    weights = avg_binary_weights_from_distribution(symbol_weights, m)
     doc_rows = [{"h_b": h, "exact": _format_exact(w), "float64": float(w)}
                 for h, w in enumerate(weights)]
     rows = [{**r, "float64": repr(r["float64"])} for r in doc_rows]

@@ -136,22 +136,22 @@ def property_a_check(code: LinearCode, budget: Optional[int] = None) -> Property
 
     hist = support_histogram(code, budget)
     n = code.n
-    weights = np.zeros(n + 1, dtype=np.int64)
-    # per_coord[h][i]: total count of the weight-h masks covering coordinate i
-    per_coord = np.zeros((n + 1, n), dtype=np.int64)
+    per_coord = {}   # h -> total count of the weight-h masks covering each coordinate
     for bits, counts in hist.bit_chunks():
         weight = bits.sum(axis=1)
-        np.add.at(weights, weight, counts)
-        np.add.at(per_coord, weight, bits * counts[:, None])
-    weights, per_coord = weights.tolist(), per_coord.tolist()
+        for h in np.unique(weight).tolist():
+            rows = weight == h
+            # einsum casts in small buffers: no (rows x n) int64 product
+            covered = np.einsum("i,ij->j", counts[rows], bits[rows])
+            per_coord[h] = per_coord[h] + covered if h in per_coord else covered
     witnesses = []
-    for h in range(1, n + 1):
-        if weights[h] == 0:
-            continue
-        expected = Fraction(h * weights[h], n)
-        for i in range(n):
-            if per_coord[h][i] != expected:
-                witnesses.append(PropertyAWitness(i, h, per_coord[h][i], expected))
+    for h in sorted(per_coord.keys() - {0}):
+        observed_row = per_coord[h].tolist()
+        # the row sums to h E(h), so its mean is h E(h) / n
+        expected = Fraction(sum(observed_row), n)
+        for i, observed in enumerate(observed_row):
+            if observed != expected:
+                witnesses.append(PropertyAWitness(i, h, observed, expected))
     return PropertyAReport(tuple(witnesses))
 
 

@@ -54,8 +54,8 @@ exact integers up to that one division (the averaging factor
 (2^m-1)^-w of F(Z)^w is moved to the common denominator).  Since
 (b/w) [Z^b]G^w = [Z^b] Z G' G^(w-1), the sum over w is the one product
 Z G'(Z) H(Z) with H = sum_w s_w G^(w-1), s_w = U(w) f(w+F) (2^m-1)^(n-w-F),
-and H is evaluated by Horner's rule: one multiplication by G per symbol
-weight, and no power of G is kept and no division made.  At m = 1,
+and H is evaluated by `binary_avg._horner`: one multiplication by G per
+symbol weight, and no power of G is kept and no division made.  At m = 1,
 G = Z and the same contraction is the symbol profile.  'atmost' needs
 no bit cap, since b_i <= m floor(a n_i) <= floor(a m n_i).  Code-level
 SEP and BEP are the one-block case (n,) at m = 1 and m = log2 q, where
@@ -68,16 +68,18 @@ The contraction is the only route: no generating function is
 materialised, substituted into or filtered to get a profile; the tests
 keep that literal route as a reference and compare the two exactly.
 
-Floating point enters in one place, `_floats`: coefficients are exact
-integers, or integer numerators over one common denominator, until it
-divides each once (integer true division is correctly rounded, so c / den
-is float(Fraction(c, den)) and no Fraction is built).  `_bm_sum` and
-`_ml_sum` then add the terms with `math.fsum`, which is correctly rounded
-and so needs no sort.  The BM inner sum reads its binomials and float
-powers from cached tables (`_binomial_rows`, `_power_rows`); each term
-multiplies the same factors in the same order as the plain expression, so
-the floats do not change.  `fractions` is loaded only where a value is a
-Fraction: an 'atmost' condition.
+`_coefficients` gives a curve's coefficients, to `error_curve` and to
+verify's Monte-Carlo check.  Floating point enters in one place,
+`_floats`: coefficients are integer numerators over one common
+denominator (1 for CEP's E(h)) until it divides each once (integer true
+division is correctly rounded, so c / den is float(Fraction(c, den)) and
+no Fraction is built).  `_bm_sum` and `_ml_sum` then add the terms with
+`math.fsum`, which is correctly rounded and so needs no sort.  The BM
+inner sum reads its binomials and float powers from cached tables
+(`_binomial_rows`, `_power_rows`); each term multiplies the same factors
+in the same order as the plain expression, so the floats do not change.
+`fractions` is loaded only where a value is a Fraction: an 'atmost'
+condition.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
-from .binary_avg import _times_one_plus_z, _times_pattern_poly, bits_per_symbol
+from .binary_avg import _horner, _times_one_plus_z, bits_per_symbol
 from .mds_enum import (MdsParams, ParamOutOfRangeError, _validate_profile, binom,
                        fixed_support_counts, weight_distribution)
 
@@ -171,11 +173,9 @@ def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
     return math.fsum(terms)
 
 
-def _floats(exact: dict[int, int], den: Optional[int] = None) -> dict[int, float]:
-    """The float boundary: exact integer coefficients, over the common
-    denominator `den` if one is given, become binary64 here only."""
-    if den is None:
-        return {h: float(c) for h, c in exact.items()}
+def _floats(exact: dict[int, int], den: int) -> dict[int, float]:
+    """The float boundary: exact integer coefficients over the common
+    denominator `den` become binary64 here only."""
     return {h: c / den for h, c in exact.items()}
 
 
@@ -190,18 +190,6 @@ def _decoded_prob(n: int, q: int, tau: int, h: int, p: float) -> float:
 
 def _bm_sum(coeffs: dict[int, float], n: int, q: int, tau: int, p: float) -> float:
     return math.fsum([c * _decoded_prob(n, q, tau, h, p) for h, c in coeffs.items() if c])
-
-
-def cep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
-    """BM decoder codeword error probability (exact under the model)."""
-    coeffs = _floats({h: weights[h] for h in range(d, n + 1)})
-    return _bm_sum(coeffs, n, q, (d - 1) // 2, p)
-
-
-def sep_bm(weights: Sequence[int], n: int, d: int, p: float, q: int) -> float:
-    """BM decoder symbol error probability: E(h) -> (h/n) E(h)."""
-    coeffs = _floats({h: h * weights[h] for h in range(d, n + 1)}, n)
-    return _bm_sum(coeffs, n, q, (d - 1) // 2, p)
 
 
 # -- maximum-likelihood bounds on the binary image --------------------------
@@ -305,12 +293,11 @@ def _user_profile(params: MdsParams, sizes: Sequence[int], user: int,
                 for w1, c1 in enumerate(row):
                     nxt[w0 + w1] += c0 * c1
         conv = nxt
-    # H(Z) = sum_{w >= 1} s_w G^(w-1) with s_w = U(w) f(w+F) (2^m-1)^(n-w-F),
-    # by Horner's rule; U(0) = 0, since the user's row carries the factor w
-    f, h = fixed_support_counts(params), [0]
-    for w in range(len(conv) - 1, 0, -1):
-        h = _times_pattern_poly(h, m)
-        h[0] += conv[w] * f[w + full] * den ** (n - w - full)
+    # H(Z) = sum_{w >= 1} s_w G^(w-1) with s_w = U(w) f(w+F) (2^m-1)^(n-w-F);
+    # U(0) = 0, since the user's row carries the factor w
+    f = fixed_support_counts(params)
+    h = _horner([conv[w] * f[w + full] * den ** (n - w - full)
+                 for w in range(1, len(conv))], m)
     # [Z^b] Z G'(Z) H(Z), with Z G'(Z) = m Z (1+Z)^(m-1)
     return ({b + 1 + m * full: m * c for b, c in enumerate(_times_one_plus_z(h, m - 1)) if c},
             den**n * m * sizes[user])
@@ -347,6 +334,20 @@ def snr_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(round(span) + 1)]
 
 
+def _coefficients(params: MdsParams, metric: str, sizes: Optional[Sequence[int]] = None,
+                  user: Optional[int] = None,
+                  conditions: Optional[Sequence[Condition]] = None) -> dict[int, float]:
+    """The float coefficients coeff(h) of one curve: E(h) for h >= d (CEP),
+    or the profile of `user`, or else of the one block (n,), at the
+    symbol level (SEP) or the bit level (BEP)."""
+    if metric == "cep":
+        weights = weight_distribution(params)
+        return _floats({h: weights[h] for h in range(params.d, params.n + 1)}, 1)
+    level = 1 if metric == "sep" else bits_per_symbol(params.q)
+    return _floats(*(_user_profile(params, (params.n,), 0, (FREE,), level) if user is None
+                     else _user_profile(params, sizes, user, conditions, level)))
+
+
 def error_curve(params: MdsParams, gammas: Sequence[float], metric: str,
                 sizes: Optional[Sequence[int]] = None, user: Optional[int] = None,
                 conditions: Optional[Sequence[Condition]] = None) -> ErrorCurve:
@@ -362,13 +363,7 @@ def error_curve(params: MdsParams, gammas: Sequence[float], metric: str,
     if user is not None and metric == "cep":
         raise ValueError(f"per-user metrics are sep and bep, not {metric!r}")
     n, k, q, m = params.n, params.k, params.q, bits_per_symbol(params.q)
-    if metric == "cep":
-        weights = weight_distribution(params)
-        coeffs = _floats({h: weights[h] for h in range(params.d, n + 1)})
-    else:
-        level = 1 if metric == "sep" else m
-        coeffs = _floats(*(_user_profile(params, (n,), 0, (FREE,), level) if user is None
-                           else _user_profile(params, sizes, user, conditions, level)))
+    coeffs = _coefficients(params, metric, sizes, user, conditions)
     if metric == "bep":
         points = tuple((g, _ml_sum(coeffs, k / n, g)) for g in gammas)
     else:

@@ -101,12 +101,12 @@ class LinearCode:
     """An (n, k) linear code given by a full-rank generator matrix.
 
     `generator` is a k x n tuple-of-tuples of raw field element values;
-    `systematic_columns`, when set, lists k coordinates whose submatrix is
-    the identity (column for row i at position i).  Codes are immutable.
+    `systematic_columns` lists k coordinates whose submatrix is the identity
+    (column for row i at position i), or is None when the generator has no
+    such columns.  Codes are immutable.
     """
 
     def __init__(self, field: Field, generator: Sequence[Sequence[int]], *,
-                 systematic_columns: Optional[Sequence[int]] = None,
                  n: Optional[int] = None, _skip_rank_check: bool = False):
         rows = tuple(tuple(_integer(v, "entry") for v in row) for row in generator)
         if rows:
@@ -129,9 +129,7 @@ class LinearCode:
         self.generator = rows
         self.n = n
         self.k = len(rows)
-        if systematic_columns is None:
-            systematic_columns = _detect_systematic(rows)
-        self.systematic_columns = tuple(systematic_columns) if systematic_columns else None
+        self.systematic_columns = _detect_systematic(rows)
 
     @property
     def size(self) -> int:
@@ -449,7 +447,7 @@ def rs_code(field: Field, n: int, k: int,
         row[k:] = [field.mul(field.mul(l_j, w_i), inv_d)
                    for l_j, inv_d in zip(ell, inv_diffs)]
         rows.append(row)
-    return LinearCode(field, rows, systematic_columns=range(k), _skip_rank_check=True)
+    return LinearCode(field, rows, _skip_rank_check=True)
 
 
 def rm1_code(m: int) -> LinearCode:
@@ -480,8 +478,7 @@ def dual(code: LinearCode) -> LinearCode:
     field, n, k = code.field, code.n, code.k
     if k == 0:
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return LinearCode(field, ident, systematic_columns=range(n),
-                          _skip_rank_check=True)
+        return LinearCode(field, ident, _skip_rank_check=True)
     rref, pivots = _row_reduce(field, [list(r) for r in code.generator])
     pivot_set = set(pivots)
     free_cols = [j for j in range(n) if j not in pivot_set]

@@ -3,8 +3,9 @@
 Independent of the closed-form curves: the decoder is realized literally
 as a lookup into radius-tau spheres enumerated around every nonzero
 codeword, and the channel draws i.i.d. symbol errors.  Used to validate
-`errorprob.cep_bm` / `errorprob.sep_bm` statistically; reproducible
-given (seed, trials).  numpy is imported when an oracle is built.
+statistically the BM sum over the coefficients the CEP and SEP curves
+print (`errorprob._coefficients`); reproducible given (seed, trials).
+numpy is imported when an oracle is built.
 
 The sphere table is built as arrays: the nonzero codewords are one
 array, every error pattern of weight <= tau a second, and the key of

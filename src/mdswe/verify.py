@@ -465,15 +465,14 @@ def suite_errorprob(rng: random.Random, seed: int) -> list[CheckResult]:
                     ok = False
     out.append(CheckResult("errorprob:distance-distribution-total-1", ok))
 
-    code = rs_code(Field(2, 3), 7, 3)
-    E = brute_force_weights(code)
-    oracle = BmSphereOracle(code)
+    # the simulated decoder against the coefficients the curves print
+    oracle = BmSphereOracle(rs_code(Field(2, 3), 7, 3))
+    coeffs = [errorprob._coefficients(MdsParams(7, 3, 8), metric) for metric in ("cep", "sep")]
     ok = True
     details = []
     for p in (0.05, 0.1, 0.2):
         sim = oracle.simulate(p, MONTE_CARLO_TRIALS, seed)
-        cep = errorprob.cep_bm(E, 7, 5, p, 8)
-        sep = errorprob.sep_bm(E, 7, 5, p, 8)
+        cep, sep = (errorprob._bm_sum(c, 7, 8, 2, p) for c in coeffs)
         if not (sim.cep.within(cep) and sim.sep.within(sep)):
             ok = False
         details.append(f"p={p}: |cep-mc|={abs(cep - sim.cep.value):.2e}")

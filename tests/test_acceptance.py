@@ -16,11 +16,11 @@ import pytest
 
 from mdswe.binary_avg import avg_binary_iowe, avg_binary_wgf, bits_per_symbol
 from mdswe.duality import dual_property_a, macwilliams_pwe, property_a_check
-from mdswe.errorprob import (FREE, FULL, ZERO, cep_bm, error_curve, sep_bm, snr_grid,
-                             sphere_distance_prob)
+from mdswe.errorprob import (FREE, FULL, ZERO, _bm_sum, _coefficients, error_curve,
+                             snr_grid, sphere_distance_prob)
 from mdswe.gf import Field, field_from_order
-from mdswe.linear_code import (Partition, brute_force_pwe, brute_force_weights,
-                               code_from_generator, dual, rm1_code, rs_code)
+from mdswe.linear_code import (Partition, brute_force_pwe, code_from_generator, dual,
+                               rm1_code, rs_code)
 from mdswe.mds_enum import MdsParams, pwgf
 from mdswe.montecarlo import BmSphereOracle
 from mdswe.nested_sum import check_convolution_identity, check_subset_identity, pwe_direct_table
@@ -199,13 +199,13 @@ def test_criterion_7_channel_decoder():
                     total = sum(sphere_distance_prob(n, q, h, t, p)
                                 for t in range(n + 1))
                     assert abs(total - 1.0) <= 1e-12, (q, n, h, p)
-        code = rs_code(Field(2, 3), 7, 3)
-        E = brute_force_weights(code)
-        oracle = BmSphereOracle(code)
+        oracle = BmSphereOracle(rs_code(Field(2, 3), 7, 3))
+        cep_coeffs, sep_coeffs = (_coefficients(MdsParams(7, 3, 8), metric)
+                                  for metric in ("cep", "sep"))
         for p in (0.05, 0.1, 0.2):
             sim = oracle.simulate(p, 10**6, seed=7)
-            cep = cep_bm(E, 7, 5, p, 8)
-            sep = sep_bm(E, 7, 5, p, 8)
+            cep = _bm_sum(cep_coeffs, 7, 8, 2, p)
+            sep = _bm_sum(sep_coeffs, 7, 8, 2, p)
             assert sim.cep.within(cep, sigmas=3.0), (p, cep, sim.cep)
             assert sim.sep.within(sep, sigmas=3.0), (p, sep, sim.sep)
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from mdswe.binary_avg import (NotCharTwoError, avg_binary_iowe, avg_binary_wgf,
-                              binomial_approx, bits_per_symbol)
+from mdswe.binary_avg import (NotCharTwoError, _horner, avg_binary_iowe, avg_binary_wgf,
+                              avg_binary_weights_from_distribution, binomial_approx,
+                              bits_per_symbol, pattern_weight_powers)
 from mdswe.mds_enum import MdsParams, ProfileOutOfRangeError, binom, pwgf
 from mdswe.poly import SparsePoly
 
@@ -22,6 +23,39 @@ def _substitution_oracle(prm, s):
     f_xy = SparsePoly(2, {(e, e): c for (e,), c in f.terms.items()})
     f_y = SparsePoly(2, {(0, e): c for (e,), c in f.terms.items()})
     return substitute(as_poly(pwgf(prm, (s, prm.n - s))), [f_xy, f_y])
+
+
+def _powers_route(s, m):
+    """sum_w s[w] G^w summed from the kept powers G^w of
+    `pattern_weight_powers`: the route `_horner` must reproduce."""
+    acc = [0] * (m * max(len(s) - 1, 0) + 1)
+    for c, power in zip(s, pattern_weight_powers(m)):
+        for i, v in enumerate(power):
+            acc[i] += c * v
+    return acc
+
+
+class TestHorner:
+    @pytest.mark.parametrize("s", [
+        [1, 0, 3, 5, 0],             # E(n) = 0: the top power still sets the length
+        [1, 0, 0, 0, 0, 0, 0, 0],    # the zero code's weight list
+        [0, 2, 7, 1],
+        [4],
+        [],
+    ], ids=["top-zero", "zero-code", "dense", "constant", "empty"])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_matches_powers_route(self, s, m):
+        assert _horner(s, m) == _powers_route(s, m)
+
+    def test_weights_with_top_weight_absent(self):
+        m, weights = 2, [1, 0, 3, 4, 0]
+        den = 3**4
+        assert avg_binary_weights_from_distribution(weights, m) == [
+            Fraction(c, den)
+            for c in _powers_route([e * 3 ** (4 - h) for h, e in enumerate(weights)], m)]
+
+    def test_zero_code(self):
+        assert avg_binary_weights_from_distribution([1] + [0] * 7, 3) == [1] + [0] * 21
 
 
 class TestBitSubstitutionPoly:

@@ -144,6 +144,14 @@ class TestBinaryCommand:
             from fractions import Fraction
             assert Fraction(int(num), int(den or 1)) == expected[h]
 
+    def test_zero_code(self, capsys):
+        # dual:rs:8:7:7 is the zero code: brute-force weights [1, 0, ..., 0]
+        code, out, _ = run_cli(capsys, "binary", "--code", "dual:rs:8:7:7",
+                               "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["exact"] for r in rows] == ["1"] + ["0"] * 21
+
     def test_rs_code_beyond_enumeration_budget(self, capsys):
         # q^k = 16^11 is never enumerated: an rs: spec takes the closed form
         code, out, _ = run_cli(capsys, "binary", "--code", "rs:16:15:11",

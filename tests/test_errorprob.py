@@ -11,9 +11,9 @@ from mdswe import duality, mds_enum
 from mdswe.binary_avg import NotCharTwoError, avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition,
                              ConditionCountMismatchError, ErrorCurve,
-                             ParamOutOfRangeError, _floats, _user_profile, at_most, cep_bm,
-                             channel_map, error_curve, parse_condition, q_function, sep_bm,
-                             snr_grid, sphere_distance_prob)
+                             ParamOutOfRangeError, _bm_sum, _coefficients, _floats,
+                             _user_profile, at_most, channel_map, error_curve,
+                             parse_condition, q_function, snr_grid, sphere_distance_prob)
 from mdswe.gf import Field
 from mdswe.linear_code import code_from_generator, dual
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
@@ -45,6 +45,14 @@ def _exact_profile(params, sizes, user, conditions, m):
     numerators and the one common denominator `_user_profile` returns."""
     numerators, den = _user_profile(params, sizes, user, conditions, m)
     return {h: Fraction(c, den) for h, c in numerators.items()}
+
+
+def _sep_from_weights(params, p):
+    """The BM symbol error probability summed from the weight list, with
+    coefficients (h/n) E(h) for h >= d: the reference the one-block
+    profile must reproduce."""
+    n, d, E = params.n, params.d, weight_distribution(params)
+    return _bm_sum({h: h * E[h] / n for h in range(d, n + 1)}, n, params.q, (d - 1) // 2, p)
 
 
 def _plain_sphere_distance_prob(n, q, h, t, p):
@@ -147,9 +155,8 @@ class TestSphereDistanceProb:
 
 class TestBmDecoder:
     def test_zero_error_channel(self):
-        E = weight_distribution(P738)
-        assert cep_bm(E, 7, 5, 0.0, 8) == 0.0
-        assert sep_bm(E, 7, 5, 0.0, 8) == 0.0
+        for metric in ("cep", "sep"):
+            assert _bm_sum(_coefficients(P738, metric), 7, 8, 2, 0.0) == 0.0
 
     @pytest.mark.parametrize("m", [1, 6])
     @pytest.mark.parametrize("sizes,user,conditions", [
@@ -163,12 +170,12 @@ class TestBmDecoder:
         assert _floats(numerators, den) == \
             {h: float(Fraction(c, den)) for h, c in numerators.items()}
         E = weight_distribution(P6351)
-        assert _floats({h: E[h] for h in range(64)}) == {h: float(E[h]) for h in range(64)}
+        assert _floats({h: E[h] for h in range(64)}, 1) == {h: float(E[h]) for h in range(64)}
 
     def test_sep_below_cep(self):
-        E = weight_distribution(P1511)
+        cep, sep = _coefficients(P1511, "cep"), _coefficients(P1511, "sep")
         for p in (0.01, 0.05, 0.2):
-            assert sep_bm(E, 15, 5, p, 16) <= cep_bm(E, 15, 5, p, 16)
+            assert _bm_sum(sep, 15, 16, 2, p) <= _bm_sum(cep, 15, 16, 2, p)
 
     def test_oracle_rejects_zero_code(self):
         zero = dual(code_from_generator(Field(2, 1), [[1, 0], [0, 1]]))
@@ -289,11 +296,10 @@ class TestMultiuser:
     def test_unconditional_sep_equals_code_sep(self):
         # with all blocks free, O_h collapses to (h/n) E(h): the user SEP
         # is the plain symbol error probability, bit for bit
-        E = weight_distribution(P1511)
         for u in range(3):
             curve = error_curve(P1511, self.GRID, "sep", SIZES_1511, u, (FREE,) * 4)
             assert curve.points == tuple(
-                (g, sep_bm(E, 15, 5, channel_map(g, 15, 11, 4).p_symbol, 16))
+                (g, _sep_from_weights(P1511, channel_map(g, 15, 11, 4).p_symbol))
                 for g in self.GRID)
 
     @pytest.mark.parametrize("metric", ["sep", "bep"])
@@ -304,6 +310,12 @@ class TestMultiuser:
         for u in range(4):
             assert error_curve(P1511, self.GRID, metric, SIZES_1511, u,
                                (FREE,) * 4).points == code.points
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_user_capped_at_zero_has_empty_profile(self, m):
+        # atmost:1/10 of 5 symbols caps the user's block at weight 0
+        assert _user_profile(P1511, SIZES_1511, 2, (FREE, FREE, at_most("1/10"), FREE), m) \
+            == ({}, (2**m - 1) ** 15 * m * 5)
 
     def test_all_free_profile_at_scale(self):
         # property A on (63,51,64): every user's all-free profile is
@@ -409,13 +421,12 @@ class TestCurves:
         assert all(0.0 <= v <= 1.0 for v in probs)
 
     @pytest.mark.parametrize("params", [P1511, P6351], ids=["15,11", "63,51"])
-    def test_code_sep_equals_sep_bm(self, params):
+    def test_code_sep_equals_weight_list_sep(self, params):
         # the one-block profile and (h/n) E(h) from the weight list are one
         # exact rational per weight, so the two routes agree bit for bit
-        n, k, q = params.n, params.k, params.q
-        E, m = weight_distribution(params), bits_per_symbol(q)
+        n, k, m = params.n, params.k, bits_per_symbol(params.q)
         assert error_curve(params, self.GRID, "sep").points == tuple(
-            (g, sep_bm(E, n, params.d, channel_map(g, n, k, m).p_symbol, q))
+            (g, _sep_from_weights(params, channel_map(g, n, k, m).p_symbol))
             for g in self.GRID)
 
     def test_code_level_fields(self):
