@@ -11,11 +11,18 @@ The sphere table is built as arrays: the nonzero codewords are one
 array, every error pattern of weight <= tau a second, and the key of
 codeword c moved by pattern e is sum_j ((c_j + e_j) mod q) q^j,
 accumulated one coordinate at a time, so no (codewords x patterns x n)
-array exists.  Keys are int64, so q^n - 1 must fit in 63 bits.  A sphere
-word has weight >= d - tau, so the simulator packs and looks up only the
-trials with at least d - tau symbol errors; every trial still draws its
-errors, so the random stream and the estimates do not depend on the
-filter.
+array exists.  Keys are int64, so q^n - 1 must fit in 63 bits.
+
+The channel sends the zero codeword, and each symbol is in error with
+probability p, independently, with its value uniform on 1..q-1.  A word
+within tau of a nonzero codeword has weight >= w0 = d - tau, so a trial
+with fewer errors is decoded correctly and adds nothing to either
+estimate.  The simulator therefore draws only the heavy trials: their
+number H ~ Binomial(trials, P(W >= w0)) with W ~ Bin(n, p), then for each
+one a weight from Bin(n, p) conditioned on W >= w0, a uniform support of
+that size and uniform nonzero values.  That is the i.i.d. channel's law
+given the weight, so the estimates have the law of a full simulation;
+time and memory go with H, not with the number of trials.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Optional
 from .linear_code import LinearCode, min_distance
 from .mds_enum import ParamOutOfRangeError
 
-_SIM_CHUNK = 1 << 18
+_HEAVY_BLOCK = 1 << 14  # heavy trials drawn and looked up at once
 _MAX_KEY = (1 << 63) - 1  # a word packs into one int64 key
 
 
@@ -101,7 +108,7 @@ class BmSphereOracle:
         keys = np.zeros((len(words), len(patterns)), dtype=np.int64)
         for j in range(n):
             keys += (shift * q**j)[words[:, j, None], patterns[None, :, j]]
-        info = np.count_nonzero(words[:, info_cols], axis=1).astype(np.int64)
+        info = np.count_nonzero(words[:, info_cols], axis=1).astype(np.min_scalar_type(k))
         # at most three table-sized arrays are alive at once
         order = np.argsort(keys, axis=None)
         self._keys = keys.ravel()[order]
@@ -119,27 +126,27 @@ class BmSphereOracle:
     def sphere_size(self) -> int:
         return len(self._keys)
 
-    def _decode_chunk(self, rng, chunk: int, p: float):
-        """Run `chunk` trials; returns the information weight share of each
-        decoder error.  The chunk's arrays are freed on return, so two
-        chunks' arrays are never alive at once."""
+    def _weight_tail(self, p: float) -> list[float]:
+        """P(W = w) for w = w0..n, W ~ Bin(n, p): the weights that can
+        reach a sphere."""
+        n = self.n
+        return [math.comb(n, w) * p**w * (1.0 - p)**(n - w)
+                for w in range(self._min_weight, n + 1)]
+
+    def _heavy_errors(self, rng, rows: int, p: float):
+        """`rows` error words of the i.i.d. symbol channel conditioned on
+        weight >= w0, one per row: the weight from the conditioned
+        binomial, the support the first w positions of a uniform random
+        permutation, the values uniform on 1..q-1."""
         import numpy as np
 
-        errors = rng.random((chunk, self.n)) < p
-        values = rng.integers(1, self.q, size=(chunk, self.n), dtype=np.int64)
-        # a sphere word has weight >= d - tau, so lighter trials never hit;
-        # each trial's weight is the sum of its n error columns as uint8
-        # (n < 64), which is faster than counting along the rows
-        flags = errors.view(np.uint8)
-        weight = flags[:, 0].copy()
-        for j in range(1, self.n):
-            weight += flags[:, j]
-        rows = np.flatnonzero(weight >= self._min_weight)
-        received = (values[rows] * errors[rows]) @ self._qpow
-        idx = np.searchsorted(self._keys, received)
-        idx = np.clip(idx, 0, len(self._keys) - 1)
-        hit = self._keys[idx] == received
-        return self._info[idx[hit]] / self.k
+        tail = self._weight_tail(p)
+        weight = rng.choice(np.arange(self._min_weight, self.n + 1), size=rows,
+                            p=np.array(tail) / math.fsum(tail))
+        support = rng.permuted(np.arange(self.n) < weight[:, None], axis=1)
+        words = np.zeros((rows, self.n), dtype=np.int64)
+        words[support] = rng.integers(1, self.q, size=int(weight.sum()), dtype=np.int64)
+        return words
 
     def simulate(self, p: float, trials: int, seed: int) -> BmSimulation:
         """Estimate CEP and SEP at symbol error probability p."""
@@ -150,21 +157,23 @@ class BmSphereOracle:
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        hits = 0
-        sep_sum = 0.0
-        sep_sumsq = 0.0
-        done = 0
-        while done < trials:
-            chunk = min(_SIM_CHUNK, trials - done)
-            frac = self._decode_chunk(rng, chunk, p)
-            hits += len(frac)
-            sep_sum += float(frac.sum())
-            sep_sumsq += float((frac * frac).sum())
-            done += chunk
+        heavy = int(rng.binomial(trials, min(math.fsum(self._weight_tail(p)), 1.0)))
+        counts = np.zeros(self.k + 1, dtype=np.int64)   # hits per information weight
+        last = len(self._keys) - 1
+        for start in range(0, heavy, _HEAVY_BLOCK):
+            received = self._heavy_errors(rng, min(_HEAVY_BLOCK, heavy - start), p) @ self._qpow
+            received.sort()   # in-order lookups: ~half the time of unsorted ones
+            idx = np.minimum(np.searchsorted(self._keys, received), last)
+            hit = self._keys[idx] == received
+            counts += np.bincount(self._info[idx[hit]], minlength=self.k + 1)
+        counts = counts.tolist()
+        hits = sum(counts)
+        info_sum = sum(i * c for i, c in enumerate(counts))
+        info_sumsq = sum(i * i * c for i, c in enumerate(counts))
         cep = hits / trials
         cep_se = math.sqrt(max(cep * (1.0 - cep), 1e-300) / trials)
-        sep = sep_sum / trials
-        sep_var = max(sep_sumsq / trials - sep * sep, 0.0)
+        sep = info_sum / (self.k * trials)
+        sep_var = max(info_sumsq / (self.k * self.k * trials) - sep * sep, 0.0)
         sep_se = math.sqrt(max(sep_var, 1e-300) / trials)
         return BmSimulation(p, seed,
                             MonteCarloEstimate(cep, cep_se, trials),

@@ -475,7 +475,8 @@ def suite_errorprob(rng: random.Random, seed: int) -> list[CheckResult]:
         cep, sep = (errorprob._bm_sum(c, 7, 8, 2, p) for c in coeffs)
         if not (sim.cep.within(cep) and sim.sep.within(sep)):
             ok = False
-        details.append(f"p={p}: |cep-mc|={abs(cep - sim.cep.value):.2e}")
+        details.append(f"p={p}: cep {(sim.cep.value - cep) / sim.cep.stderr:+.1f} sigma, "
+                       f"sep {(sim.sep.value - sep) / sim.sep.stderr:+.1f} sigma")
     out.append(CheckResult("errorprob:monte-carlo-agreement", ok, "; ".join(details)))
 
     prm = MdsParams(15, 11, 16)

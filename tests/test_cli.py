@@ -32,6 +32,20 @@ EXPECTED_TERMS_738 = {
 }
 
 
+# Runs `mdswe.cli` on the arguments after -c, then prints the process's own
+# peak resident set, the VmHWM line of /proc/self/status, to stderr.  The
+# ru_maxrss that os.wait4 reports would also count the peak of the pytest
+# process that spawned it, which depends on the tests run before.
+CLI_REPORTING_PEAK = """\
+import sys
+from mdswe.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    sys.stderr.write("".join(line for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -117,17 +131,17 @@ class TestBruteCommand:
         # are held a few MB at a time, not codewords x length at once
         out = tmp_path / "out.json"
         with open(out, "w") as stdout:
-            proc = subprocess.Popen([sys.executable, "-m", "mdswe.cli", "brute", "--code",
-                                     f"rm1:{m}", "--partition", str(1 << m)],
-                                    stdout=stdout, stderr=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
+            proc = subprocess.run([sys.executable, "-c", CLI_REPORTING_PEAK, "brute", "--code",
+                                   f"rm1:{m}", "--partition", str(1 << m)],
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 0
         doc = json.loads(out.read_text())
         half = {"profile": [1 << (m - 1)], "count": str((1 << (m + 1)) - 2)}
         assert doc["total"] == str(1 << (m + 1)) and half in doc["terms"]
         if peak_mb is not None:
-            assert usage.ru_maxrss < peak_mb * 1024   # kB on Linux
+            [peak_kb] = [int(line.split()[1]) for line in proc.stderr.splitlines()
+                         if line.startswith("VmHWM:")]
+            assert peak_kb < peak_mb * 1024
 
 
 class TestBinaryCommand:

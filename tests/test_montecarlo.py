@@ -1,13 +1,16 @@
 """The sphere-lookup oracle against a literal nested-loop reference.
 
-`_reference_tables` enumerates the decoding spheres one word at a time, and
-`_reference_simulate` packs and looks up every trial, as the oracle did
-before it was vectorised.  The oracle must reproduce both exactly: the same
-sorted sphere table and bit-identical estimates from the same seed.
+`_reference_tables` enumerates the decoding spheres one word at a time,
+and `_reference_simulate` makes the simulator's random draws in the same
+order, then packs and decodes every heavy trial one at a time through a
+dict.  The oracle must reproduce both exactly: the same sorted sphere
+table and identical estimates from the same seed.  The law of the drawn
+error words is checked on its own, against the i.i.d. symbol channel.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,29 +47,33 @@ def _reference_tables(code, tau):
     return keys[order], np.array(info_w, dtype=np.int64)[order]
 
 
-def _reference_simulate(keys, info, q, n, k, p, trials, seed):
-    """Every trial packed and looked up, in chunks of the oracle's size."""
-    qpow = np.array([q**j for j in range(n)], dtype=np.int64)
+def _reference_simulate(keys, info, q, n, k, w0, p, trials, seed):
+    """(estimates, heavy trials): the oracle's draws in the oracle's order,
+    in blocks of its size, and each heavy trial decoded on its own."""
+    table = dict(zip(keys.tolist(), info.tolist()))
+    tail = [math.comb(n, w) * p**w * (1.0 - p)**(n - w) for w in range(w0, n + 1)]
     rng = np.random.default_rng(seed)
-    hits, sep_sum, sep_sumsq, done = 0, 0.0, 0.0, 0
-    while done < trials:
-        chunk = min(montecarlo._SIM_CHUNK, trials - done)
-        errors = rng.random((chunk, n)) < p
-        values = rng.integers(1, q, size=(chunk, n), dtype=np.int64)
-        received = np.where(errors, values, 0) @ qpow
-        idx = np.clip(np.searchsorted(keys, received), 0, len(keys) - 1)
-        frac = info[idx[keys[idx] == received]] / k
-        hits += len(frac)
-        sep_sum += float(frac.sum())
-        sep_sumsq += float((frac * frac).sum())
-        done += chunk
+    heavy = int(rng.binomial(trials, min(math.fsum(tail), 1.0)))
+    hits, info_sum, info_sumsq = 0, 0, 0
+    for start in range(0, heavy, montecarlo._HEAVY_BLOCK):
+        rows = min(montecarlo._HEAVY_BLOCK, heavy - start)
+        weight = rng.choice(np.arange(w0, n + 1), size=rows,
+                            p=np.array(tail) / math.fsum(tail))
+        support = rng.permuted(np.arange(n) < weight[:, None], axis=1)
+        values = iter(rng.integers(1, q, size=int(weight.sum()), dtype=np.int64).tolist())
+        for row in support.tolist():
+            word = sum(next(values) * q**j for j in range(n) if row[j])
+            if word in table:
+                hits += 1
+                info_sum += table[word]
+                info_sumsq += table[word] ** 2
     cep = hits / trials
-    sep = sep_sum / trials
-    sep_var = max(sep_sumsq / trials - sep * sep, 0.0)
+    sep = info_sum / (k * trials)
+    sep_var = max(info_sumsq / (k * k * trials) - sep * sep, 0.0)
     return BmSimulation(
         p, seed,
         MonteCarloEstimate(cep, math.sqrt(max(cep * (1.0 - cep), 1e-300) / trials), trials),
-        MonteCarloEstimate(sep, math.sqrt(max(sep_var, 1e-300) / trials), trials))
+        MonteCarloEstimate(sep, math.sqrt(max(sep_var, 1e-300) / trials), trials)), heavy
 
 
 @pytest.mark.parametrize("q, n, k, tau", [
@@ -83,29 +90,52 @@ def test_oracle_matches_nested_loop_reference(q, n, k, tau):
     tau = oracle.tau
     assert tau == ((n - k) // 2 if tau is None else tau)
     keys, info = _reference_tables(code, tau)
-    assert oracle._keys.dtype == keys.dtype and oracle._info.dtype == info.dtype
+    assert oracle._keys.dtype == keys.dtype and oracle._info.dtype == np.min_scalar_type(k)
     assert np.array_equal(oracle._keys, keys)
     assert np.array_equal(oracle._info, info)
-    for p in (0.05, 0.3):
-        assert oracle.simulate(p, 200_000, seed=7) == \
-            _reference_simulate(keys, info, q, n, k, p, 200_000, 7)
+    w0 = n - k + 1 - tau
+    for p in (0.0, 0.05, 0.3, 1.0):
+        sim, heavy = _reference_simulate(keys, info, q, n, k, w0, p, 50_000, 7)
+        assert oracle.simulate(p, 50_000, seed=7) == sim
+        if p in (0.0, 1.0):   # no trial is heavy, or every one
+            assert heavy == p * 50_000
 
 
-def test_multichunk_simulation_matches_reference():
-    # 2.5 chunks: the heavy-trial filter must keep the stream across chunks
+def test_multiblock_simulation_matches_reference():
+    # the heavy trials span more than 2.5 blocks: the draws must keep the
+    # stream across blocks and the hit counts must add up over them
     code = rs_code(Field(2, 3), 7, 3)
     oracle = BmSphereOracle(code)
-    trials = 2 * montecarlo._SIM_CHUNK + montecarlo._SIM_CHUNK // 2
     keys, info = _reference_tables(code, oracle.tau)
-    assert oracle.simulate(0.2, trials, seed=3) == \
-        _reference_simulate(keys, info, 8, 7, 3, 0.2, trials, 3)
+    sim, heavy = _reference_simulate(keys, info, 8, 7, 3, 3, 0.3, 150_000, 3)
+    assert heavy >= 2.5 * montecarlo._HEAVY_BLOCK
+    assert oracle.simulate(0.3, 150_000, seed=3) == sim
 
 
-# simulate(p, 10**5, seed=7) on RS(7,3,8), recorded before the heavy-trial
-# filter counted each trial's weight by summing its error columns
-PINNED_ESTIMATES = {0.05: (0.00046, 0.0003333333333333334),
-                    0.1: (0.00305, 0.00219),
-                    0.2: (0.02236, 0.016053333333333336)}
+def test_heavy_errors_follow_the_channel_law():
+    # RS(3,1,4) has w0 = 2: the 54 words of weight 2 or 3 are the heavy
+    # patterns, each drawn with its i.i.d. channel probability over P(W >= 2)
+    q, n, p, draws = 4, 3, 0.3, 10**5
+    oracle = BmSphereOracle(rs_code(Field(2, 2), 3, 1))
+    observed = Counter(map(tuple, oracle._heavy_errors(np.random.default_rng(11),
+                                                       draws, p).tolist()))
+    heavy = [e for e in itertools.product(range(q), repeat=n)
+             if sum(v != 0 for v in e) >= 2]
+    assert len(heavy) == 54 and set(observed) <= set(heavy)
+    tail = sum(math.comb(n, w) * p**w * (1 - p)**(n - w) for w in (2, 3))
+    chi2 = 0.0
+    for e in heavy:
+        w = sum(v != 0 for v in e)
+        expected = draws * p**w * (1 - p)**(n - w) / (q - 1)**w / tail
+        chi2 += (observed[e] - expected) ** 2 / expected
+    assert chi2 < 90.57   # chi-square quantile at 53 degrees of freedom, alpha = 1e-3
+
+
+# simulate(p, 10**5, seed=7) on RS(7,3,8), recorded when the simulator
+# began drawing only the trials that can reach a sphere
+PINNED_ESTIMATES = {0.05: (0.00043, 0.00028333333333333335),
+                    0.1: (0.00344, 0.002373333333333333),
+                    0.2: (0.02266, 0.016253333333333335)}
 
 
 @pytest.mark.parametrize("p", sorted(PINNED_ESTIMATES))
