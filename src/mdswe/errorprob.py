@@ -16,12 +16,21 @@ tau = floor((d-1)/2) symbol errors.  A decoder *error* is the received
 word landing inside the radius-tau sphere of a wrong codeword; since the
 spheres are disjoint, the codeword error probability is the exact sum
 
-    CEP(p) = sum_{h=d}^{n} E(h) sum_{t=0}^{tau} P_t^h(p)
+    CEP(p) = sum_{h=d}^{n} E(h) D(h),   D(h) = sum_{t=0}^{tau} P_t^h(p),
 
 with P_t^h the probability that the received word is exactly distance t
 from a fixed codeword of weight h.  The symbol error probability
 substitutes E(h) -> (h/n) E(h), which is exact for codes with the
 uniform-coordinate-weight property (all MDS codes).
+
+`_decoded_probs` gives D(h) for every h at one p.  With the zero word
+sent, a support symbol differs from the codeword's with probability
+1 - p1, p1 = p/(q-1), and any other symbol with probability p, so
+
+    D(h) = sum_{j <= min(h, tau)} C(h, j) (1-p1)^j p1^(h-j) P(Bin(n-h, p) <= tau-j),
+
+each tail a running sum of its pmf: O(n tau) float work per SNR point.
+`sphere_distance_prob` keeps the per-t P_t^h as its independent reference.
 
 For maximum-likelihood decoding of the binary image the union bound is
 the one term: probabilities have the shape
@@ -74,10 +83,8 @@ verify's Monte-Carlo check.  Floating point enters in one place,
 denominator (1 for CEP's E(h)) until it divides each once (integer true
 division is correctly rounded, so c / den is float(Fraction(c, den)) and
 no Fraction is built).  `_bm_sum` and `_ml_sum` then add the terms with
-`math.fsum`, which is correctly rounded and so needs no sort.  The BM
-inner sum reads its binomials and float powers from cached tables
-(`_binomial_rows`, `_power_rows`); each term multiplies the same factors
-in the same order as the plain expression, so the floats do not change.
+`math.fsum`, which is correctly rounded and so needs no sort; `_bm_sum`
+dots the coefficients with the one vector D(h) of its SNR point.
 `fractions` is loaded only where a value is a Fraction: an 'atmost'
 condition.
 """
@@ -133,21 +140,6 @@ def channel_map(gamma_db: float, n: int, k: int, m: int) -> ChannelPoint:
 # -- bounded-minimum-distance decoding ------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _binomial_rows(n: int, t: int) -> list[list[int]]:
-    """C(r, j) for r = 0..n and j = 0..min(r, t), all that P_t^h reads;
-    shared by every caller, so read only."""
-    return [[math.comb(r, j) for j in range(min(r, t) + 1)] for r in range(n + 1)]
-
-
-@functools.lru_cache(maxsize=64)
-def _power_rows(n: int, q: int, p: float) -> list[list[float]]:
-    """x**a for a = 0..n, by the same `**` as the plain expression, for x
-    = p1, 1 - p1, p and 1 - p with p1 = p/(q-1); read only."""
-    p1 = p / (q - 1)
-    return [[x**a for a in range(n + 1)] for x in (p1, 1.0 - p1, p, 1.0 - p)]
-
-
 def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
     """P_t^h: probability the received word is exactly distance t from a
     fixed codeword of weight h, when the zero word crosses a q-ary
@@ -156,20 +148,18 @@ def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
     Splits over a = number of support coordinates where the error equals
     the codeword symbol (probability p/(q-1) each); the off-support part
     must then contribute exactly t - h + a errors.  Each term is
-    C(h, a) p1^a (1-p1)^(h-a) C(n-h, e) p^e (1-p)^(n-h-e) with p1 = p/(q-1),
-    its factors read from the cached rows (C(h, a) as C(h, h-a)).
+    C(h, a) p1^a (1-p1)^(h-a) C(n-h, e) p^e (1-p)^(n-h-e) with p1 = p/(q-1).
     """
     if not 0 <= h <= n or not 0 <= t <= n:
         raise ParamOutOfRangeError(f"need 0 <= t, h <= n; got t={t}, h={h}, n={n}")
     if not 0.0 <= p <= 1.0:
         raise ParamOutOfRangeError(f"need 0 <= p <= 1, got {p}")
-    binoms = _binomial_rows(n, t)
-    on, off = binoms[h], binoms[n - h]
-    p1, not_p1, pe, not_pe = _power_rows(n, q, p)
-    terms = []   # a loop: cheaper than a comprehension for these few terms
+    p1 = p / (q - 1)
+    terms = []
     for a in range(max(0, h - t), min(h, n - t) + 1):
         e = t - h + a
-        terms.append(on[h - a] * p1[a] * not_p1[h - a] * off[e] * pe[e] * not_pe[n - t - a])
+        terms.append(math.comb(h, a) * p1**a * (1.0 - p1) ** (h - a)
+                     * math.comb(n - h, e) * p**e * (1.0 - p) ** (n - h - e))
     return math.fsum(terms)
 
 
@@ -179,17 +169,29 @@ def _floats(exact: dict[int, int], den: int) -> dict[int, float]:
     return {h: c / den for h, c in exact.items()}
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _decoded_prob(n: int, q: int, tau: int, h: int, p: float) -> float:
-    """sum_{t <= tau} P_t^h(p): the chance that the received word lies in
-    the radius-tau sphere of a fixed codeword of weight h.  It does not
-    depend on the metric or the conditions, so the curves of one code and
-    grid share it within a process."""
-    return math.fsum([sphere_distance_prob(n, q, h, t, p) for t in range(tau + 1)])
+@functools.lru_cache(maxsize=256)
+def _decoded_probs(n: int, q: int, tau: int, p: float) -> list[float]:
+    """D(h) for h = 0..n (module docstring).  It does not depend on the
+    metric or the conditions, so the curves of one code and grid share
+    it within a process; read only."""
+    p1 = p / (q - 1)
+    pe, not_pe, p1e, not_p1e = ([x**a for a in range(n + 1)] for x in (p, 1.0 - p, p1, 1.0 - p1))
+    out = []
+    for h in range(n + 1):
+        off = n - h
+        tail, acc = [], 0.0   # tail[r] = P(Bin(off, p) <= r), r <= min(tau, off)
+        for e in range(min(tau, off) + 1):
+            acc += math.comb(off, e) * pe[e] * not_pe[off - e]
+            tail.append(acc)
+        top = len(tail) - 1
+        out.append(math.fsum([math.comb(h, j) * not_p1e[j] * p1e[h - j] * tail[min(tau - j, top)]
+                              for j in range(min(h, tau) + 1)]))
+    return out
 
 
 def _bm_sum(coeffs: dict[int, float], n: int, q: int, tau: int, p: float) -> float:
-    return math.fsum([c * _decoded_prob(n, q, tau, h, p) for h, c in coeffs.items() if c])
+    decoded = _decoded_probs(n, q, tau, p)
+    return math.fsum([c * decoded[h] for h, c in coeffs.items() if c])
 
 
 # -- maximum-likelihood bounds on the binary image --------------------------

@@ -159,6 +159,8 @@ def psi(params: MdsParams, h: int, w: int) -> int:
     psi(h, w) is the split weight enumerator at profile (w, h-w) divided
     by its two binomial factors; psi(h, 0) = f(h) = E(h) / C(n,h).
     """
+    if h == 0:
+        return 1   # f(0) = E(0): the zero word, which the sum over q-powers leaves out
     q, d = params.q, params.d
     total = 0
     for j in range(w + 1):

@@ -455,14 +455,10 @@ def suite_duality(rng: random.Random, seed: int) -> list[CheckResult]:
 def suite_errorprob(rng: random.Random, seed: int) -> list[CheckResult]:
     out = []
 
-    ok = True
-    for q, n in ((2, 7), (8, 7), (16, 15)):
-        for h in range(n + 1):
-            for p in (0.01, 0.1, 0.4):
-                s = sum(errorprob.sphere_distance_prob(n, q, h, t, p)
-                        for t in range(n + 1))
-                if abs(s - 1.0) > 1e-12:
-                    ok = False
+    # the decoder kernel at tau = n: every received word is in the sphere
+    ok = all(abs(v - 1.0) <= 1e-12
+             for q, n in ((2, 7), (8, 7), (16, 15)) for p in (0.01, 0.1, 0.4)
+             for v in errorprob._decoded_probs(n, q, n, p))
     out.append(CheckResult("errorprob:distance-distribution-total-1", ok))
 
     # the simulated decoder against the coefficients the curves print
@@ -482,16 +478,12 @@ def suite_errorprob(rng: random.Random, seed: int) -> list[CheckResult]:
     prm = MdsParams(15, 11, 16)
     sizes = (3, 3, 5, 4)
     table = mds_enum.pwgf(prm, sizes)
-    E15 = mds_enum.weight_distribution(prm)
-    ok = True
-    for j in range(4):
-        ow: dict[tuple[int, int], int] = {}   # (user weight, total weight) -> count
-        for exps, c in table.counts.items():
-            key = (exps[j], sum(exps))
-            ow[key] = ow.get(key, 0) + c
-        for h in range(16):
-            if sum(c for (w, hh), c in ow.items() if hh == h) != E15[h]:
-                ok = False
+    # summed over the user's weight, every user's IOWE is the one marginal
+    # over total weight, so it is checked once
+    marginal = [0] * 16
+    for exps, c in table.counts.items():
+        marginal[sum(exps)] += c
+    ok = marginal == mds_enum.weight_distribution(prm)
     out.append(CheckResult("errorprob:user-iowe-marginal-is-E(h)", ok))
 
     grid = errorprob.snr_grid(4.0, 8.0, 0.5)

@@ -7,18 +7,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdswe import duality, mds_enum
+from mdswe import cli, duality, mds_enum
 from mdswe.binary_avg import NotCharTwoError, avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition,
                              ConditionCountMismatchError, ErrorCurve,
-                             ParamOutOfRangeError, _bm_sum, _coefficients, _floats,
-                             _user_profile, at_most, channel_map, error_curve,
-                             parse_condition, q_function, snr_grid, sphere_distance_prob)
+                             ParamOutOfRangeError, _bm_sum, _coefficients,
+                             _decoded_probs, _floats, _user_profile, at_most,
+                             channel_map, error_curve, parse_condition, q_function,
+                             snr_grid, sphere_distance_prob)
 from mdswe.gf import Field
 from mdswe.linear_code import code_from_generator, dual
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
 from mdswe.montecarlo import BmSphereOracle
 
+from exact_bm import decoded_numerators, exact_bm
 from literal_pipeline import as_poly, avg_binary_pwgf, conditional_pwgf, user_iowe
 
 P738 = MdsParams(7, 3, 8)
@@ -53,20 +55,6 @@ def _sep_from_weights(params, p):
     profile must reproduce."""
     n, d, E = params.n, params.d, weight_distribution(params)
     return _bm_sum({h: h * E[h] / n for h in range(d, n + 1)}, n, params.q, (d - 1) // 2, p)
-
-
-def _plain_sphere_distance_prob(n, q, h, t, p):
-    """P_t^h with every binomial and power recomputed in each term and the
-    terms summed sorted: the expression the cached rows must reproduce."""
-    p1 = p / (q - 1)
-    terms = []
-    for a in range(max(0, h - t), h + 1):
-        e = t - h + a
-        if e < 0 or e > n - h:
-            continue
-        terms.append(math.comb(h, a) * p1**a * (1.0 - p1) ** (h - a)
-                     * math.comb(n - h, e) * p**e * (1.0 - p) ** (n - h - e))
-    return math.fsum(sorted(terms))
 
 
 def _bep_point(params, gamma_db):
@@ -131,14 +119,6 @@ class TestSphereDistanceProb:
         v = sphere_distance_prob(7, 8, h, t, p)
         assert -1e-15 <= v <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("n,q", [(7, 8), (15, 16), (63, 64)])
-    @pytest.mark.parametrize("p", [0.0, 1e-6, 0.01, 0.3, 1.0])
-    def test_bit_identical_to_plain_expression(self, n, q, p):
-        for h in range(n + 1):
-            for t in range(n + 1):
-                assert sphere_distance_prob(n, q, h, t, p).hex() == \
-                    _plain_sphere_distance_prob(n, q, h, t, p).hex(), (h, t)
-
     def test_param_validation(self):
         with pytest.raises(ParamOutOfRangeError):
             sphere_distance_prob(7, 8, 9, 0, 0.1)
@@ -171,6 +151,62 @@ class TestBmDecoder:
             {h: float(Fraction(c, den)) for h, c in numerators.items()}
         E = weight_distribution(P6351)
         assert _floats({h: E[h] for h in range(64)}, 1) == {h: float(E[h]) for h in range(64)}
+
+    @pytest.mark.parametrize("params", [P738, P1511, P6351], ids=["7,3", "15,11", "63,51"])
+    @pytest.mark.parametrize("p", [0.0, 1e-6, 0.01, 0.3, 1.0])
+    def test_kernel_equals_sphere_distance_sums(self, params, p):
+        n, q, tau = params.n, params.q, (params.d - 1) // 2
+        decoded = _decoded_probs(n, q, tau, p)
+        assert len(decoded) == n + 1
+        for h in range(n + 1):
+            ref = math.fsum([sphere_distance_prob(n, q, h, t, p) for t in range(tau + 1)])
+            assert abs(decoded[h] - ref) <= 1e-15 * ref, h
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (4, 3), (8, 2)])
+    @pytest.mark.parametrize("p", [0.1, 0.375])
+    def test_exact_oracle_matches_exhaustive_channel(self, q, n, p):
+        # every received word, with its exact probability at the float p
+        exact_p = Fraction(p)
+        for tau in range(n + 1):
+            numerators, den = decoded_numerators(n, q, tau, p)
+            for h in range(n + 1):
+                total = Fraction(0)
+                for word in itertools.product(range(q), repeat=n):
+                    dist = sum(v != 1 for v in word[:h]) + sum(v != 0 for v in word[h:])
+                    if dist <= tau:
+                        total += math.prod(1 - exact_p if v == 0 else exact_p / (q - 1)
+                                           for v in word)
+                assert Fraction(numerators[h], den) == total, (tau, h)
+
+    @pytest.mark.parametrize("code, sizes", [("rs:16:15:11", SIZES_1511),
+                                             ("rs:64:63:51", SIZES_6351)],
+                             ids=["15,11", "63,51"])
+    @pytest.mark.parametrize("metric, user, conditions", [
+        ("cep", None, None), ("sep", None, None),
+        ("sep", 3, "free,free,free,free"), ("sep", 3, "zero,zero,free,free"),
+        ("sep", 3, "zero,full,free,free"), ("sep", 3, "full,full,free,free"),
+        ("sep", 2, "full,atmost:1/3,atmost:1/2,free")],
+        ids=["cep", "sep", "free", "zero", "zero-full", "full", "atmost"])
+    def test_printed_values_match_exact_oracle(self, capsys, code, sizes, metric, user,
+                                               conditions):
+        argv = ["errprob", "--code", code, "--metric", metric, "--snr", "4:8:0.25",
+                "--format", "csv"]
+        kw = {}
+        if user is not None:
+            argv += ["--partition", ",".join(map(str, sizes)), "--user", str(user),
+                     "--condition", conditions]
+            kw = dict(sizes=sizes, user=user - 1,
+                      conditions=tuple(map(parse_condition, conditions.split(","))))
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 17
+        q, n, k = map(int, code.split(":")[1:])
+        params = MdsParams(n, k, q)
+        for row in rows:
+            g, v = map(float, row.split(","))
+            exact = exact_bm(params, metric, channel_map(g, n, k, bits_per_symbol(q)).p_symbol,
+                             **kw)
+            assert exact > 0 and abs(Fraction(v) - exact) <= Fraction(1e-14) * exact, g
 
     def test_sep_below_cep(self):
         cep, sep = _coefficients(P1511, "cep"), _coefficients(P1511, "sep")

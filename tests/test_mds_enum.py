@@ -298,6 +298,17 @@ class TestIdentities:
         for h in range(P738.d, 8):
             assert psi(P738, h, 0) * binom(7, h) == weight_distribution(P738)[h]
 
+    @pytest.mark.parametrize("params", [MdsParams(3, 1, 4), MdsParams(3, 2, 4), P738,
+                                        MdsParams(7, 5, 8), MdsParams(15, 7, 16),
+                                        MdsParams(15, 11, 16)], ids=str)
+    def test_psi_at_zero_shift_is_f_at_every_weight(self, params):
+        # psi(h, 0) = f(h) = E(h) / C(n, h), the zero word's f(0) = 1 included,
+        # as in the nested sum's zero profile
+        n = params.n
+        assert [psi(params, h, 0) * binom(n, h) for h in range(n + 1)] == \
+            weight_distribution(params)
+        assert pwe_direct(params, (n,), (0,)) == psi(params, 0, 0) == 1
+
 
 def _random_sizes(rng, n):
     p = rng.randint(1, min(n, 4))

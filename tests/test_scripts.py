@@ -2,12 +2,16 @@
 
 import csv
 import importlib.util
+import io
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mdswe import errorprob
+from mdswe.mds_enum import MdsParams
+
+from exact_bm import exact_bm
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -37,26 +41,36 @@ def test_multiuser_curves(tmp_path):
 
 
 def test_multiuser_curves_share_the_bm_inner_sums(monkeypatch, capsys):
-    # five BM curves on one code and grid: each P_t^h(p) is computed once
+    # five BM curves on one code and grid: the kernel D(h) is built once per point
     script = load_script("multiuser_curves")
-    real = errorprob.sphere_distance_prob
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(errorprob, "sphere_distance_prob", counting)
-    errorprob._decoded_prob.cache_clear()
+    errorprob._decoded_probs.cache_clear()
     assert script.main([]) == 0
     shared = capsys.readouterr().out
-    assert len(calls) == len(set(calls)) == 561
-    # without the cache: four times the calls, and the same CSV byte for byte
-    monkeypatch.setattr(errorprob, "_decoded_prob", errorprob._decoded_prob.__wrapped__)
-    calls.clear()
+    info = errorprob._decoded_probs.cache_info()
+    assert (info.misses, info.hits) == (17, 4 * 17)
+    # without the cache: the same CSV byte for byte
+    monkeypatch.setattr(errorprob, "_decoded_probs", errorprob._decoded_probs.__wrapped__)
     assert script.main([]) == 0
     assert capsys.readouterr().out == shared
-    assert len(calls) == 2244
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_multiuser_bm_columns_match_exact_oracle(capsys, offset):
+    # the 17-point paper grid shifted by offset/32 dB
+    start = 4.0 + offset / 32
+    script = load_script("multiuser_curves")
+    assert script.main(["--snr", f"{start!r}:{start + 4.0!r}:0.25"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 17
+    params = MdsParams(15, 11, 16)
+    curves = {"cep": ("cep", {}), "sep": ("sep", {})}
+    for label, conds in script.CONDITION_SETS.items():
+        curves[f"sep{label}"] = ("sep", dict(sizes=(3, 3, 5, 4), user=2, conditions=conds))
+    for row in rows:
+        p = errorprob.channel_map(float(row["gamma_db"]), 15, 11, 4).p_symbol
+        for column, (metric, kw) in curves.items():
+            exact = exact_bm(params, metric, p, **kw)
+            assert abs(Fraction(row[column]) - exact) <= Fraction(1e-14) * exact, column
 
 
 @pytest.mark.parametrize("snr, reason", [
