@@ -32,12 +32,17 @@ from .mds_enum import LengthExceedsFieldError, PweTable, check_rs_params  # noqa
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
 # bytes per numpy chunk during enumeration and unpacking (memory cap, not a
-# semantics knob): a chunk of codewords, or of unpacked support bits, holds
-# at most this many bytes, whatever the code's length.  Chunks stay at a
-# few MB: glibc serves later arrays smaller than the largest one freed so
-# far from its heap, where freed memory stays resident (`mdswe verify
-# --suite all` peaked at 105 MB with 32 MiB chunks, 81 MB with 4 MiB).
+# semantics knob), whatever the code's length: the exhaustive tally's whole
+# working set (the codewords it holds as one array and every temporary
+# made from them, `_TALLY_ARRAYS` arrays of that size at most) and each
+# chunk of unpacked support bits stay within it.  Chunks stay at a few MB:
+# glibc serves later arrays smaller than the largest one freed so far from
+# its heap, where freed memory stays resident, so each transient peak stays
+# on the process's high-water mark (`mdswe verify --suite all` peaked at
+# 105 MB with 32 MiB chunks, 81 MB with 4 MiB, 46 MB when the tally's
+# temporaries were not counted, ~41 MB now that they are).
 _CHUNK_BYTES = 1 << 22
+_TALLY_ARRAYS = 5       # the held codewords plus a tally's four temporaries
 
 
 class RankDeficientError(ValueError):
@@ -243,17 +248,20 @@ class SupportHistogram:
                    self.counts[start:start + step])
 
 
-def _sum_by_row(rows, counts):
+def _sum_by_row(rows, counts=None):
     """Distinct rows of a 2-D integer array, in increasing order (last
-    column most significant), with the sum of `counts` over each."""
+    column most significant), with the sum of `counts` over each, or the
+    number of times each occurs when `counts` is None."""
     import numpy as np
 
     order = np.argsort(rows[:, 0]) if rows.shape[1] == 1 else np.lexsort(rows.T)
-    rows, counts = rows[order], counts[order]
+    rows = rows[order]
     first = np.ones(len(rows), dtype=bool)
     np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
     start = np.flatnonzero(first)
-    return rows[start], np.add.reduceat(counts, start)
+    if counts is None:
+        return rows[start], np.diff(start, append=len(rows))
+    return rows[start], np.add.reduceat(counts[order], start)
 
 
 # (x * _GATHER) >> 56 moves byte i of a uint64 (0 or 1) to bit i of the
@@ -263,10 +271,13 @@ _GATHER = 0x0102040810204080
 
 
 def _support_masks(nonzero, width: int):
-    """(R, width) little-endian uint64 support masks of an (R, 8b) bool array."""
+    """(R, width) little-endian uint64 support masks of an (R, 8b) bool
+    array, which is overwritten."""
     import numpy as np
 
-    packed = (nonzero.view("<u8") * np.uint64(_GATHER)) >> np.uint64(56)
+    packed = nonzero.view("<u8")
+    packed *= np.uint64(_GATHER)
+    packed >>= np.uint64(56)
     out = np.zeros((len(nonzero), 8 * width), dtype=np.uint8)
     out[:, :packed.shape[1]] = packed
     return out.view("<u8")
@@ -305,19 +316,23 @@ def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
 
     found = []      # (distinct masks, counts) of each chunk
 
-    def tally(arr):
-        nonzero = arr != 0
+    def tally(offset):
+        # every array here holds at most the span's bytes: the shifted
+        # words and their support bits, then the masks (8 bytes per 64
+        # coordinates), their sort order and their sorted copy
+        nonzero = combine(span, offset) != 0
         if planes > 1:
-            nonzero = nonzero.reshape(len(arr), padded, planes).any(axis=2)
+            nonzero = nonzero.reshape(len(span), padded, planes).any(axis=2)
         masks = _support_masks(nonzero, width)
-        found.append(_sum_by_row(masks, np.ones(len(masks), dtype=np.int64)))
+        del nonzero
+        found.append(_sum_by_row(masks))
 
     # c and a*c (a != 0) have one support, so only the words whose last
     # nonzero message symbol is 1 are tallied: g_t + span(g_0..g_{t-1}) for
     # t = 0..k-1, (q^k - 1)/(q - 1) words, each standing for q - 1.  The
-    # span of the first i rows is held as one array while it fits in a
-    # chunk of `_CHUNK_BYTES`; the rest of the span is added one offset at a
-    # time.
+    # span of the first i rows is held as one array while it and a tally's
+    # temporaries, `_TALLY_ARRAYS` arrays of its size in all, fit in
+    # `_CHUNK_BYTES`; the rest of the span is added one offset at a time.
     span = np.zeros((1, padded * planes), dtype=dtype)
     i = 0
     for t in range(k):
@@ -325,8 +340,8 @@ def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
             offset = mult[t][1]
             for row_idx, v in enumerate(combo, start=i):
                 offset = combine(offset, mult[row_idx][v])
-            tally(combine(span, offset))
-        if i == t < k - 1 and q * span.nbytes <= _CHUNK_BYTES:
+            tally(offset)
+        if i == t < k - 1 and _TALLY_ARRAYS * q * span.nbytes <= _CHUNK_BYTES:
             span = combine(span[None, :, :], mult[t][:, None, :]).reshape(-1, span.shape[1])
             i += 1
     masks, counts = _sum_by_row(np.concatenate([f[0] for f in found]),

@@ -9,9 +9,14 @@ numpy is imported when an oracle is built.
 
 The sphere table is built as arrays: the nonzero codewords are one
 array, every error pattern of weight <= tau a second, and the key of
-codeword c moved by pattern e is sum_j ((c_j + e_j) mod q) q^j,
-accumulated one coordinate at a time, so no (codewords x patterns x n)
-array exists.  Keys are int64, so q^n - 1 must fit in 63 bits.
+codeword c moved by pattern e is sum_j ((c_j + e_j) mod q) q^j.  Each
+table entry packs key * (k + 1) + the information weight of c into one
+unsigned integer of the narrowest type that holds (q^n - 1)(k + 1) + k,
+so that value must fit in 64 bits (this also refuses a few codes with
+q^n <= 2^63, such as a binary [63, 2] code, whose sphere tables are far
+too large to build anyway).  The entries are accumulated one coordinate
+at a time in place, a block of codewords at a time, sorted in place, and
+split into keys and information weights without a copy of the table.
 
 The channel sends the zero codeword, and each symbol is in error with
 probability p, independently, with its value uniform on 1..q-1.  A word
@@ -36,7 +41,7 @@ from .linear_code import LinearCode, min_distance
 from .mds_enum import ParamOutOfRangeError
 
 _HEAVY_BLOCK = 1 << 14  # heavy trials drawn and looked up at once
-_MAX_KEY = (1 << 63) - 1  # a word packs into one int64 key
+_BUILD_BYTES = 1 << 18  # transient bytes per block of codewords in the table build
 
 
 def _error_patterns(q: int, n: int, tau: int):
@@ -84,9 +89,11 @@ class BmSphereOracle:
 
     def __init__(self, code: LinearCode, tau: Optional[int] = None):
         q, n, k = code.field.order, code.n, code.k
-        if q**n - 1 > _MAX_KEY:
-            raise ValueError(f"words of length {n} over GF({q}) do not pack into "
-                             f"int64 keys (q^n - 1 > 2^63 - 1)")
+        widest = (q**n - 1) * (k + 1) + k
+        if widest >> 64:
+            raise ValueError(f"words of length {n} over GF({q}) with information weights "
+                             f"up to {k} do not pack into uint64 keys "
+                             f"((q^n - 1)(k + 1) + k >= 2^64)")
         import numpy as np
 
         d = min_distance(code)
@@ -100,21 +107,30 @@ class BmSphereOracle:
 
         words = np.array([cw for cw in code.codewords() if any(cw)], dtype=np.int64)
         patterns = _error_patterns(q, n, tau)
-        # key[c, e] = sum_j ((c_j + e_j) mod q) q^j, one coordinate at a time.
-        # Digit j takes each value other than c_j once as e_j runs over
-        # 1..q-1, so these are the words within distance tau of c, the same
-        # set that field addition would give.
-        shift = (np.arange(q)[:, None] + np.arange(q)) % q
-        keys = np.zeros((len(words), len(patterns)), dtype=np.int64)
-        for j in range(n):
-            keys += (shift * q**j)[words[:, j, None], patterns[None, :, j]]
-        info = np.count_nonzero(words[:, info_cols], axis=1).astype(np.min_scalar_type(k))
-        # at most three table-sized arrays are alive at once
-        order = np.argsort(keys, axis=None)
-        self._keys = keys.ravel()[order]
-        del keys
-        order //= len(patterns)     # row of each sorted key: its codeword
-        self._info = info[order]
+        dtype = np.min_scalar_type(widest)
+        # table[c, e] = key * (k + 1) + info weight of c, with
+        # key = sum_j ((c_j + e_j) mod q) q^j added one coordinate at a
+        # time.  Digit j takes each value other than c_j once as e_j runs
+        # over 1..q-1, so the keys are the words within distance tau of c,
+        # the same set that field addition would give.  digits[j][v] is
+        # coordinate j's term for c_j = v, for every pattern.
+        shift = ((np.arange(q)[:, None] + np.arange(q)) % q).astype(dtype)
+        digits = [(shift * dtype.type(q**j * (k + 1)))[:, patterns[:, j]] for j in range(n)]
+        table = np.empty((len(words), len(patterns)), dtype=dtype)
+        table[:] = np.count_nonzero(words[:, info_cols], axis=1)[:, None]
+        step = max(1, _BUILD_BYTES // table[0].nbytes)
+        for start in range(0, len(words), step):
+            block = table[start:start + step]
+            for j in range(n):
+                block += digits[j][words[start:start + step, j]]
+        # The table is the only table-sized array: sorted in place (an
+        # information weight is below k + 1, so this is key order), then the
+        # information weights taken out and the keys left in its place.
+        table = table.reshape(-1)
+        table.sort()
+        self._info = np.remainder(table, k + 1, casting="unsafe",
+                                  out=np.empty(len(table), dtype=np.min_scalar_type(k)))
+        self._keys = np.floor_divide(table, k + 1, out=table)
         if np.any(self._keys[1:] == self._keys[:-1]):
             raise AssertionError("decoding spheres overlap")  # would break exactness
         self.code = code
@@ -162,6 +178,8 @@ class BmSphereOracle:
         last = len(self._keys) - 1
         for start in range(0, heavy, _HEAVY_BLOCK):
             received = self._heavy_errors(rng, min(_HEAVY_BLOCK, heavy - start), p) @ self._qpow
+            # the keys' own type: a mixed signed/unsigned search compares as float64
+            received = received.astype(self._keys.dtype)
             received.sort()   # in-order lookups: ~half the time of unsorted ones
             idx = np.minimum(np.searchsorted(self._keys, received), last)
             hit = self._keys[idx] == received

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -432,7 +433,8 @@ class TestSupportHistogram:
     def test_chunked_tally_matches_closed_form(self, monkeypatch, fresh_histograms,
                                                chunk_rows):
         # q^k = 2^20 codewords, 69,905 of them tallied; with 2^12-word chunks
-        # the last 65,536 are tallied in 16 chunks
+        # a tally holds 256 words (5 x 16 x 256 words would not fit), so the
+        # last 65,536 are tallied in 256 chunks
         code = rs_code(field_from_order(16), 15, 5)
         if chunk_rows is not None:
             monkeypatch.setattr(linear_code, "_CHUNK_BYTES", chunk_rows * word_bytes(code))
@@ -459,6 +461,23 @@ class TestSupportHistogram:
         support_histogram(code)
         assert sum(rows) == (code.size - 1) // (code.field.order - 1)
         assert max(rows) * word_bytes(code) <= linear_code._CHUNK_BYTES
+
+    @pytest.mark.parametrize("code", [
+        pytest.param(lambda: rs_code(field_from_order(16), 15, 5), id="rs-15-5-16"),
+        # n <= 8: a mask, a sort index and a word row are all 8 bytes
+        pytest.param(lambda: rs_code(field_from_order(16), 8, 5), id="rs-8-5-16"),
+    ])
+    def test_tally_working_set_stays_within_the_chunk_budget(self, fresh_histograms, code):
+        # tracemalloc counts numpy's buffers: the held words and every
+        # temporary of a tally, at the default budget
+        code = code()
+        tracemalloc.start()
+        try:
+            support_histogram(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= linear_code._CHUNK_BYTES
 
 
 def _scattered(n, p, seed):

@@ -10,6 +10,7 @@ error words is checked on its own, against the i.i.d. symbol channel.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,7 +24,9 @@ from mdswe.montecarlo import BmSimulation, BmSphereOracle, MonteCarloEstimate
 
 
 def _reference_tables(code, tau):
-    """Sorted sphere keys and the information weight of each key's codeword."""
+    """Sorted sphere keys and the information weight of each key's codeword;
+    the keys in the narrowest unsigned type that holds the oracle's packed
+    key * (k + 1) + information weight."""
     q, n, k = code.field.order, code.n, code.k
     info_cols = code.systematic_columns or tuple(range(k))
     packed, info_w = [], []
@@ -42,7 +45,7 @@ def _reference_tables(code, tau):
                         word += dv * qpow[j]
                     packed.append(word)
                     info_w.append(w_info)
-    keys = np.array(packed, dtype=np.int64)
+    keys = np.array(packed, dtype=np.min_scalar_type((q**n - 1) * (k + 1) + k))
     order = np.argsort(keys)
     return keys[order], np.array(info_w, dtype=np.int64)[order]
 
@@ -167,6 +170,50 @@ def test_widest_packable_words_pass_the_width_check(monkeypatch):
     monkeypatch.setattr(montecarlo, "min_distance", reached)
     with pytest.raises(Reached):
         BmSphereOracle(code_from_generator(Field(2, 1), [[1] * 63]))
+
+
+def _reaches_enumeration(monkeypatch, code):
+    """True iff the oracle gets past its width check on `code`."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(montecarlo, "min_distance", reached)
+    monkeypatch.setattr(LinearCode, "codewords", reached)
+    try:
+        BmSphereOracle(code)
+    except Reached:
+        return True
+    except ValueError as exc:
+        assert "uint64" in str(exc)
+        return False
+    raise AssertionError("neither refused nor enumerated")
+
+
+@pytest.mark.parametrize("k, packs", [(2, False), (3, True)], ids=["63-2", "62-3"])
+def test_information_weight_counts_in_the_width_check(monkeypatch, k, packs):
+    # (q^n - 1)(k + 1) + k must fit in 64 bits: a binary [63, 2] code packs
+    # to 3 * 2^63 - 1, a binary [62, 3] code to exactly 2^64 - 1
+    n = 65 - k
+    rows = [[int(i == j) for j in range(k)] + [1] * (n - k) for i in range(k)]
+    assert _reaches_enumeration(monkeypatch, code_from_generator(Field(2, 1), rows)) is packs
+
+
+def test_table_build_holds_no_second_table():
+    # tracemalloc counts numpy's buffers: building the table peaks within
+    # twice the keys and information weights it keeps
+    code = rs_code(Field(2, 3), 7, 3)
+    BmSphereOracle(code)   # tallies and caches the support histogram
+    tracemalloc.start()
+    try:
+        oracle = BmSphereOracle(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle._keys.dtype == np.uint32
+    assert peak <= 2 * (oracle._keys.nbytes + oracle._info.nbytes)
 
 
 @pytest.mark.parametrize("tau, message", [(-1, "negative"), (3, "overlap")])
