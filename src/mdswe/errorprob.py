@@ -5,7 +5,8 @@ Channel model
 The binary image of the code is BPSK-modulated over AWGN at rate k/n, so
 a bit is received in error with probability p_bit = Q(sqrt(2 (k/n) g))
 at linear SNR g, and a q-ary symbol (m bits) is in error with
-probability p = 1 - (1 - p_bit)^m.  Symbol errors are then treated as a
+probability p = 1 - (1 - p_bit)^m, computed as -expm1(m log1p(-p_bit)),
+which does not cancel to 0 at high SNR.  Symbol errors are then treated as a
 q-ary symmetric channel: a wrong symbol is uniform over the q - 1 wrong
 values.  The nonuniformity that bit-level errors induce between wrong
 symbol values is deliberately ignored (the standard model; it shifts
@@ -13,24 +14,37 @@ absolute curve positions, never the exact identities under test here).
 
 Bounded-minimum-distance (BM) decoding corrects up to
 tau = floor((d-1)/2) symbol errors.  A decoder *error* is the received
-word landing inside the radius-tau sphere of a wrong codeword; since the
-spheres are disjoint, the codeword error probability is the exact sum
+word landing inside the radius-tau sphere of a wrong codeword.  The
+spheres are disjoint, so with the zero word sent, and each wrong symbol
+value received with probability p1 = p/(q-1), the codeword error
+probability is exact as a sum over the received weight w:
 
-    CEP(p) = sum_{h=d}^{n} E(h) D(h),   D(h) = sum_{t=0}^{tau} P_t^h(p),
+    CEP(p) = sum_w M(w) p1^w (1-p)^(n-w),   M(w) = sum_{h=d}^{n} E(h) N(h, w).
 
-with P_t^h the probability that the received word is exactly distance t
-from a fixed codeword of weight h.  The symbol error probability
-substitutes E(h) -> (h/n) E(h), which is exact for codes with the
-uniform-coordinate-weight property (all MDS codes).
+N(h, w) counts the weight-w words within tau of a fixed weight-h word
+(McEliece & Swanson, IEEE Trans. IT 32(5), 1986): s of its support
+symbols zeroed, o changed to another nonzero value and e of the n - h
+others made nonzero, with s + o + e <= tau and w = h - s + e:
 
-`_decoded_probs` gives D(h) for every h at one p.  With the zero word
-sent, a support symbol differs from the codeword's with probability
-1 - p1, p1 = p/(q-1), and any other symbol with probability p, so
+    N(h, w) = sum_{s,e} C(h,s) C(n-h,e) (q-1)^e P(h-s, tau-s-e),
+    P(a, r) = sum_{o <= r} C(a,o) (q-2)^o.
 
-    D(h) = sum_{j <= min(h, tau)} C(h, j) (1-p1)^j p1^(h-j) P(Bin(n-h, p) <= tau-j),
+The symbol error probability substitutes E(h) -> (h/n) E(h), which is
+exact for codes with the uniform-coordinate-weight property (all MDS
+codes).
 
-each tail a running sum of its pmf: O(n tau) float work per SNR point.
-`sphere_distance_prob` keeps the per-t P_t^h as its independent reference.
+`_sphere_spectrum` builds M once per curve in integers: the h that share
+a = h - s share the prefix row P(a, .), so N(h, .) costs
+O(tau min(tau, n-h)) products, and c_h multiplies each received weight
+once.  M(w) is at most den C(n,w) (q-1)^w (den, the coefficients' common
+denominator, is 1 for CEP), so the share of the weight-w words decoded
+to a wrong codeword,
+
+    mu(w) = M(w) / (den C(n,w) (q-1)^w) <= 1,
+
+stays in the float range where E(h) does not, and a point is the sum of
+positive terms mu(w) C(n,w) p^w (1-p)^(n-w).  `sphere_distance_prob`
+keeps the per-distance probability P_t^h as an independent reference.
 
 For maximum-likelihood decoding of the binary image the union bound is
 the one term: probabilities have the shape
@@ -78,20 +92,18 @@ materialised, substituted into or filtered to get a profile; the tests
 keep that literal route as a reference and compare the two exactly.
 
 `_coefficients` gives a curve's coefficients, to `error_curve` and to
-verify's Monte-Carlo check.  Floating point enters in one place,
-`_floats`: coefficients are integer numerators over one common
-denominator (1 for CEP's E(h)) until it divides each once (integer true
-division is correctly rounded, so c / den is float(Fraction(c, den)) and
-no Fraction is built).  `_bm_sum` and `_ml_sum` then add the terms with
-`math.fsum`, which is correctly rounded and so needs no sort; `_bm_sum`
-dots the coefficients with the one vector D(h) of its SNR point.
-`fractions` is loaded only where a value is a Fraction: an 'atmost'
-condition.
+verify's Monte-Carlo check.  Coefficients are integer numerators over
+one common denominator (`_numerators`) until they cross the float
+boundary once per curve: as mu(w) for BM curves, and in `_floats` as
+c / den for the union bound.  Both are integer true divisions, which are
+correctly rounded (c / den is float(Fraction(c, den)) and no Fraction is
+built).  `_bm_sum` and `_ml_sum` then add the terms with `math.fsum`,
+which is correctly rounded and so needs no sort.  `fractions` is loaded
+only where a value is a Fraction: an 'atmost' condition.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
@@ -133,7 +145,7 @@ def _linear_snr(gamma_db: float) -> float:
 def channel_map(gamma_db: float, n: int, k: int, m: int) -> ChannelPoint:
     """Map Eb/N0 in dB to bit/symbol error probabilities (rate-k/n BPSK)."""
     p_bit = q_function(math.sqrt(2.0 * (k / n) * _linear_snr(gamma_db)))
-    p_symbol = p_bit if m == 1 else 1.0 - (1.0 - p_bit) ** m
+    p_symbol = p_bit if m == 1 else -math.expm1(m * math.log1p(-p_bit))
     return ChannelPoint(p_bit, p_symbol)
 
 
@@ -164,34 +176,61 @@ def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
 
 
 def _floats(exact: dict[int, int], den: int) -> dict[int, float]:
-    """The float boundary: exact integer coefficients over the common
-    denominator `den` become binary64 here only."""
+    """The union bound's float boundary: exact integer coefficients over
+    the common denominator `den` become binary64 here only."""
     return {h: c / den for h, c in exact.items()}
 
 
-@functools.lru_cache(maxsize=256)
-def _decoded_probs(n: int, q: int, tau: int, p: float) -> list[float]:
-    """D(h) for h = 0..n (module docstring).  It does not depend on the
-    metric or the conditions, so the curves of one code and grid share
-    it within a process; read only."""
-    p1 = p / (q - 1)
-    pe, not_pe, p1e, not_p1e = ([x**a for a in range(n + 1)] for x in (p, 1.0 - p, p1, 1.0 - p1))
-    out = []
-    for h in range(n + 1):
+def _sphere_spectrum(n: int, q: int, tau: int, exact: dict[int, int]) -> list[int]:
+    """M(w) = sum_h c_h N(h, w) for w = 0..n, with c_h = exact[h] (module
+    docstring): at exact = {h: 1}, the row N(h, .)."""
+    spectrum = [0] * (n + 1)
+    if not exact:
+        return spectrum
+    lo = min(exact)
+    prefix = {}   # a -> (r0, [P(a, r) for r = r0..]), for a >= h - tau
+    for h in range(lo, n + 1):
+        prefix.pop(h - tau - 1, None)
+        c = exact.get(h)
+        if not c:
+            continue
         off = n - h
-        tail, acc = [], 0.0   # tail[r] = P(Bin(off, p) <= r), r <= min(tau, off)
-        for e in range(min(tau, off) + 1):
-            acc += math.comb(off, e) * pe[e] * not_pe[off - e]
-            tail.append(acc)
-        top = len(tail) - 1
-        out.append(math.fsum([math.comb(h, j) * not_p1e[j] * p1e[h - j] * tail[min(tau - j, top)]
-                              for j in range(min(h, tau) + 1)]))
-    return out
+        outside = [math.comb(off, e) * (q - 1) ** e for e in range(min(tau, off) + 1)]
+        near = [0] * (2 * tau + 1)   # near[i] = N(h, h - tau + i)
+        for s in range(min(h, tau) + 1):
+            a = h - s
+            if a not in prefix:
+                # the r = tau - s - e that any h >= max(a, lo) reads
+                r0, r1 = max(0, tau + a - n), tau - max(0, lo - a)
+                row, term, total = [], 1, 0
+                for o in range(r1 + 1):
+                    total += term
+                    if o >= r0:
+                        row.append(total)
+                    term = term * (a - o) * (q - 2) // (o + 1)
+                prefix[a] = r0, row
+            r0, row = prefix[a]
+            zeroed = math.comb(h, s)
+            for e in range(min(tau - s, off) + 1):
+                near[tau - s + e] += zeroed * outside[e] * row[tau - s - e - r0]
+        for i, v in enumerate(near):
+            if v:
+                spectrum[h - tau + i] += c * v
+    return spectrum
 
 
-def _bm_sum(coeffs: dict[int, float], n: int, q: int, tau: int, p: float) -> float:
-    decoded = _decoded_probs(n, q, tau, p)
-    return math.fsum([c * decoded[h] for h, c in coeffs.items() if c])
+def _bm_coefficients(n: int, q: int, tau: int, exact: dict[int, int],
+                     den: int) -> dict[int, float]:
+    """mu(w) = M(w) / (den C(n,w) (q-1)^w) for the w with M(w) > 0: the
+    BM float boundary (module docstring)."""
+    return {w: c / (den * math.comb(n, w) * (q - 1) ** w)
+            for w, c in enumerate(_sphere_spectrum(n, q, tau, exact)) if c}
+
+
+def _bm_sum(coeffs: dict[int, float], n: int, p: float) -> float:
+    """sum_w mu(w) C(n,w) p^w (1-p)^(n-w) over the coefficients mu(w)."""
+    return math.fsum([mu * math.comb(n, w) * p**w * (1.0 - p) ** (n - w)
+                      for w, mu in coeffs.items()])
 
 
 # -- maximum-likelihood bounds on the binary image --------------------------
@@ -336,18 +375,30 @@ def snr_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(round(span) + 1)]
 
 
+def _numerators(params: MdsParams, metric: str, sizes: Optional[Sequence[int]] = None,
+                user: Optional[int] = None,
+                conditions: Optional[Sequence[Condition]] = None
+                ) -> tuple[dict[int, int], int]:
+    """The exact coefficients of one curve as integer numerators over one
+    denominator: E(h) for h >= d (CEP), or the profile of `user`, or else
+    of the one block (n,), at the symbol level (SEP) or the bit level (BEP)."""
+    if metric == "cep":
+        weights = weight_distribution(params)
+        return {h: weights[h] for h in range(params.d, params.n + 1)}, 1
+    level = 1 if metric == "sep" else bits_per_symbol(params.q)
+    return (_user_profile(params, (params.n,), 0, (FREE,), level) if user is None
+            else _user_profile(params, sizes, user, conditions, level))
+
+
 def _coefficients(params: MdsParams, metric: str, sizes: Optional[Sequence[int]] = None,
                   user: Optional[int] = None,
                   conditions: Optional[Sequence[Condition]] = None) -> dict[int, float]:
-    """The float coefficients coeff(h) of one curve: E(h) for h >= d (CEP),
-    or the profile of `user`, or else of the one block (n,), at the
-    symbol level (SEP) or the bit level (BEP)."""
-    if metric == "cep":
-        weights = weight_distribution(params)
-        return _floats({h: weights[h] for h in range(params.d, params.n + 1)}, 1)
-    level = 1 if metric == "sep" else bits_per_symbol(params.q)
-    return _floats(*(_user_profile(params, (params.n,), 0, (FREE,), level) if user is None
-                     else _user_profile(params, sizes, user, conditions, level)))
+    """The float coefficients of one curve: mu(w) by received weight for
+    CEP and SEP, coeff(h) by codeword weight for the BEP union bound."""
+    exact, den = _numerators(params, metric, sizes, user, conditions)
+    if metric == "bep":
+        return _floats(exact, den)
+    return _bm_coefficients(params.n, params.q, (params.d - 1) // 2, exact, den)
 
 
 def error_curve(params: MdsParams, gammas: Sequence[float], metric: str,
@@ -364,13 +415,12 @@ def error_curve(params: MdsParams, gammas: Sequence[float], metric: str,
         raise ValueError(f"metrics are cep, sep and bep, not {metric!r}")
     if user is not None and metric == "cep":
         raise ValueError(f"per-user metrics are sep and bep, not {metric!r}")
-    n, k, q, m = params.n, params.k, params.q, bits_per_symbol(params.q)
+    n, k, m = params.n, params.k, bits_per_symbol(params.q)
     coeffs = _coefficients(params, metric, sizes, user, conditions)
     if metric == "bep":
         points = tuple((g, _ml_sum(coeffs, k / n, g)) for g in gammas)
     else:
-        tau = (params.d - 1) // 2
-        points = tuple((g, _bm_sum(coeffs, n, q, tau, channel_map(g, n, k, m).p_symbol))
+        points = tuple((g, _bm_sum(coeffs, n, channel_map(g, n, k, m).p_symbol))
                        for g in gammas)
     return ErrorCurve("ml-union" if metric == "bep" else "bm", metric, user,
                       None if conditions is None else tuple(conditions), points)

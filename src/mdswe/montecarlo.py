@@ -2,9 +2,13 @@
 
 Independent of the closed-form curves: the decoder is realized literally
 as a lookup into radius-tau spheres enumerated around every nonzero
-codeword, and the channel draws i.i.d. symbol errors.  Used to validate
-statistically the BM sum over the coefficients the CEP and SEP curves
-print (`errorprob._coefficients`); reproducible given (seed, trials).
+codeword, and the channel draws i.i.d. symbol errors.  The table checks
+the curves twice.  `weight_tally` counts its words, and sums their
+information weights, by received weight: exactly the integer spectra
+M(w) that the CEP and SEP curves divide into mu(w)
+(`errorprob._sphere_spectrum`).  `simulate` estimates the decoder's
+error rates, to be compared statistically with the BM sums the curves
+print (`errorprob._bm_sum`); it is reproducible given (seed, trials).
 numpy is imported when an oracle is built.
 
 The sphere table is built as arrays: the nonzero codewords are one
@@ -41,6 +45,7 @@ from .linear_code import LinearCode, min_distance
 from .mds_enum import ParamOutOfRangeError
 
 _HEAVY_BLOCK = 1 << 14  # heavy trials drawn and looked up at once
+_TALLY_BLOCK = 1 << 14  # table keys split into digits at once
 _BUILD_BYTES = 1 << 18  # transient bytes per block of codewords in the table build
 
 
@@ -141,6 +146,25 @@ class BmSphereOracle:
 
     def sphere_size(self) -> int:
         return len(self._keys)
+
+    def weight_tally(self) -> tuple[list[int], list[int]]:
+        """For each received weight w = 0..n: the number of table words of
+        weight w, and the sum of their codewords' information weights."""
+        import numpy as np
+
+        n, k = self.n, self.k
+        counts = np.zeros((n + 1) * (k + 1), dtype=np.int64)   # by (weight, info weight)
+        for start in range(0, len(self._keys), _TALLY_BLOCK):
+            rest = self._keys[start:start + _TALLY_BLOCK].copy()
+            slot = np.zeros(len(rest), dtype=np.int64)   # weight, then weight * (k + 1) + info
+            for _ in range(n):
+                slot += rest % self.q != 0
+                rest //= self.q
+            slot *= k + 1
+            slot += self._info[start:start + _TALLY_BLOCK]
+            counts += np.bincount(slot, minlength=len(counts))
+        rows = counts.reshape(n + 1, k + 1).tolist()
+        return [sum(row) for row in rows], [sum(i * c for i, c in enumerate(row)) for row in rows]
 
     def _weight_tail(self, p: float) -> list[float]:
         """P(W = w) for w = w0..n, W ~ Bin(n, p): the weights that can

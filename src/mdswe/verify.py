@@ -27,6 +27,7 @@ case; a unit test does not repeat what a check covers.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import sys
@@ -455,20 +456,34 @@ def suite_duality(rng: random.Random, seed: int) -> list[CheckResult]:
 def suite_errorprob(rng: random.Random, seed: int) -> list[CheckResult]:
     out = []
 
-    # the decoder kernel at tau = n: every received word is in the sphere
-    ok = all(abs(v - 1.0) <= 1e-12
-             for q, n in ((2, 7), (8, 7), (16, 15)) for p in (0.01, 0.1, 0.4)
-             for v in errorprob._decoded_probs(n, q, n, p))
+    # at tau = n every word is in the sphere: each row N(h, .) is the
+    # number of words of each weight
+    ok = all(errorprob._sphere_spectrum(n, q, n, {h: 1})
+             == [math.comb(n, w) * (q - 1) ** w for w in range(n + 1)]
+             for q, n in ((2, 7), (8, 7), (16, 15)) for h in range(n + 1))
     out.append(CheckResult("errorprob:distance-distribution-total-1", ok))
 
-    # the simulated decoder against the coefficients the curves print
+    # the literal decoder's table, by received weight, against the integer
+    # spectra the curves divide: the word counts are the CEP spectrum, and
+    # den times the information-weight sums are k times the SEP numerators'
+    p738 = MdsParams(7, 3, 8)
     oracle = BmSphereOracle(rs_code(Field(2, 3), 7, 3))
-    coeffs = [errorprob._coefficients(MdsParams(7, 3, 8), metric) for metric in ("cep", "sep")]
+    words, info = oracle.weight_tally()
+    (cep_exact, _), (sep_exact, den) = (errorprob._numerators(p738, metric)
+                                        for metric in ("cep", "sep"))
+    ok = (words == errorprob._sphere_spectrum(7, 8, 2, cep_exact)
+          and [den * v for v in info]
+          == [3 * v for v in errorprob._sphere_spectrum(7, 8, 2, sep_exact)])
+    out.append(CheckResult("errorprob:sphere-table==spectrum", ok,
+                           f"{oracle.sphere_size()} table words"))
+
+    # the simulated decoder against the coefficients the curves print
+    coeffs = [errorprob._coefficients(p738, metric) for metric in ("cep", "sep")]
     ok = True
     details = []
     for p in (0.05, 0.1, 0.2):
         sim = oracle.simulate(p, MONTE_CARLO_TRIALS, seed)
-        cep, sep = (errorprob._bm_sum(c, 7, 8, 2, p) for c in coeffs)
+        cep, sep = (errorprob._bm_sum(c, 7, p) for c in coeffs)
         if not (sim.cep.within(cep) and sim.sep.within(sep)):
             ok = False
         details.append(f"p={p}: cep {(sim.cep.value - cep) / sim.cep.stderr:+.1f} sigma, "

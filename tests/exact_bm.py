@@ -16,23 +16,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from mdswe.errorprob import FREE, Condition, _user_profile
 from mdswe.mds_enum import MdsParams, weight_distribution
 
 
-def decoded_numerators(n: int, q: int, tau: int, p: float) -> tuple[list[int], int]:
-    """D(h) for h = 0..n as integer numerators over one denominator D^n."""
+def decoded_numerators(n: int, q: int, tau: int, p: float,
+                       weights: Optional[Iterable[int]] = None) -> tuple[dict[int, int], int]:
+    """D(h) for each h in `weights` (default 0..n) as integer numerators
+    over one denominator D^n."""
     num, two_e = Fraction(p).as_integer_ratio()
     one_p1, p1 = (q - 1) * two_e - num, num              # over D = (q-1) 2^E
     pe, not_pe = num * (q - 1), (two_e - num) * (q - 1)
-    out = []
-    for h in range(n + 1):
+    out = {}
+    for h in range(n + 1) if weights is None else weights:
         off = n - h
         pmf = [math.comb(off, e) * pe**e * not_pe ** (off - e) for e in range(min(tau, off) + 1)]
-        out.append(sum(math.comb(h, j) * one_p1**j * p1 ** (h - j) * sum(pmf[:tau - j + 1])
-                       for j in range(min(h, tau) + 1)))
+        out[h] = sum(math.comb(h, j) * one_p1**j * p1 ** (h - j) * sum(pmf[:tau - j + 1])
+                     for j in range(min(h, tau) + 1))
     return out, ((q - 1) * two_e) ** n
 
 
@@ -52,5 +54,5 @@ def exact_bm(params: MdsParams, metric: str, p: float, sizes: Optional[Sequence[
         coeffs, den = _user_profile(params, sizes, user, conditions, 1)
     else:
         raise ValueError(f"BM metrics are cep and sep, not {metric!r}")
-    decoded, scale = decoded_numerators(params.n, params.q, (params.d - 1) // 2, p)
+    decoded, scale = decoded_numerators(params.n, params.q, (params.d - 1) // 2, p, coeffs)
     return Fraction(sum(c * decoded[h] for h, c in coeffs.items()), den * scale)

@@ -204,8 +204,8 @@ def test_criterion_7_channel_decoder():
                                   for metric in ("cep", "sep"))
         for p in (0.05, 0.1, 0.2):
             sim = oracle.simulate(p, 10**6, seed=7)
-            cep = _bm_sum(cep_coeffs, 7, 8, 2, p)
-            sep = _bm_sum(sep_coeffs, 7, 8, 2, p)
+            cep = _bm_sum(cep_coeffs, 7, p)
+            sep = _bm_sum(sep_coeffs, 7, p)
             assert sim.cep.within(cep, sigmas=3.0), (p, cep, sim.cep)
             assert sim.sep.within(sep, sigmas=3.0), (p, sep, sim.sep)
 

@@ -348,11 +348,25 @@ class TestErrprobCommand:
                                  "cep", "--snr", "1e308:1e308:1", "--format", "csv")
         assert (code, out, err) == (0, "gamma_db,probability\r\n1e+308,0.0\r\n", "")
 
-    @pytest.mark.parametrize("metric", ["cep", "bep"])
-    def test_float_overflow_exits_two(self, metric):
-        # E(h) of (255,223,256) exceeds the float64 range
+    @pytest.mark.parametrize("code, extra", [
+        ("rs:256:255:223", ("--metric", "cep")), ("rs:256:255:223", ("--metric", "sep")),
+        ("rs:256:255:223", ("--metric", "sep", "--partition", "56,56,56,87", "--user", "4",
+                             "--condition", "free,free,free,free")),
+        ("rs:256:255:239", ("--metric", "cep")), ("rs:256:255:239", ("--metric", "sep"))],
+        ids=["223-cep", "223-sep", "223-user", "239-cep", "239-sep"])
+    def test_paper_scale_bm_curves(self, capsys, code, extra):
+        # the BM curves cross the float boundary as shares mu(w) <= 1, not E(h)
+        rc, out, err = run_cli(capsys, "errprob", "--code", code, *extra, "--snr", "3:12:1",
+                               "--format", "csv")
+        assert (rc, err) == (0, "")
+        probs = [float(r["probability"]) for r in csv.DictReader(io.StringIO(out))]
+        assert len(probs) == 10 and all(0.0 < v <= 1.0 for v in probs)
+        assert all(b <= a for a, b in zip(probs, probs[1:]))
+
+    def test_float_overflow_exits_two(self):
+        # the union-bound coefficients of (255,223,256) exceed the float64 range
         proc = subprocess.run([sys.executable, "-m", "mdswe.cli", "errprob", "--code",
-                               "rs:256:255:223", "--metric", metric, "--snr", "4:5:1"],
+                               "rs:256:255:223", "--metric", "bep", "--snr", "4:5:1"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "float boundary" in proc.stderr

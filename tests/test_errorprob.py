@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from mdswe import cli, duality, mds_enum
 from mdswe.binary_avg import NotCharTwoError, avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition,
                              ConditionCountMismatchError, ErrorCurve,
-                             ParamOutOfRangeError, _bm_sum, _coefficients,
-                             _decoded_probs, _floats, _user_profile, at_most,
+                             ParamOutOfRangeError, _bm_coefficients, _bm_sum,
+                             _coefficients, _floats, _sphere_spectrum, _user_profile, at_most,
                              channel_map, error_curve, parse_condition, q_function,
                              snr_grid, sphere_distance_prob)
 from mdswe.gf import Field
@@ -28,6 +29,8 @@ P1511 = MdsParams(15, 11, 16)
 SIZES_1511 = (3, 3, 5, 4)
 P6351 = MdsParams(63, 51, 64)
 SIZES_6351 = (15, 15, 15, 18)
+P255_223 = MdsParams(255, 223, 256)
+SIZES_255 = (56, 56, 56, 87)
 
 
 def _bep_reference(params, gamma_db):
@@ -54,7 +57,8 @@ def _sep_from_weights(params, p):
     coefficients (h/n) E(h) for h >= d: the reference the one-block
     profile must reproduce."""
     n, d, E = params.n, params.d, weight_distribution(params)
-    return _bm_sum({h: h * E[h] / n for h in range(d, n + 1)}, n, params.q, (d - 1) // 2, p)
+    coeffs = _bm_coefficients(n, params.q, (d - 1) // 2, {h: h * E[h] for h in range(d, n + 1)}, n)
+    return _bm_sum(coeffs, n, p)
 
 
 def _bep_point(params, gamma_db):
@@ -91,6 +95,13 @@ class TestChannelMap:
     def test_symbol_from_bit(self):
         ch = channel_map(2.0, 15, 11, 4)
         assert ch.p_symbol == pytest.approx(1 - (1 - ch.p_bit) ** 4, rel=1e-12)
+
+    def test_symbol_from_bit_does_not_cancel(self):
+        # at 18 dB p_bit is ~1e-22, and 1 - (1 - p_bit)^4 in floats is 0
+        ch = channel_map(18.0, 15, 11, 4)
+        exact = 1 - (1 - Fraction(ch.p_bit)) ** 4
+        assert abs(Fraction(ch.p_symbol) - exact) <= Fraction(1e-15) * exact
+        assert error_curve(P1511, [18.0], "cep").points[0][1] > 0.0
 
 
 class TestSphereDistanceProb:
@@ -136,7 +147,7 @@ class TestSphereDistanceProb:
 class TestBmDecoder:
     def test_zero_error_channel(self):
         for metric in ("cep", "sep"):
-            assert _bm_sum(_coefficients(P738, metric), 7, 8, 2, 0.0) == 0.0
+            assert _bm_sum(_coefficients(P738, metric), 7, 0.0) == 0.0
 
     @pytest.mark.parametrize("m", [1, 6])
     @pytest.mark.parametrize("sizes,user,conditions", [
@@ -151,16 +162,36 @@ class TestBmDecoder:
             {h: float(Fraction(c, den)) for h, c in numerators.items()}
         E = weight_distribution(P6351)
         assert _floats({h: E[h] for h in range(64)}, 1) == {h: float(E[h]) for h in range(64)}
+        if m == 1:   # symbol level: the BM boundary, mu(w) = M(w) / (den C(n,w) (q-1)^w)
+            spectrum = _sphere_spectrum(63, 64, 6, numerators)
+            assert _bm_coefficients(63, 64, 6, numerators, den) == \
+                {w: float(Fraction(c, den * math.comb(63, w) * 63**w))
+                 for w, c in enumerate(spectrum) if c}
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (4, 3), (8, 2)])
+    def test_sphere_rows_match_exhaustive_count(self, q, n):
+        # N(h, w): the words of weight w within tau of a fixed weight-h word
+        for tau in range(n + 1):
+            for h in range(n + 1):
+                counts = [0] * (n + 1)
+                for word in itertools.product(range(q), repeat=n):
+                    if sum(v != 1 for v in word[:h]) + sum(v != 0 for v in word[h:]) <= tau:
+                        counts[sum(v != 0 for v in word)] += 1
+                assert _sphere_spectrum(n, q, tau, {h: 1}) == counts, (tau, h)
 
     @pytest.mark.parametrize("params", [P738, P1511, P6351], ids=["7,3", "15,11", "63,51"])
     @pytest.mark.parametrize("p", [0.0, 1e-6, 0.01, 0.3, 1.0])
-    def test_kernel_equals_sphere_distance_sums(self, params, p):
+    def test_sphere_row_sums_equal_sphere_distance_sums(self, params, p):
+        # one codeword's sphere: the float BM sum over its row N(h, .)
+        # against the per-distance probabilities summed to tau.  Each route
+        # rounds 1 - p or 1 - p/(q-1) and raises it to a power of up to n,
+        # so they agree to n ulps; below the normal range, to float_info.min.
         n, q, tau = params.n, params.q, (params.d - 1) // 2
-        decoded = _decoded_probs(n, q, tau, p)
-        assert len(decoded) == n + 1
         for h in range(n + 1):
+            decoded = _bm_sum(_bm_coefficients(n, q, tau, {h: 1}, 1), n, p)
             ref = math.fsum([sphere_distance_prob(n, q, h, t, p) for t in range(tau + 1)])
-            assert abs(decoded[h] - ref) <= 1e-15 * ref, h
+            assert math.isclose(decoded, ref, rel_tol=n * sys.float_info.epsilon,
+                                abs_tol=sys.float_info.min), h
 
     @pytest.mark.parametrize("q,n", [(2, 4), (4, 3), (8, 2)])
     @pytest.mark.parametrize("p", [0.1, 0.375])
@@ -208,10 +239,39 @@ class TestBmDecoder:
                              **kw)
             assert exact > 0 and abs(Fraction(v) - exact) <= Fraction(1e-14) * exact, g
 
+    @pytest.mark.parametrize("params, metric, kw", [
+        (P255_223, "cep", {}), (P255_223, "sep", {}),
+        (P255_223, "sep", dict(sizes=SIZES_255, user=3, conditions=(FREE,) * 4)),
+        (P255_223, "sep", dict(sizes=SIZES_255, user=2,
+                               conditions=(ZERO, FULL, FREE, at_most(Fraction(1, 2))))),
+        (MdsParams(255, 239, 256), "cep", {})],
+        ids=["223-cep", "223-sep", "223-user", "223-conditioned", "239-cep"])
+    def test_paper_scale_values_match_exact_oracle(self, params, metric, kw):
+        # E(h) of the n = 255 codes is far beyond the float range; the
+        # shares mu(w) are not.  Every value is below the McEliece-Swanson
+        # bound 1/tau!, and the unconditioned curves fall with SNR.
+        n, k, tau = params.n, params.k, (params.d - 1) // 2
+        points = error_curve(params, [-1000.0, 3.0, 5.0, 12.0], metric, **kw).points
+        values = [v for _, v in points]
+        assert all(0.0 < v < 1 / math.factorial(tau) for v in values)
+        if set(kw.get("conditions", (FREE,))) == {FREE}:
+            assert values == sorted(values, reverse=True)
+        for g, v in points:
+            exact = exact_bm(params, metric, channel_map(g, n, k, 8).p_symbol, **kw)
+            assert abs(Fraction(v) - exact) <= Fraction(1e-12) * exact, g
+
+    def test_low_rate_value_matches_exact_oracle(self):
+        # (255,31,256), tau = 112: a point whose terms p1^(h-j) of a
+        # per-codeword-weight sum would underflow
+        params = MdsParams(255, 31, 256)
+        [(_, v)] = error_curve(params, [4.0], "cep").points
+        exact = exact_bm(params, "cep", channel_map(4.0, 255, 31, 8).p_symbol)
+        assert abs(Fraction(v) - exact) <= Fraction(1e-12) * exact
+
     def test_sep_below_cep(self):
         cep, sep = _coefficients(P1511, "cep"), _coefficients(P1511, "sep")
         for p in (0.01, 0.05, 0.2):
-            assert _bm_sum(sep, 15, 16, 2, p) <= _bm_sum(cep, 15, 16, 2, p)
+            assert _bm_sum(sep, 15, p) <= _bm_sum(cep, 15, p)
 
     def test_oracle_rejects_zero_code(self):
         zero = dual(code_from_generator(Field(2, 1), [[1, 0], [0, 1]]))

@@ -40,20 +40,6 @@ def test_multiuser_curves(tmp_path):
         assert float(r["bep(1,1)"]) < float(r["bep(0,1)"]) < float(r["bep(0,0)"])
 
 
-def test_multiuser_curves_share_the_bm_inner_sums(monkeypatch, capsys):
-    # five BM curves on one code and grid: the kernel D(h) is built once per point
-    script = load_script("multiuser_curves")
-    errorprob._decoded_probs.cache_clear()
-    assert script.main([]) == 0
-    shared = capsys.readouterr().out
-    info = errorprob._decoded_probs.cache_info()
-    assert (info.misses, info.hits) == (17, 4 * 17)
-    # without the cache: the same CSV byte for byte
-    monkeypatch.setattr(errorprob, "_decoded_probs", errorprob._decoded_probs.__wrapped__)
-    assert script.main([]) == 0
-    assert capsys.readouterr().out == shared
-
-
 @pytest.mark.parametrize("offset", range(8))
 def test_multiuser_bm_columns_match_exact_oracle(capsys, offset):
     # the 17-point paper grid shifted by offset/32 dB

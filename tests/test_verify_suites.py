@@ -49,6 +49,7 @@ CHECKS = (
     "duality:property-a-classification",
     "duality:property-a-dual-agreement",
     "errorprob:distance-distribution-total-1",
+    "errorprob:sphere-table==spectrum",
     "errorprob:monte-carlo-agreement",
     "errorprob:user-iowe-marginal-is-E(h)",
     "errorprob:unconditional-sep-user-independent",
