@@ -91,20 +91,21 @@ The contraction is the only route: no generating function is
 materialised, substituted into or filtered to get a profile; the tests
 keep that literal route as a reference and compare the two exactly.
 
-`_coefficients` gives a curve's coefficients, to `error_curve` and to
-verify's Monte-Carlo check.  Coefficients are integer numerators over
-one common denominator (`_numerators`) until they cross the float
-boundary once per curve: as mu(w) for BM curves, and in `_floats` as
-c / den for the union bound.  Both are integer true divisions, which are
-correctly rounded (c / den is float(Fraction(c, den)) and no Fraction is
-built).  `_bm_sum` and `_ml_sum` then add the terms with `math.fsum`,
-which is correctly rounded and so needs no sort.  `fractions` is loaded
-only where a value is a Fraction: an 'atmost' condition.
+`error_curve` reads a curve's exact coefficients once, as integer
+numerators over one common denominator (`_numerators`), and they cross
+the float boundary once per curve: as mu(w) for BM curves, and in
+`_floats` as c / den for the union bound.  Both are integer true
+divisions, which are correctly rounded (c / den is
+float(Fraction(c, den)) and no Fraction is built).  `_bm_sum` and
+`_ml_sum` then add the terms with `math.fsum`, which is correctly
+rounded and so needs no sort.  `fractions` is loaded only where a value
+is a Fraction: an 'atmost' condition.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .binary_avg import _horner, _times_one_plus_z, bits_per_symbol
@@ -185,11 +186,8 @@ def _sphere_spectrum(n: int, q: int, tau: int, exact: dict[int, int]) -> list[in
     """M(w) = sum_h c_h N(h, w) for w = 0..n, with c_h = exact[h] (module
     docstring): at exact = {h: 1}, the row N(h, .)."""
     spectrum = [0] * (n + 1)
-    if not exact:
-        return spectrum
-    lo = min(exact)
-    prefix = {}   # a -> (r0, [P(a, r) for r = r0..]), for a >= h - tau
-    for h in range(lo, n + 1):
+    prefix = {}   # a -> [P(a, r) for r = 0..tau], kept while some h <= a + tau is to come
+    for h in range(min(exact, default=n + 1), n + 1):
         prefix.pop(h - tau - 1, None)
         c = exact.get(h)
         if not c:
@@ -200,19 +198,16 @@ def _sphere_spectrum(n: int, q: int, tau: int, exact: dict[int, int]) -> list[in
         for s in range(min(h, tau) + 1):
             a = h - s
             if a not in prefix:
-                # the r = tau - s - e that any h >= max(a, lo) reads
-                r0, r1 = max(0, tau + a - n), tau - max(0, lo - a)
                 row, term, total = [], 1, 0
-                for o in range(r1 + 1):
+                for o in range(tau + 1):
                     total += term
-                    if o >= r0:
-                        row.append(total)
+                    row.append(total)
                     term = term * (a - o) * (q - 2) // (o + 1)
-                prefix[a] = r0, row
-            r0, row = prefix[a]
+                prefix[a] = row
+            row = prefix[a]
             zeroed = math.comb(h, s)
             for e in range(min(tau - s, off) + 1):
-                near[tau - s + e] += zeroed * outside[e] * row[tau - s - e - r0]
+                near[tau - s + e] += zeroed * outside[e] * row[tau - s - e]
         for i, v in enumerate(near):
             if v:
                 spectrum[h - tau + i] += c * v
@@ -222,14 +217,23 @@ def _sphere_spectrum(n: int, q: int, tau: int, exact: dict[int, int]) -> list[in
 def _bm_coefficients(n: int, q: int, tau: int, exact: dict[int, int],
                      den: int) -> dict[int, float]:
     """mu(w) = M(w) / (den C(n,w) (q-1)^w) for the w with M(w) > 0: the
-    BM float boundary (module docstring)."""
+    BM float boundary (module docstring).  Raises OverflowError before the
+    spectrum is built when C(n, n//2), which `_bm_sum` reads, is not a float."""
+    if math.comb(n, n // 2) > sys.float_info.max:
+        raise OverflowError(f"C({n}, {n // 2}) exceeds the float64 range")
     return {w: c / (den * math.comb(n, w) * (q - 1) ** w)
             for w, c in enumerate(_sphere_spectrum(n, q, tau, exact)) if c}
 
 
 def _bm_sum(coeffs: dict[int, float], n: int, p: float) -> float:
-    """sum_w mu(w) C(n,w) p^w (1-p)^(n-w) over the coefficients mu(w)."""
-    return math.fsum([mu * math.comb(n, w) * p**w * (1.0 - p) ** (n - w)
+    """sum_w mu(w) C(n,w) p^w (1-p)^(n-w) over the coefficients mu(w).
+
+    1 - p = hi + lo exactly, with hi the float 1 - p, and
+    (hi + lo)^j = hi^j (1 + j lo/hi) to well below an ulp, so the rounding
+    of 1 - p is not raised to the power n - w."""
+    hi = 1.0 - p
+    ratio = ((1.0 - hi) - p) / hi if hi else 0.0   # lo / hi
+    return math.fsum([mu * math.comb(n, w) * p**w * hi ** (n - w) * (1.0 + (n - w) * ratio)
                       for w, mu in coeffs.items()])
 
 
@@ -393,12 +397,10 @@ def _numerators(params: MdsParams, metric: str, sizes: Optional[Sequence[int]] =
 def _coefficients(params: MdsParams, metric: str, sizes: Optional[Sequence[int]] = None,
                   user: Optional[int] = None,
                   conditions: Optional[Sequence[Condition]] = None) -> dict[int, float]:
-    """The float coefficients of one curve: mu(w) by received weight for
-    CEP and SEP, coeff(h) by codeword weight for the BEP union bound."""
-    exact, den = _numerators(params, metric, sizes, user, conditions)
-    if metric == "bep":
-        return _floats(exact, den)
-    return _bm_coefficients(params.n, params.q, (params.d - 1) // 2, exact, den)
+    """mu(w) of one CEP or SEP curve, by received weight: what `_bm_sum`
+    reads, for the checks that sum it outside `error_curve`."""
+    return _bm_coefficients(params.n, params.q, (params.d - 1) // 2,
+                            *_numerators(params, metric, sizes, user, conditions))
 
 
 def error_curve(params: MdsParams, gammas: Sequence[float], metric: str,
@@ -416,10 +418,12 @@ def error_curve(params: MdsParams, gammas: Sequence[float], metric: str,
     if user is not None and metric == "cep":
         raise ValueError(f"per-user metrics are sep and bep, not {metric!r}")
     n, k, m = params.n, params.k, bits_per_symbol(params.q)
-    coeffs = _coefficients(params, metric, sizes, user, conditions)
+    exact, den = _numerators(params, metric, sizes, user, conditions)
     if metric == "bep":
+        coeffs = _floats(exact, den)
         points = tuple((g, _ml_sum(coeffs, k / n, g)) for g in gammas)
     else:
+        coeffs = _bm_coefficients(n, params.q, (params.d - 1) // 2, exact, den)
         points = tuple((g, _bm_sum(coeffs, n, channel_map(g, n, k, m).p_symbol))
                        for g in gammas)
     return ErrorCurve("ml-union" if metric == "bep" else "bm", metric, user,

@@ -44,8 +44,7 @@ from typing import Optional
 from .linear_code import LinearCode, min_distance
 from .mds_enum import ParamOutOfRangeError
 
-_HEAVY_BLOCK = 1 << 14  # heavy trials drawn and looked up at once
-_TALLY_BLOCK = 1 << 14  # table keys split into digits at once
+_BLOCK = 1 << 14  # rows at once: heavy trials drawn and looked up, table keys tallied
 _BUILD_BYTES = 1 << 18  # transient bytes per block of codewords in the table build
 
 
@@ -154,14 +153,14 @@ class BmSphereOracle:
 
         n, k = self.n, self.k
         counts = np.zeros((n + 1) * (k + 1), dtype=np.int64)   # by (weight, info weight)
-        for start in range(0, len(self._keys), _TALLY_BLOCK):
-            rest = self._keys[start:start + _TALLY_BLOCK].copy()
+        for start in range(0, len(self._keys), _BLOCK):
+            rest = self._keys[start:start + _BLOCK].copy()
             slot = np.zeros(len(rest), dtype=np.int64)   # weight, then weight * (k + 1) + info
             for _ in range(n):
                 slot += rest % self.q != 0
                 rest //= self.q
             slot *= k + 1
-            slot += self._info[start:start + _TALLY_BLOCK]
+            slot += self._info[start:start + _BLOCK]
             counts += np.bincount(slot, minlength=len(counts))
         rows = counts.reshape(n + 1, k + 1).tolist()
         return [sum(row) for row in rows], [sum(i * c for i, c in enumerate(row)) for row in rows]
@@ -200,8 +199,8 @@ class BmSphereOracle:
         heavy = int(rng.binomial(trials, min(math.fsum(self._weight_tail(p)), 1.0)))
         counts = np.zeros(self.k + 1, dtype=np.int64)   # hits per information weight
         last = len(self._keys) - 1
-        for start in range(0, heavy, _HEAVY_BLOCK):
-            received = self._heavy_errors(rng, min(_HEAVY_BLOCK, heavy - start), p) @ self._qpow
+        for start in range(0, heavy, _BLOCK):
+            received = self._heavy_errors(rng, min(_BLOCK, heavy - start), p) @ self._qpow
             # the keys' own type: a mixed signed/unsigned search compares as float64
             received = received.astype(self._keys.dtype)
             received.sort()   # in-order lookups: ~half the time of unsorted ones

@@ -14,6 +14,7 @@ that p, against which the float path is measured.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -32,8 +33,9 @@ def decoded_numerators(n: int, q: int, tau: int, p: float,
     out = {}
     for h in range(n + 1) if weights is None else weights:
         off = n - h
-        pmf = [math.comb(off, e) * pe**e * not_pe ** (off - e) for e in range(min(tau, off) + 1)]
-        out[h] = sum(math.comb(h, j) * one_p1**j * p1 ** (h - j) * sum(pmf[:tau - j + 1])
+        cdf = list(itertools.accumulate(math.comb(off, e) * pe**e * not_pe ** (off - e)
+                                        for e in range(min(tau, off) + 1)))
+        out[h] = sum(math.comb(h, j) * one_p1**j * p1 ** (h - j) * cdf[min(tau - j, off)]
                      for j in range(min(h, tau) + 1))
     return out, ((q - 1) * two_e) ** n
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdswe import cli, duality, mds_enum
+from mdswe import cli, duality, errorprob, mds_enum
 from mdswe.binary_avg import NotCharTwoError, avg_binary_wgf, bits_per_symbol
 from mdswe.errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition,
                              ConditionCountMismatchError, ErrorCurve,
@@ -181,17 +181,29 @@ class TestBmDecoder:
 
     @pytest.mark.parametrize("params", [P738, P1511, P6351], ids=["7,3", "15,11", "63,51"])
     @pytest.mark.parametrize("p", [0.0, 1e-6, 0.01, 0.3, 1.0])
-    def test_sphere_row_sums_equal_sphere_distance_sums(self, params, p):
+    def test_sphere_row_sums_match_exact_oracle(self, params, p):
         # one codeword's sphere: the float BM sum over its row N(h, .)
-        # against the per-distance probabilities summed to tau.  Each route
-        # rounds 1 - p or 1 - p/(q-1) and raises it to a power of up to n,
-        # so they agree to n ulps; below the normal range, to float_info.min.
+        # against the exact D(h) at the float p.  Within 1e-15 where D(h)
+        # is a normal float; below that each term rounds to a multiple of
+        # the smallest subnormal, so the sum is within one such unit per term.
         n, q, tau = params.n, params.q, (params.d - 1) // 2
+        numerators, scale = decoded_numerators(n, q, tau, p)
         for h in range(n + 1):
-            decoded = _bm_sum(_bm_coefficients(n, q, tau, {h: 1}, 1), n, p)
-            ref = math.fsum([sphere_distance_prob(n, q, h, t, p) for t in range(tau + 1)])
-            assert math.isclose(decoded, ref, rel_tol=n * sys.float_info.epsilon,
-                                abs_tol=sys.float_info.min), h
+            coeffs = _bm_coefficients(n, q, tau, {h: 1}, 1)
+            decoded = _bm_sum(coeffs, n, p)
+            exact = Fraction(numerators[h], scale)
+            if exact >= sys.float_info.min:
+                assert abs(Fraction(decoded) - exact) <= Fraction(1e-15) * exact, h
+            else:
+                assert abs(decoded - float(exact)) <= (len(coeffs) + 1) * math.ulp(0.0), h
+
+    def test_bm_overflow_fails_before_the_spectrum(self, monkeypatch):
+        # C(2047, 1023) is not a float: the curve fails before the O(k tau^2) build
+        def build(*args):
+            raise AssertionError("spectrum built")
+        monkeypatch.setattr(errorprob, "_sphere_spectrum", build)
+        with pytest.raises(OverflowError, match="float64 range"):
+            error_curve(MdsParams(2047, 50, 2048), [4.0], "cep")
 
     @pytest.mark.parametrize("q,n", [(2, 4), (4, 3), (8, 2)])
     @pytest.mark.parametrize("p", [0.1, 0.375])

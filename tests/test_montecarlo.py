@@ -58,8 +58,8 @@ def _reference_simulate(keys, info, q, n, k, w0, p, trials, seed):
     rng = np.random.default_rng(seed)
     heavy = int(rng.binomial(trials, min(math.fsum(tail), 1.0)))
     hits, info_sum, info_sumsq = 0, 0, 0
-    for start in range(0, heavy, montecarlo._HEAVY_BLOCK):
-        rows = min(montecarlo._HEAVY_BLOCK, heavy - start)
+    for start in range(0, heavy, montecarlo._BLOCK):
+        rows = min(montecarlo._BLOCK, heavy - start)
         weight = rng.choice(np.arange(w0, n + 1), size=rows,
                             p=np.array(tail) / math.fsum(tail))
         support = rng.permuted(np.arange(n) < weight[:, None], axis=1)
@@ -111,7 +111,7 @@ def test_multiblock_simulation_matches_reference():
     oracle = BmSphereOracle(code)
     keys, info = _reference_tables(code, oracle.tau)
     sim, heavy = _reference_simulate(keys, info, 8, 7, 3, 3, 0.3, 150_000, 3)
-    assert heavy >= 2.5 * montecarlo._HEAVY_BLOCK
+    assert heavy >= 2.5 * montecarlo._BLOCK
     assert oracle.simulate(0.3, 150_000, seed=3) == sim
 
 
