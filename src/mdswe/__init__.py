@@ -33,8 +33,7 @@ _EXPORTS = {
     "duality": ("PropertyAReport", "PropertyAWitness", "dual_property_a", "krawtchouk",
                 "macwilliams_pwe", "property_a_check"),
     "errorprob": ("FREE", "FULL", "ZERO", "ChannelPoint", "Condition", "ErrorCurve",
-                  "at_most", "channel_map", "error_curve", "parse_condition", "snr_grid",
-                  "sphere_distance_prob"),
+                  "at_most", "channel_map", "error_curve", "parse_condition", "snr_grid"),
     "montecarlo": ("BmSphereOracle",),
     "poly": ("SparsePoly",),
 }

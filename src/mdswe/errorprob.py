@@ -43,8 +43,7 @@ to a wrong codeword,
     mu(w) = M(w) / (den C(n,w) (q-1)^w) <= 1,
 
 stays in the float range where E(h) does not, and a point is the sum of
-positive terms mu(w) C(n,w) p^w (1-p)^(n-w).  `sphere_distance_prob`
-keeps the per-distance probability P_t^h as an independent reference.
+positive terms mu(w) C(n,w) p^w (1-p)^(n-w).
 
 For maximum-likelihood decoding of the binary image the union bound is
 the one term: probabilities have the shape
@@ -151,29 +150,6 @@ def channel_map(gamma_db: float, n: int, k: int, m: int) -> ChannelPoint:
 
 
 # -- bounded-minimum-distance decoding ------------------------------------
-
-
-def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
-    """P_t^h: probability the received word is exactly distance t from a
-    fixed codeword of weight h, when the zero word crosses a q-ary
-    symmetric channel with symbol error probability p.
-
-    Splits over a = number of support coordinates where the error equals
-    the codeword symbol (probability p/(q-1) each); the off-support part
-    must then contribute exactly t - h + a errors.  Each term is
-    C(h, a) p1^a (1-p1)^(h-a) C(n-h, e) p^e (1-p)^(n-h-e) with p1 = p/(q-1).
-    """
-    if not 0 <= h <= n or not 0 <= t <= n:
-        raise ParamOutOfRangeError(f"need 0 <= t, h <= n; got t={t}, h={h}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ParamOutOfRangeError(f"need 0 <= p <= 1, got {p}")
-    p1 = p / (q - 1)
-    terms = []
-    for a in range(max(0, h - t), min(h, n - t) + 1):
-        e = t - h + a
-        terms.append(math.comb(h, a) * p1**a * (1.0 - p1) ** (h - a)
-                     * math.comb(n - h, e) * p**e * (1.0 - p) ** (n - h - e))
-    return math.fsum(terms)
 
 
 def _floats(exact: dict[int, int], den: int) -> dict[int, float]:

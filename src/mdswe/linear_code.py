@@ -50,7 +50,7 @@ class RankDeficientError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    """q^k exceeds the configured enumeration budget."""
+    """q^k (or a syndrome table's q^(n-k)) exceeds the enumeration budget."""
 
 
 def _row_reduce(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

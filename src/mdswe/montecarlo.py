@@ -1,26 +1,28 @@
 """Seeded Monte-Carlo oracle for the bounded-minimum-distance decoder.
 
 Independent of the closed-form curves: the decoder is realized literally
-as a lookup into radius-tau spheres enumerated around every nonzero
-codeword, and the channel draws i.i.d. symbol errors.  The table checks
-the curves twice.  `weight_tally` counts its words, and sums their
-information weights, by received weight: exactly the integer spectra
-M(w) that the CEP and SEP curves divide into mu(w)
-(`errorprob._sphere_spectrum`).  `simulate` estimates the decoder's
-error rates, to be compared statistically with the BM sums the curves
-print (`errorprob._bm_sum`); it is reproducible given (seed, trials).
-numpy is imported when an oracle is built.
+as coset-leader (syndrome) decoding (MacWilliams & Sloane, ch. 1), and the
+channel draws i.i.d. symbol errors.  The oracle checks the curves twice.
+`weight_tally` enumerates the radius-tau spheres around every nonzero
+codeword, and counts their words, and sums their information weights, by
+received weight: exactly the integer spectra M(w) that the CEP and SEP
+curves divide into mu(w) (`errorprob._sphere_spectrum`).  `simulate`
+estimates the decoder's error rates, to be compared statistically with
+the BM sums the curves print (`errorprob._bm_sum`); it is reproducible
+given (seed, trials).  numpy is imported when an oracle is built.
 
-The sphere table is built as arrays: the nonzero codewords are one
-array, every error pattern of weight <= tau a second, and the key of
-codeword c moved by pattern e is sum_j ((c_j + e_j) mod q) q^j.  Each
-table entry packs key * (k + 1) + the information weight of c into one
-unsigned integer of the narrowest type that holds (q^n - 1)(k + 1) + k,
-so that value must fit in 64 bits (this also refuses a few codes with
-q^n <= 2^63, such as a binary [63, 2] code, whose sphere tables are far
-too large to build anyway).  The entries are accumulated one coordinate
-at a time in place, a block of codewords at a time, sorted in place, and
-split into keys and information weights without a copy of the table.
+The decoder keeps one table of q^(n-k) entries, not the spheres.  The
+syndrome H r of a received word r (H the generator of the dual code) is
+a GF(p)-linear map of r's base-p digits, q = p^m: the base-p digits of
+the terms H[:, j] r_j, summed over j and reduced mod p, are the digits of
+H r, and those digits read in base p are its index.  The table maps each
+syndrome to the one error pattern of weight <= tau that has it, if any:
+the coset leader, unique because the spheres are disjoint.  A received
+word r with leader e is decoded to c = r - e, so the decoder errs iff a
+leader exists and e != r, and c's information weight is the number of
+information coordinates where r and e differ; no field arithmetic runs
+per trial.  The spheres themselves are enumerated only by
+`weight_tally`, a block of codewords at a time.
 
 The channel sends the zero codeword, and each symbol is in error with
 probability p, independently, with its value uniform on 1..q-1.  A word
@@ -41,23 +43,25 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .linear_code import LinearCode, min_distance
+from .linear_code import (DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, LinearCode, dual,
+                          min_distance)
 from .mds_enum import ParamOutOfRangeError
 
-_BLOCK = 1 << 14  # rows at once: heavy trials drawn and looked up, table keys tallied
-_BUILD_BYTES = 1 << 18  # transient bytes per block of codewords in the table build
+_BLOCK = 1 << 14  # rows at once: heavy trials drawn and decoded, sphere words tallied
 
 
 def _error_patterns(q: int, n: int, tau: int):
-    """Every error pattern of weight <= tau, one per row: each choice of
-    values 1..q-1 on each set of at most tau positions, zero elsewhere."""
+    """Every error pattern of weight <= tau, one per row in the narrowest
+    type that holds q - 1: each choice of values 1..q-1 on each set of at
+    most tau positions, zero elsewhere."""
     import numpy as np
 
-    blocks = [np.zeros((1, n), dtype=np.int64)]
+    dtype = np.min_scalar_type(q - 1)
+    blocks = [np.zeros((1, n), dtype=dtype)]
     for t in range(1, tau + 1):
-        values = np.array(list(itertools.product(range(1, q), repeat=t)), dtype=np.int64)
+        values = np.array(list(itertools.product(range(1, q), repeat=t)), dtype=dtype)
         for positions in itertools.combinations(range(n), t):
-            block = np.zeros((len(values), n), dtype=np.int64)
+            block = np.zeros((len(values), n), dtype=dtype)
             block[:, positions] = values
             blocks.append(block)
     return np.concatenate(blocks)
@@ -82,22 +86,22 @@ class BmSimulation:
 
 
 class BmSphereOracle:
-    """Sphere-membership decoder for one code, plus a channel simulator.
+    """Coset-leader decoder of radius tau for one code, plus a channel
+    simulator.
 
-    Enumerates every word within Hamming distance tau of a nonzero
-    codeword (the spheres are disjoint for tau = floor((d-1)/2)), keyed
-    by the base-q packing of the word.  A trial is a decoder error iff
-    its received word is one of those; the symbol-error contribution of a
-    trial is the decoded codeword's information weight over k.
+    Every error pattern of weight <= tau has a syndrome no other such
+    pattern has (the spheres are disjoint for tau = floor((d-1)/2)), so
+    a table indexed by syndrome finds the error pattern, and with it the
+    decoded codeword, of each received word inside a sphere.  A trial is a decoder error iff it is decoded
+    to a nonzero codeword; its symbol-error contribution is that
+    codeword's information weight over k.
     """
 
     def __init__(self, code: LinearCode, tau: Optional[int] = None):
         q, n, k = code.field.order, code.n, code.k
-        widest = (q**n - 1) * (k + 1) + k
-        if widest >> 64:
-            raise ValueError(f"words of length {n} over GF({q}) with information weights "
-                             f"up to {k} do not pack into uint64 keys "
-                             f"((q^n - 1)(k + 1) + k >= 2^64)")
+        if q ** (n - k) > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceededError(f"q^(n-k) = {q ** (n - k)} syndromes exceed "
+                                      f"enumeration budget {DEFAULT_ENUMERATION_BUDGET}")
         import numpy as np
 
         d = min_distance(code)
@@ -107,61 +111,85 @@ class BmSphereOracle:
             raise ValueError(f"radius {tau} is negative")
         if 2 * tau + 1 > d:
             raise ValueError(f"radius {tau} spheres overlap at distance {d}")
-        info_cols = list(code.systematic_columns or range(k))
-
-        words = np.array([cw for cw in code.codewords() if any(cw)], dtype=np.int64)
-        patterns = _error_patterns(q, n, tau)
-        dtype = np.min_scalar_type(widest)
-        # table[c, e] = key * (k + 1) + info weight of c, with
-        # key = sum_j ((c_j + e_j) mod q) q^j added one coordinate at a
-        # time.  Digit j takes each value other than c_j once as e_j runs
-        # over 1..q-1, so the keys are the words within distance tau of c,
-        # the same set that field addition would give.  digits[j][v] is
-        # coordinate j's term for c_j = v, for every pattern.
-        shift = ((np.arange(q)[:, None] + np.arange(q)) % q).astype(dtype)
-        digits = [(shift * dtype.type(q**j * (k + 1)))[:, patterns[:, j]] for j in range(n)]
-        table = np.empty((len(words), len(patterns)), dtype=dtype)
-        table[:] = np.count_nonzero(words[:, info_cols], axis=1)[:, None]
-        step = max(1, _BUILD_BYTES // table[0].nbytes)
-        for start in range(0, len(words), step):
-            block = table[start:start + step]
-            for j in range(n):
-                block += digits[j][words[start:start + step, j]]
-        # The table is the only table-sized array: sorted in place (an
-        # information weight is below k + 1, so this is key order), then the
-        # information weights taken out and the keys left in its place.
-        table = table.reshape(-1)
-        table.sort()
-        self._info = np.remainder(table, k + 1, casting="unsafe",
-                                  out=np.empty(len(table), dtype=np.min_scalar_type(k)))
-        self._keys = np.floor_divide(table, k + 1, out=table)
-        if np.any(self._keys[1:] == self._keys[:-1]):
-            raise AssertionError("decoding spheres overlap")  # would break exactness
+        field = code.field
+        p, m = field.characteristic, field.extension_degree
+        # digits[j, v, t]: digit t of the syndrome of value v at coordinate
+        # j, where digit i*m + s is the p^s digit of (H[:, j] v)_i
+        products = np.array([[[field.mul(h, v) for h in column] for v in range(q)]
+                             for column in zip(*dual(code).generator)],
+                            dtype=np.int64).reshape(n, q, n - k)
+        digits = (products[..., None] // p ** np.arange(m) % p).reshape(n, q, -1)
+        # Each digit is summed over the n coordinates in a field of `bits`
+        # bits, which the sum cannot overflow.  `per_lane` digits share a
+        # lane of at most 12 bits (or one field, if that is wider):
+        # _lanes[c, j, v] is lane c of the syndrome of value v at coordinate
+        # j, and `_reduce` maps each lane value to its field sums, each
+        # taken mod p, read in base p.
+        bits = (n * (p - 1)).bit_length()
+        per_lane = max(1, min(12 // bits, digits.shape[2]))
+        lanes = -(-digits.shape[2] // per_lane)
+        digits = np.pad(digits, ((0, 0), (0, 0), (0, lanes * per_lane - digits.shape[2])))
+        shifts = bits * np.arange(per_lane)
+        self._lanes = np.ascontiguousarray(
+            (digits.reshape(n, q, lanes, per_lane) << shifts).sum(axis=3).transpose(2, 0, 1),
+            dtype=np.min_scalar_type((1 << (bits * per_lane)) - 1))
+        fields = np.arange(1 << (bits * per_lane))[:, None] >> shifts & ((1 << bits) - 1)
+        self._syndrome_dtype = np.min_scalar_type(q ** (n - k))   # holds p^per_lane too
+        self._reduce = (fields % p @ p ** np.arange(per_lane)).astype(self._syndrome_dtype)
+        self._lane_base = p ** per_lane
         self.code = code
         self.tau = tau
         self.q, self.n, self.k = q, n, k
-        self._qpow = q ** np.arange(n, dtype=np.int64)
+        self._info_cols = list(code.systematic_columns or range(k))
         self._min_weight = d - tau
 
-    def sphere_size(self) -> int:
-        return len(self._keys)
+        self._patterns = _error_patterns(q, n, tau)
+        none = len(self._patterns)   # the entry of a syndrome with no leader
+        self._leader = np.full(q ** (n - k), none, dtype=np.min_scalar_type(none))
+        self._leader[self._syndromes(self._patterns)] = np.arange(none)
+        if np.count_nonzero(self._leader != none) != none:
+            raise AssertionError("decoding spheres overlap")  # would break exactness
 
-    def weight_tally(self) -> tuple[list[int], list[int]]:
-        """For each received weight w = 0..n: the number of table words of
-        weight w, and the sum of their codewords' information weights."""
+    def _syndromes(self, words):
+        """The syndrome index of each row of `words`."""
         import numpy as np
 
-        n, k = self.n, self.k
+        sums = np.zeros((len(self._lanes), len(words)), dtype=self._lanes.dtype)
+        for j in range(self.n):
+            values = words[:, j].astype(np.intp)   # one index conversion for every lane
+            for lane, tables in zip(sums, self._lanes):
+                lane += tables[j][values]
+        index = np.zeros(len(words), dtype=self._syndrome_dtype)
+        for lane in sums[::-1]:   # Horner's rule from the highest lane down
+            index *= self._lane_base
+            index += self._reduce[lane]
+        return index
+
+    def sphere_size(self) -> int:
+        """The number of words within tau of a nonzero codeword."""
+        return (self.code.size - 1) * len(self._patterns)
+
+    def weight_tally(self) -> tuple[list[int], list[int]]:
+        """For each received weight w = 0..n: the number of words of weight
+        w within tau of a nonzero codeword, and the sum of those codewords'
+        information weights."""
+        import numpy as np
+
+        n, k, field = self.n, self.k, self.code.field
+        neg = np.array([field.neg(v) for v in range(self.q)], dtype=self._patterns.dtype)
+        # zero[j][v, e]: coordinate j of c + e is zero, for c_j = v
+        zero = [(self._patterns[:, j] == neg[:, None]).view(np.uint8) for j in range(n)]
         counts = np.zeros((n + 1) * (k + 1), dtype=np.int64)   # by (weight, info weight)
-        for start in range(0, len(self._keys), _BLOCK):
-            rest = self._keys[start:start + _BLOCK].copy()
-            slot = np.zeros(len(rest), dtype=np.int64)   # weight, then weight * (k + 1) + info
-            for _ in range(n):
-                slot += rest % self.q != 0
-                rest //= self.q
-            slot *= k + 1
-            slot += self._info[start:start + _BLOCK]
-            counts += np.bincount(slot, minlength=len(counts))
+        nonzero = (cw for cw in self.code.codewords() if any(cw))
+        step = max(1, _BLOCK // len(self._patterns))   # codewords per block
+        while block := list(itertools.islice(nonzero, step)):
+            words = np.array(block, dtype=self._patterns.dtype)
+            zeros = zero[0][words[:, 0]]
+            for j in range(1, n):
+                zeros += zero[j][words[:, j]]
+            slot = (n - zeros).astype(np.intp) * (k + 1)
+            slot += np.count_nonzero(words[:, self._info_cols], axis=1)[:, None]
+            counts += np.bincount(slot.reshape(-1), minlength=len(counts))
         rows = counts.reshape(n + 1, k + 1).tolist()
         return [sum(row) for row in rows], [sum(i * c for i, c in enumerate(row)) for row in rows]
 
@@ -183,7 +211,7 @@ class BmSphereOracle:
         weight = rng.choice(np.arange(self._min_weight, self.n + 1), size=rows,
                             p=np.array(tail) / math.fsum(tail))
         support = rng.permuted(np.arange(self.n) < weight[:, None], axis=1)
-        words = np.zeros((rows, self.n), dtype=np.int64)
+        words = np.zeros((rows, self.n), dtype=np.min_scalar_type(self.q - 1))
         words[support] = rng.integers(1, self.q, size=int(weight.sum()), dtype=np.int64)
         return words
 
@@ -197,16 +225,17 @@ class BmSphereOracle:
 
         rng = np.random.default_rng(seed)
         heavy = int(rng.binomial(trials, min(math.fsum(self._weight_tail(p)), 1.0)))
-        counts = np.zeros(self.k + 1, dtype=np.int64)   # hits per information weight
-        last = len(self._keys) - 1
+        counts = np.zeros(self.k + 1, dtype=np.int64)   # errors per information weight
+        none = len(self._patterns)
         for start in range(0, heavy, _BLOCK):
-            received = self._heavy_errors(rng, min(_BLOCK, heavy - start), p) @ self._qpow
-            # the keys' own type: a mixed signed/unsigned search compares as float64
-            received = received.astype(self._keys.dtype)
-            received.sort()   # in-order lookups: ~half the time of unsorted ones
-            idx = np.minimum(np.searchsorted(self._keys, received), last)
-            hit = self._keys[idx] == received
-            counts += np.bincount(self._info[idx[hit]], minlength=self.k + 1)
+            received = self._heavy_errors(rng, min(_BLOCK, heavy - start), p)
+            leader = self._leader[self._syndromes(received)]
+            decoded = leader != none
+            # c = r - e is nonzero exactly where r and e differ
+            changed = received[decoded] != self._patterns[leader[decoded]]
+            wrong = changed[changed.any(axis=1)]
+            counts += np.bincount(np.count_nonzero(wrong[:, self._info_cols], axis=1),
+                                  minlength=self.k + 1)
         counts = counts.tolist()
         hits = sum(counts)
         info_sum = sum(i * c for i, c in enumerate(counts))

@@ -463,9 +463,10 @@ def suite_errorprob(rng: random.Random, seed: int) -> list[CheckResult]:
              for q, n in ((2, 7), (8, 7), (16, 15)) for h in range(n + 1))
     out.append(CheckResult("errorprob:distance-distribution-total-1", ok))
 
-    # the literal decoder's table, by received weight, against the integer
-    # spectra the curves divide: the word counts are the CEP spectrum, and
-    # den times the information-weight sums are k times the SEP numerators'
+    # the words of the literal decoder's spheres, by received weight,
+    # against the integer spectra the curves divide: the word counts are the
+    # CEP spectrum, and den times the information-weight sums are k times
+    # the SEP numerators'
     p738 = MdsParams(7, 3, 8)
     oracle = BmSphereOracle(rs_code(Field(2, 3), 7, 3))
     words, info = oracle.weight_tally()

@@ -10,6 +10,10 @@ has total degree n in those four factors.  So D(h) D^n is an integer, and
 the sum is one integer over D^n times the coefficients' denominator.
 `float()` of the Fraction is the correctly rounded value of the model at
 that p, against which the float path is measured.
+
+`sphere_distance_prob` is the float probability P_t^h of each distance t
+from a weight-h codeword, summed term by term as written: a reference
+that shares no code with either sum.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from mdswe.errorprob import FREE, Condition, _user_profile
-from mdswe.mds_enum import MdsParams, weight_distribution
+from mdswe.mds_enum import MdsParams, ParamOutOfRangeError, weight_distribution
 
 
 def decoded_numerators(n: int, q: int, tau: int, p: float,
@@ -58,3 +62,26 @@ def exact_bm(params: MdsParams, metric: str, p: float, sizes: Optional[Sequence[
         raise ValueError(f"BM metrics are cep and sep, not {metric!r}")
     decoded, scale = decoded_numerators(params.n, params.q, (params.d - 1) // 2, p, coeffs)
     return Fraction(sum(c * decoded[h] for h, c in coeffs.items()), den * scale)
+
+
+def sphere_distance_prob(n: int, q: int, h: int, t: int, p: float) -> float:
+    """P_t^h: probability the received word is exactly distance t from a
+    fixed codeword of weight h, when the zero word crosses a q-ary
+    symmetric channel with symbol error probability p.
+
+    Splits over a = number of support coordinates where the error equals
+    the codeword symbol (probability p/(q-1) each); the off-support part
+    must then contribute exactly t - h + a errors.  Each term is
+    C(h, a) p1^a (1-p1)^(h-a) C(n-h, e) p^e (1-p)^(n-h-e) with p1 = p/(q-1).
+    """
+    if not 0 <= h <= n or not 0 <= t <= n:
+        raise ParamOutOfRangeError(f"need 0 <= t, h <= n; got t={t}, h={h}, n={n}")
+    if not 0.0 <= p <= 1.0:
+        raise ParamOutOfRangeError(f"need 0 <= p <= 1, got {p}")
+    p1 = p / (q - 1)
+    terms = []
+    for a in range(max(0, h - t), min(h, n - t) + 1):
+        e = t - h + a
+        terms.append(math.comb(h, a) * p1**a * (1.0 - p1) ** (h - a)
+                     * math.comb(n - h, e) * p**e * (1.0 - p) ** (n - h - e))
+    return math.fsum(terms)

@@ -16,8 +16,7 @@ import pytest
 
 from mdswe.binary_avg import avg_binary_iowe, avg_binary_wgf, bits_per_symbol
 from mdswe.duality import dual_property_a, macwilliams_pwe, property_a_check
-from mdswe.errorprob import (FREE, FULL, ZERO, _bm_sum, _coefficients, error_curve,
-                             snr_grid, sphere_distance_prob)
+from mdswe.errorprob import FREE, FULL, ZERO, _bm_sum, _coefficients, error_curve, snr_grid
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (Partition, brute_force_pwe, code_from_generator, dual,
                                rm1_code, rs_code)
@@ -27,6 +26,7 @@ from mdswe.nested_sum import check_convolution_identity, check_subset_identity, 
 from mdswe.poly import SparsePoly
 from mdswe.verify import random_partition
 
+from exact_bm import sphere_distance_prob
 from literal_pipeline import as_poly, bit_substitution_poly, substitute
 
 ROWS_53 = [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1]]

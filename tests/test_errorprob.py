@@ -15,13 +15,13 @@ from mdswe.errorprob import (FREE, FULL, ZERO, ChannelPoint, Condition,
                              ParamOutOfRangeError, _bm_coefficients, _bm_sum,
                              _coefficients, _floats, _sphere_spectrum, _user_profile, at_most,
                              channel_map, error_curve, parse_condition, q_function,
-                             snr_grid, sphere_distance_prob)
+                             snr_grid)
 from mdswe.gf import Field
 from mdswe.linear_code import code_from_generator, dual
 from mdswe.mds_enum import MdsParams, pwgf, weight_distribution
 from mdswe.montecarlo import BmSphereOracle
 
-from exact_bm import decoded_numerators, exact_bm
+from exact_bm import decoded_numerators, exact_bm, sphere_distance_prob
 from literal_pipeline import as_poly, avg_binary_pwgf, conditional_pwgf, user_iowe
 
 P738 = MdsParams(7, 3, 8)

@@ -45,7 +45,7 @@ EXPORTS = {
     "macwilliams_pwe", "min_distance", "parse_condition",
     "parse_field_spec", "property_a_check", "psi", "pwe_direct", "pwe_direct_table",
     "pwe_product", "pwgf", "rm1_code", "rs_code", "snr_grid",
-    "sphere_distance_prob", "support_histogram",
+    "support_histogram",
     "weight_distribution",
 }
 

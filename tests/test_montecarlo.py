@@ -1,11 +1,13 @@
-"""The sphere-lookup oracle against a literal nested-loop reference.
+"""The coset-leader decoder against a literal nested-loop sphere decoder.
 
-`_reference_tables` enumerates the decoding spheres one word at a time,
-and `_reference_simulate` makes the simulator's random draws in the same
-order, then packs and decodes every heavy trial one at a time through a
-dict.  The oracle must reproduce both exactly: the same sorted sphere
-table and identical estimates from the same seed.  The law of the drawn
-error words is checked on its own, against the i.i.d. symbol channel.
+`_reference_tables` enumerates the decoding spheres one word at a time
+into a dict, and `_reference_simulate` makes the simulator's random draws
+in the same order, then packs and looks up every heavy trial one at a
+time in that dict.  The oracle must reproduce both exactly: the sphere
+table's tally by received weight and identical estimates from the same
+seed.  The law of the drawn error words is checked on its own, against
+the i.i.d. symbol channel, and the syndromes against the parity checks
+computed in the field.
 """
 
 import itertools
@@ -18,18 +20,18 @@ import pytest
 
 from mdswe import montecarlo
 from mdswe.gf import Field, field_from_order
-from mdswe.linear_code import LinearCode, code_from_generator, rs_code
+from mdswe.linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, code_from_generator, dual,
+                               rs_code)
 from mdswe.mds_enum import ParamOutOfRangeError
 from mdswe.montecarlo import BmSimulation, BmSphereOracle, MonteCarloEstimate
 
 
 def _reference_tables(code, tau):
-    """Sorted sphere keys and the information weight of each key's codeword;
-    the keys in the narrowest unsigned type that holds the oracle's packed
-    key * (k + 1) + information weight."""
+    """{base-q packing of each word within tau of a nonzero codeword: that
+    codeword's information weight}."""
     q, n, k = code.field.order, code.n, code.k
     info_cols = code.systematic_columns or tuple(range(k))
-    packed, info_w = [], []
+    table = {}
     qpow = [q**j for j in range(n)]
     for cw in code.codewords():
         if not any(cw):
@@ -43,17 +45,24 @@ def _reference_tables(code, tau):
                     word = base
                     for j, dv in zip(positions, repl):
                         word += dv * qpow[j]
-                    packed.append(word)
-                    info_w.append(w_info)
-    keys = np.array(packed, dtype=np.min_scalar_type((q**n - 1) * (k + 1) + k))
-    order = np.argsort(keys)
-    return keys[order], np.array(info_w, dtype=np.int64)[order]
+                    assert word not in table   # the spheres are disjoint
+                    table[word] = w_info
+    return table
 
 
-def _reference_simulate(keys, info, q, n, k, w0, p, trials, seed):
+def _reference_tally(table, q, n):
+    """The table's words counted, and their information weights summed, by
+    received weight w = 0..n, the weight read off the base-q digits."""
+    words = np.array(list(table), dtype=np.int64)
+    info = np.array(list(table.values()), dtype=np.int64)
+    weight = sum(words // q**j % q != 0 for j in range(n))
+    return ([int(np.count_nonzero(weight == w)) for w in range(n + 1)],
+            [int(info[weight == w].sum()) for w in range(n + 1)])
+
+
+def _reference_simulate(table, q, n, k, w0, p, trials, seed):
     """(estimates, heavy trials): the oracle's draws in the oracle's order,
     in blocks of its size, and each heavy trial decoded on its own."""
-    table = dict(zip(keys.tolist(), info.tolist()))
     tail = [math.comb(n, w) * p**w * (1.0 - p)**(n - w) for w in range(w0, n + 1)]
     rng = np.random.default_rng(seed)
     heavy = int(rng.binomial(trials, min(math.fsum(tail), 1.0)))
@@ -92,16 +101,49 @@ def test_oracle_matches_nested_loop_reference(q, n, k, tau):
     oracle = BmSphereOracle(code, tau)
     tau = oracle.tau
     assert tau == ((n - k) // 2 if tau is None else tau)
-    keys, info = _reference_tables(code, tau)
-    assert oracle._keys.dtype == keys.dtype and oracle._info.dtype == np.min_scalar_type(k)
-    assert np.array_equal(oracle._keys, keys)
-    assert np.array_equal(oracle._info, info)
+    table = _reference_tables(code, tau)
+    assert oracle.sphere_size() == len(table)
+    assert oracle.weight_tally() == _reference_tally(table, q, n)
     w0 = n - k + 1 - tau
     for p in (0.0, 0.05, 0.3, 1.0):
-        sim, heavy = _reference_simulate(keys, info, q, n, k, w0, p, 50_000, 7)
+        sim, heavy = _reference_simulate(table, q, n, k, w0, p, 50_000, 7)
         assert oracle.simulate(p, 50_000, seed=7) == sim
         if p in (0.0, 1.0):   # no trial is heavy, or every one
             assert heavy == p * 50_000
+
+
+def test_wide_digit_fields_decode_like_the_reference():
+    # over GF(4099) a syndrome digit summed over two coordinates needs 14
+    # bits, so each lane holds one digit
+    code = rs_code(field_from_order(4099), 2, 1)
+    oracle = BmSphereOracle(code)
+    assert oracle.tau == 0 and len(oracle._reduce) == 1 << 14
+    table = _reference_tables(code, 0)
+    assert oracle.weight_tally() == _reference_tally(table, 4099, 2)
+    for p in (0.3, 1.0):
+        assert oracle.simulate(p, 5_000, seed=2) == _reference_simulate(
+            table, 4099, 2, 1, 2, p, 5_000, 2)[0]
+
+
+@pytest.mark.parametrize("q, n, k", [(8, 7, 3), (9, 5, 3), (5, 4, 2), (4, 3, 1), (16, 6, 2),
+                                     (4099, 2, 1)])
+def test_syndromes_are_the_parity_checks(q, n, k):
+    # the index of H r read in base q, with H r computed in the field
+    field = field_from_order(q)
+    code = rs_code(field, n, k)
+    oracle = BmSphereOracle(code)
+    words = np.random.default_rng(5).integers(0, q, size=(300, n)).astype(
+        np.min_scalar_type(q - 1))
+    expected = []
+    for r in words.tolist():
+        index = 0
+        for row in reversed(dual(code).generator):
+            s = 0
+            for h, v in zip(row, r):
+                s = field.add(s, field.mul(h, v))
+            index = index * q + s
+        expected.append(index)
+    assert oracle._syndromes(words).tolist() == expected
 
 
 def test_multiblock_simulation_matches_reference():
@@ -109,8 +151,8 @@ def test_multiblock_simulation_matches_reference():
     # stream across blocks and the hit counts must add up over them
     code = rs_code(Field(2, 3), 7, 3)
     oracle = BmSphereOracle(code)
-    keys, info = _reference_tables(code, oracle.tau)
-    sim, heavy = _reference_simulate(keys, info, 8, 7, 3, 3, 0.3, 150_000, 3)
+    sim, heavy = _reference_simulate(_reference_tables(code, oracle.tau),
+                                     8, 7, 3, 3, 0.3, 150_000, 3)
     assert heavy >= 2.5 * montecarlo._BLOCK
     assert oracle.simulate(0.3, 150_000, seed=3) == sim
 
@@ -120,8 +162,9 @@ def test_heavy_errors_follow_the_channel_law():
     # patterns, each drawn with its i.i.d. channel probability over P(W >= 2)
     q, n, p, draws = 4, 3, 0.3, 10**5
     oracle = BmSphereOracle(rs_code(Field(2, 2), 3, 1))
-    observed = Counter(map(tuple, oracle._heavy_errors(np.random.default_rng(11),
-                                                       draws, p).tolist()))
+    words = oracle._heavy_errors(np.random.default_rng(11), draws, p)
+    assert words.dtype == np.uint8
+    observed = Counter(map(tuple, words.tolist()))
     heavy = [e for e in itertools.product(range(q), repeat=n)
              if sum(v != 0 for v in e) >= 2]
     assert len(heavy) == 54 and set(observed) <= set(heavy)
@@ -147,33 +190,8 @@ def test_estimates_are_pinned(p):
     assert (sim.cep.value, sim.sep.value) == PINNED_ESTIMATES[p]
 
 
-@pytest.mark.parametrize("q, n", [(2, 64), (4, 32), (256, 8), (2, 100)])
-def test_words_wider_than_int64_rejected_before_enumeration(monkeypatch, q, n):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerated")
-
-    monkeypatch.setattr(montecarlo, "min_distance", refuse)
-    monkeypatch.setattr(LinearCode, "codewords", refuse)
-    code = code_from_generator(field_from_order(q), [[1] * n])
-    with pytest.raises(ValueError, match="int64"):
-        BmSphereOracle(code)
-
-
-def test_widest_packable_words_pass_the_width_check(monkeypatch):
-    # q^n = 2^63: the largest word, q^n - 1, still fits in an int64 key
-    class Reached(Exception):
-        pass
-
-    def reached(*args, **kwargs):
-        raise Reached
-
-    monkeypatch.setattr(montecarlo, "min_distance", reached)
-    with pytest.raises(Reached):
-        BmSphereOracle(code_from_generator(Field(2, 1), [[1] * 63]))
-
-
 def _reaches_enumeration(monkeypatch, code):
-    """True iff the oracle gets past its width check on `code`."""
+    """True iff the oracle gets past its syndrome-table budget on `code`."""
     class Reached(Exception):
         pass
 
@@ -187,33 +205,42 @@ def _reaches_enumeration(monkeypatch, code):
     except Reached:
         return True
     except ValueError as exc:
-        assert "uint64" in str(exc)
+        assert "syndromes exceed enumeration budget" in str(exc)
         return False
     raise AssertionError("neither refused nor enumerated")
 
 
-@pytest.mark.parametrize("k, packs", [(2, False), (3, True)], ids=["63-2", "62-3"])
-def test_information_weight_counts_in_the_width_check(monkeypatch, k, packs):
-    # (q^n - 1)(k + 1) + k must fit in 64 bits: a binary [63, 2] code packs
-    # to 3 * 2^63 - 1, a binary [62, 3] code to exactly 2^64 - 1
-    n = 65 - k
-    rows = [[int(i == j) for j in range(k)] + [1] * (n - k) for i in range(k)]
-    assert _reaches_enumeration(monkeypatch, code_from_generator(Field(2, 1), rows)) is packs
+@pytest.mark.parametrize("q, n, fits", [(2, 27, True), (2, 28, False), (4, 14, True),
+                                        (4, 15, False), (256, 5, False), (2, 100, False)])
+def test_syndrome_table_budget_checked_before_enumeration(monkeypatch, q, n, fits):
+    # a one-row code has q^(n-1) syndromes; the budget is 2^26
+    assert (q ** (n - 1) <= DEFAULT_ENUMERATION_BUDGET) is fits
+    code = code_from_generator(field_from_order(q), [[1] * n])
+    assert _reaches_enumeration(monkeypatch, code) is fits
 
 
-def test_table_build_holds_no_second_table():
-    # tracemalloc counts numpy's buffers: building the table peaks within
-    # twice the keys and information weights it keeps
+def test_decoder_memory_is_bounded_by_its_blocks():
+    # tracemalloc counts numpy's buffers: on RS(7,3,8) the build, the
+    # tally of 551,369 sphere words and a simulation of ~15,000 heavy
+    # trials (about one block) stay within 1 MiB, of which the 4,096-entry
+    # leader table is 8 KiB
     code = rs_code(Field(2, 3), 7, 3)
-    BmSphereOracle(code)   # tallies and caches the support histogram
+
+    def run():
+        oracle = BmSphereOracle(code)
+        oracle.weight_tally()
+        oracle.simulate(0.2, 10**5, seed=7)
+        return oracle
+
+    run()   # caches the support histogram and warms numpy's generator
     tracemalloc.start()
     try:
-        oracle = BmSphereOracle(code)
+        oracle = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert oracle._keys.dtype == np.uint32
-    assert peak <= 2 * (oracle._keys.nbytes + oracle._info.nbytes)
+    assert oracle._leader.size == 8**4 and oracle._leader.nbytes == 8192
+    assert peak <= 1 << 20
 
 
 @pytest.mark.parametrize("tau, message", [(-1, "negative"), (3, "overlap")])

@@ -90,3 +90,20 @@ def test_suites_return_the_pinned_checks(suite_results, seed):
 def test_oracle_compares_every_table(suite_results, seed):
     [result] = suite_results("oracle", seed)
     assert result.detail == "98 codes, 1960 tables"
+
+
+# The decoder checks' details at seed 7, as `mdswe verify` prints them: a
+# change to the Monte-Carlo oracle that moves any draw or decoding decision
+# moves a sigma here.
+DECODER_DETAILS_AT_SEED_7 = {
+    "errorprob:sphere-table==spectrum": "551369 table words",
+    "errorprob:monte-carlo-agreement": (
+        "p=0.05: cep +0.3 sigma, sep +0.7 sigma; p=0.1: cep -0.8 sigma, sep -0.4 sigma; "
+        "p=0.2: cep -0.1 sigma, sep +0.3 sigma"),
+}
+
+
+def test_decoder_details_are_pinned(suite_results):
+    details = {result.name: result.detail for result in suite_results("errorprob", 7)}
+    assert {name: details[name] for name in DECODER_DETAILS_AT_SEED_7} \
+        == DECODER_DETAILS_AT_SEED_7
