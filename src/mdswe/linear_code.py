@@ -10,7 +10,9 @@ and a*c (a != 0) have the same support, so it visits only the
 (q^k - 1)/(q - 1) words whose last nonzero message symbol is 1, counts
 each support q - 1 times and adds the zero word.  The words are built
 with numpy in chunks, for every field (numpy is imported by the first
-enumeration, so the closed forms never load it).  The resulting
+enumeration, so the closed forms never load it), in the one numpy form
+of GF(p^m) words, `_word_tables`, which the Monte-Carlo decoder's
+syndromes (`montecarlo`) are built in too.  The resulting
 histogram of coordinate support masks is cached per code as a mask
 array and a count array, and every partition profile count is derived
 from those arrays, so enumerating many partitions of the same code costs
@@ -264,23 +266,49 @@ def _sum_by_row(rows, counts=None):
     return rows[start], np.add.reduceat(counts[order], start)
 
 
-# (x * _GATHER) >> 56 moves byte i of a uint64 (0 or 1) to bit i of the
-# top byte; every other partial product lands below bit 56 or past bit 63,
-# on distinct bits, so nothing carries into the top byte.
-_GATHER = 0x0102040810204080
-
-
 def _support_masks(nonzero, width: int):
-    """(R, width) little-endian uint64 support masks of an (R, 8b) bool
-    array, which is overwritten."""
+    """(R, width) little-endian uint64 support masks of an (R, 8b) bool array."""
     import numpy as np
 
-    packed = nonzero.view("<u8")
-    packed *= np.uint64(_GATHER)
-    packed >>= np.uint64(56)
+    # rows of whole bytes: packing the flat array packs each row, many
+    # times faster than packbits(axis=1) on rows this short
+    packed = np.packbits(nonzero.reshape(-1), bitorder="little").reshape(
+        len(nonzero), nonzero.shape[1] // 8)
     out = np.zeros((len(nonzero), 8 * width), dtype=np.uint8)
     out[:, :packed.shape[1]] = packed
     return out.view("<u8")
+
+
+def _word_tables(field: Field, vectors, symbols: int):
+    """The one numpy form of GF(p^m) words, with the tables that build them.
+
+    A word of `symbols` symbols is one row: one symbol per coordinate,
+    added by XOR, when p = 2, or else the m base-p digits of each symbol
+    (column i*m + t holds the p^t digit of symbol i), added digit by digit
+    mod p.  Returns (tables, add, radix): tables[j][v] is v * vectors[j] in
+    that form, zero-padded to `symbols` symbols, in the narrowest dtype that
+    holds the sum of two entries; add(a, b) adds arrays of such rows; and a
+    row with entries s_i is the word of index sum_i s_i * radix^i, the
+    symbols read in base q.
+    """
+    import numpy as np
+
+    q, p, m = field.order, field.characteristic, field.extension_degree
+    planes, radix = (1, q) if p == 2 else (m, p)
+    dtype = np.min_scalar_type(q - 1 if p == 2 else 2 * (p - 1))
+    if q <= 1 << 16:
+        field.build_tables()
+    place = radix ** np.arange(planes, dtype=np.int64)
+    tables = []
+    for u in vectors:
+        values = np.zeros((q, symbols), dtype=np.int64)
+        values[:, :len(u)] = [[field.mul(v, s) for s in u] for v in range(q)]
+        tables.append((values[:, :, None] // place % radix).astype(dtype).reshape(q, -1))
+
+    def add(a, b):
+        return a ^ b if p == 2 else (a + b) % p
+
+    return tables, add, radix
 
 
 @functools.lru_cache(maxsize=128)
@@ -289,30 +317,17 @@ def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
 
     field = code.field
     q, k, n = field.order, code.k, code.n
-    p, m = field.characteristic, field.extension_degree
     width = max(1, -(-n // 64))     # uint64 words per mask
     zero = np.zeros((1, width), dtype="<u8")
     if k == 0:
         return SupportHistogram(n, zero, np.ones(1, dtype=np.int64))
 
-    # A word is stored in digit planes: one GF(2^m) element per coordinate
-    # (added by XOR), or the m base-p digits of each coordinate (added
-    # digit by digit mod p), padded with zero coordinates to a whole byte
-    # of support bits.
-    planes, radix = (1, q) if p == 2 else (m, p)
+    # words in the `_word_tables` form, padded with zero coordinates to a
+    # multiple of 8: whole bytes of support bits, and a row at least as
+    # wide as its mask (8 bytes per 64 coordinates) and its 8-byte sort index
     padded = -(-n // 8) * 8
-    dtype = np.min_scalar_type(q - 1 if p == 2 else 2 * (p - 1))
-    if q <= 1 << 16:
-        field.build_tables()
-    place = radix ** np.arange(planes, dtype=np.int64)
-    mult = []
-    for row in code.generator:
-        values = np.zeros((q, padded), dtype=np.int64)
-        values[:, :n] = [[field.mul(v, g) for g in row] for v in range(q)]
-        mult.append(((values[:, :, None] // place) % radix).astype(dtype).reshape(q, -1))
-
-    def combine(a, b):
-        return a ^ b if p == 2 else (a + b) % p
+    mult, combine, _ = _word_tables(field, code.generator, padded)
+    planes = mult[0].shape[1] // padded
 
     found = []      # (distinct masks, counts) of each chunk
 
@@ -333,7 +348,7 @@ def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
     # span of the first i rows is held as one array while it and a tally's
     # temporaries, `_TALLY_ARRAYS` arrays of its size in all, fit in
     # `_CHUNK_BYTES`; the rest of the span is added one offset at a time.
-    span = np.zeros((1, padded * planes), dtype=dtype)
+    span = np.zeros_like(mult[0][:1])
     i = 0
     for t in range(k):
         for combo in itertools.product(range(q), repeat=t - i):

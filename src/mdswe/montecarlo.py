@@ -13,10 +13,11 @@ given (seed, trials).  numpy is imported when an oracle is built.
 
 The decoder keeps one table of q^(n-k) entries, not the spheres.  The
 syndrome H r of a received word r (H the generator of the dual code) is
-a GF(p)-linear map of r's base-p digits, q = p^m: the base-p digits of
-the terms H[:, j] r_j, summed over j and reduced mod p, are the digits of
-H r, and those digits read in base p are its index.  The table maps each
-syndrome to the one error pattern of weight <= tau that has it, if any:
+the sum over j of the terms r_j H[:, j]: each term is read from a table
+of column j's multiples, built in the exhaustive tally's word form
+(`linear_code._word_tables`), the terms are added in that form, and the
+sum is read as H r's index in base q.  The table maps each syndrome to
+the one error pattern of weight <= tau that has it, if any:
 the coset leader, unique because the spheres are disjoint.  A received
 word r with leader e is decoded to c = r - e, so the decoder errs iff a
 leader exists and e != r, and c's information weight is the number of
@@ -43,8 +44,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .linear_code import (DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, LinearCode, dual,
-                          min_distance)
+from .linear_code import (DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, LinearCode,
+                          _word_tables, dual, min_distance)
 from .mds_enum import ParamOutOfRangeError
 
 _BLOCK = 1 << 14  # rows at once: heavy trials drawn and decoded, sphere words tallied
@@ -111,32 +112,10 @@ class BmSphereOracle:
             raise ValueError(f"radius {tau} is negative")
         if 2 * tau + 1 > d:
             raise ValueError(f"radius {tau} spheres overlap at distance {d}")
-        field = code.field
-        p, m = field.characteristic, field.extension_degree
-        # digits[j, v, t]: digit t of the syndrome of value v at coordinate
-        # j, where digit i*m + s is the p^s digit of (H[:, j] v)_i
-        products = np.array([[[field.mul(h, v) for h in column] for v in range(q)]
-                             for column in zip(*dual(code).generator)],
-                            dtype=np.int64).reshape(n, q, n - k)
-        digits = (products[..., None] // p ** np.arange(m) % p).reshape(n, q, -1)
-        # Each digit is summed over the n coordinates in a field of `bits`
-        # bits, which the sum cannot overflow.  `per_lane` digits share a
-        # lane of at most 12 bits (or one field, if that is wider):
-        # _lanes[c, j, v] is lane c of the syndrome of value v at coordinate
-        # j, and `_reduce` maps each lane value to its field sums, each
-        # taken mod p, read in base p.
-        bits = (n * (p - 1)).bit_length()
-        per_lane = max(1, min(12 // bits, digits.shape[2]))
-        lanes = -(-digits.shape[2] // per_lane)
-        digits = np.pad(digits, ((0, 0), (0, 0), (0, lanes * per_lane - digits.shape[2])))
-        shifts = bits * np.arange(per_lane)
-        self._lanes = np.ascontiguousarray(
-            (digits.reshape(n, q, lanes, per_lane) << shifts).sum(axis=3).transpose(2, 0, 1),
-            dtype=np.min_scalar_type((1 << (bits * per_lane)) - 1))
-        fields = np.arange(1 << (bits * per_lane))[:, None] >> shifts & ((1 << bits) - 1)
-        self._syndrome_dtype = np.min_scalar_type(q ** (n - k))   # holds p^per_lane too
-        self._reduce = (fields % p @ p ** np.arange(per_lane)).astype(self._syndrome_dtype)
-        self._lane_base = p ** per_lane
+        H = dual(code).generator
+        self._columns, self._add, radix = _word_tables(
+            code.field, [[h[j] for h in H] for j in range(n)], n - k)
+        self._place = radix ** np.arange(self._columns[0].shape[1], dtype=np.int64)
         self.code = code
         self.tau = tau
         self.q, self.n, self.k = q, n, k
@@ -152,18 +131,10 @@ class BmSphereOracle:
 
     def _syndromes(self, words):
         """The syndrome index of each row of `words`."""
-        import numpy as np
-
-        sums = np.zeros((len(self._lanes), len(words)), dtype=self._lanes.dtype)
-        for j in range(self.n):
-            values = words[:, j].astype(np.intp)   # one index conversion for every lane
-            for lane, tables in zip(sums, self._lanes):
-                lane += tables[j][values]
-        index = np.zeros(len(words), dtype=self._syndrome_dtype)
-        for lane in sums[::-1]:   # Horner's rule from the highest lane down
-            index *= self._lane_base
-            index += self._reduce[lane]
-        return index
+        acc = self._columns[0].take(words[:, 0], axis=0)   # take gathers rows faster than []
+        for j in range(1, self.n):
+            acc = self._add(acc, self._columns[j].take(words[:, j], axis=0))
+        return acc @ self._place
 
     def sphere_size(self) -> int:
         """The number of words within tau of a nonzero codeword."""

@@ -476,7 +476,7 @@ def suite_errorprob(rng: random.Random, seed: int) -> list[CheckResult]:
           and [den * v for v in info]
           == [3 * v for v in errorprob._sphere_spectrum(7, 8, 2, sep_exact)])
     out.append(CheckResult("errorprob:sphere-table==spectrum", ok,
-                           f"{oracle.sphere_size()} table words"))
+                           f"{oracle.sphere_size()} sphere words"))
 
     # the simulated decoder against the coefficients the curves print
     coeffs = [errorprob._coefficients(p738, metric) for metric in ("cep", "sep")]

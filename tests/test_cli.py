@@ -606,16 +606,48 @@ class TestVerifyPool:
         assert multiprocessing.active_children() == []
 
     # a run whose second suite blocks: the pool forks, so its workers
-    # inherit the registered suite, and the run cannot end before the interrupt
+    # inherit the registered suite, and the run cannot end before the
+    # interrupt; SIGUSR1 makes each of its processes print every thread's
+    # stack to stderr
     BLOCKED_RUN = "\n".join([
-        "import time",
+        "import faulthandler, signal, time",
         "from mdswe import cli, verify",
+        "faulthandler.register(signal.SIGUSR1, all_threads=True)",
         "def suite_block(rng, seed):",
         "    time.sleep(60)",
         "    return []",
         "verify.SUITES['block'] = suite_block",
         "cli.main(['verify', '--suite', 'gf,block'])",
     ])
+
+    @staticmethod
+    def _group(pgid):
+        """{pid: its /proc stat line} of each process in group `pgid`."""
+        group = {}
+        for name in os.listdir("/proc"):
+            try:
+                if name.isdigit() and os.getpgid(int(name)) == pgid:
+                    with open(f"/proc/{name}/stat") as stat:
+                        group[int(name)] = stat.read().strip()
+            except OSError:   # the process has gone
+                pass
+        return group
+
+    def _stacks(self, proc, pgid):
+        """The run's stderr after each of its processes in turn has printed
+        its threads' stacks there, half a second apart so that they do not
+        interleave; the run is then killed."""
+        for pid in sorted(self._group(pgid)):
+            try:
+                os.kill(pid, signal.SIGUSR1)
+            except ProcessLookupError:
+                pass
+            time.sleep(0.5)
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        return proc.communicate()[1]
 
     def test_interrupt_stops_the_workers_quietly(self):
         # Ctrl-C signals the whole process group; the workers ignore it,
@@ -628,13 +660,19 @@ class TestVerifyPool:
             assert proc.stdout.readline().startswith("ok")
             os.killpg(pgid, signal.SIGINT)
             deadline = time.monotonic() + 5
-            _, err = proc.communicate(timeout=5)
+            try:
+                _, err = proc.communicate(timeout=5)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the run is still alive 5 s after SIGINT; its stderr with "
+                            f"every process's stacks:\n{self._stacks(proc, pgid)}")
             while True:
                 try:
                     os.killpg(pgid, 0)
                 except ProcessLookupError:
                     break
-                assert time.monotonic() < deadline, "a process of the run is still alive"
+                # the run's stderr is closed, so a survivor's stacks would go nowhere
+                assert time.monotonic() < deadline, \
+                    f"a process of the run is still alive: {self._group(pgid)}\n{err}"
                 time.sleep(0.05)
         finally:
             try:

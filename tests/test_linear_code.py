@@ -402,6 +402,29 @@ HISTOGRAM_CODES = [
 ]
 
 
+@pytest.mark.parametrize("q", [4, 8, 5, 9, 4099])
+def test_word_tables_read_back_to_the_field(q):
+    # tables[j][v], read symbol by symbol, is v * u_j padded with a zero
+    # symbol; add is the field's addition; and a row read in `radix` is
+    # the index of its symbols read in base q
+    field = field_from_order(q)
+    rng = random.Random(q)
+    vectors = [[rng.randrange(q) for _ in range(3)] for _ in range(2)]
+    tables, add, radix = linear_code._word_tables(field, vectors, 4)
+    planes = tables[0].shape[1] // 4
+
+    def symbols(rows):
+        return (rows.astype(np.int64).reshape(q, 4, planes) @ radix ** np.arange(planes)).tolist()
+
+    for table, u in zip(tables, vectors):
+        assert symbols(table) == [[field.mul(v, u_j) for u_j in u] + [0] for v in range(q)]
+    total = add(*tables)
+    assert symbols(total) == [[field.add(field.mul(v, a), field.mul(v, b))
+                               for a, b in zip(*vectors)] + [0] for v in range(q)]
+    index = total.astype(np.int64) @ radix ** np.arange(total.shape[1])
+    assert index.tolist() == [sum(s * q**i for i, s in enumerate(row)) for row in symbols(total)]
+
+
 class TestSupportHistogram:
     """The scalar-class numpy tally against the all-codewords Python tally."""
 

@@ -96,7 +96,7 @@ def test_oracle_compares_every_table(suite_results, seed):
 # change to the Monte-Carlo oracle that moves any draw or decoding decision
 # moves a sigma here.
 DECODER_DETAILS_AT_SEED_7 = {
-    "errorprob:sphere-table==spectrum": "551369 table words",
+    "errorprob:sphere-table==spectrum": "551369 sphere words",
     "errorprob:monte-carlo-agreement": (
         "p=0.05: cep +0.3 sigma, sep +0.7 sigma; p=0.1: cep -0.8 sigma, sep -0.4 sigma; "
         "p=0.2: cep -0.1 sigma, sep +0.3 sigma"),
