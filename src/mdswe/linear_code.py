@@ -16,7 +16,11 @@ syndromes (`montecarlo`) are built in too.  The resulting
 histogram of coordinate support masks is cached per code as a mask
 array and a count array, and every partition profile count is derived
 from those arrays, so enumerating many partitions of the same code costs
-one pass over the codeword set.
+one pass over the codeword set.  `brute_force_pwes` projects the
+histogram onto all the partitions it is given at once: the support bits
+are unpacked once per chunk and multiplied once by every partition's
+block indicators side by side; `brute_force_pwe` is its one-partition
+call.
 """
 
 from __future__ import annotations
@@ -371,22 +375,37 @@ def support_histogram(code: LinearCode, budget: Optional[int] = None) -> Support
     return _support_histogram_cached(code)
 
 
-def brute_force_pwe(code: LinearCode, partition: Partition,
-                    budget: Optional[int] = None) -> PweTable:
-    """Exact partition weight enumerator by exhaustive codeword tally."""
-    if partition.n != code.n:
-        raise ValueError(f"partition covers {partition.n} coordinates, code has {code.n}")
+def brute_force_pwes(code: LinearCode, partitions: Sequence[Partition],
+                     budget: Optional[int] = None) -> list[PweTable]:
+    """Exact partition weight enumerators of one code, one per partition,
+    from one pass over its support histogram."""
+    for partition in partitions:
+        if partition.n != code.n:
+            raise ValueError(f"partition covers {partition.n} coordinates, code has {code.n}")
     import numpy as np
 
     hist = support_histogram(code, budget)
-    # a mask's weight in each block: its support bits times the block
-    # indicator, in the narrowest type that holds n (small keys sort fast)
-    member = np.zeros((code.n, partition.p), dtype=np.min_scalar_type(code.n))
-    member[np.arange(code.n), partition.assignment] = 1
+    # a mask's weight in each block of each partition: its support bits
+    # times every partition's block indicators side by side, in the
+    # narrowest type that holds n (small keys sort fast)
+    starts = list(itertools.accumulate((part.p for part in partitions), initial=0))
+    member = np.zeros((code.n, starts[-1]), dtype=np.min_scalar_type(code.n))
+    for part, start in zip(partitions, starts):
+        member[np.arange(code.n), np.add(part.assignment, start)] = 1
     parts = [bits @ member for bits, _ in hist.bit_chunks()]
-    profiles, counts = _sum_by_row(parts[0] if len(parts) == 1 else np.concatenate(parts),
-                                   hist.counts)
-    return PweTable(partition.sizes, dict(zip(map(tuple, profiles.tolist()), counts.tolist())))
+    weights = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    tables = []
+    for part, start in zip(partitions, starts):
+        profiles, counts = _sum_by_row(weights[:, start:start + part.p], hist.counts)
+        tables.append(PweTable(part.sizes,
+                               dict(zip(map(tuple, profiles.tolist()), counts.tolist()))))
+    return tables
+
+
+def brute_force_pwe(code: LinearCode, partition: Partition,
+                    budget: Optional[int] = None) -> PweTable:
+    """Exact partition weight enumerator by exhaustive codeword tally."""
+    return brute_force_pwes(code, [partition], budget)[0]
 
 
 def brute_force_weights(code: LinearCode, budget: Optional[int] = None) -> list[int]:

@@ -10,12 +10,12 @@ same for every subset:
     f(h) = sum_{j=d}^{h} C(h,j) (-1)^(h-j) (q^(j-d+1) - 1).
 
 `fixed_support_counts` tabulates f(0..n) by a one-term recurrence (the
-tests keep the alternating sum as its reference).  Every closed form
-multiplies by f and none divides: the weight distribution is
-E(h) = C(n,h) f(h), and `pwe_product` and `pwgf` give the partition
-weight enumerator f(w) prod C(n_i, w_i) with w = sum w_i, of which
-`iowe` and `coordinate_weight_sum` are the two-block and one-coordinate
-cases.
+tests keep the alternating sum as its reference), once per `MdsParams`.
+Every closed form multiplies by f and none divides: the weight
+distribution is E(h) = C(n,h) f(h), and `pwe_product` and `pwgf` give
+the partition weight enumerator f(w) prod C(n_i, w_i) with w = sum w_i,
+of which `iowe` and `coordinate_weight_sum` are the two-block and
+one-coordinate cases.
 
 `PweTable` is the one enumerator table type: `pwgf`, the exhaustive
 tally (`linear_code.brute_force_pwe`) and the MacWilliams transform
@@ -27,6 +27,7 @@ evaluation kept independent of the product form, lives in `nested_sum`.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product as iter_product
 from typing import Mapping, NamedTuple, Sequence
@@ -99,20 +100,26 @@ def fixed_support_counts(params: MdsParams) -> list[int]:
         S(h+1) = (q - 1) S(h) + (-1)^(h+1-d) C(h-1, d-2),
 
     so each step is one small multiply and one add.  The weight
-    distribution is E(h) = C(n,h) f(h).
+    distribution is E(h) = C(n,h) f(h).  A new list each call, copied from
+    the one tuple tabulated per `params`.
     """
+    return list(_fixed_support_table(params))
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_support_table(params: MdsParams) -> tuple[int, ...]:
     n, q, d = params.n, params.q, params.d
     counts = [1] + [0] * n
     s = 1
     for h in range(d, n + 1):
         counts[h] = (q - 1) * s
         s = (q - 1) * s + (-1) ** (h + 1 - d) * binom(h - 1, d - 2)
-    return counts
+    return tuple(counts)
 
 
 def weight_distribution(params: MdsParams) -> list[int]:
     """The full weight distribution vector E(0..n)."""
-    return [binom(params.n, h) * f for h, f in enumerate(fixed_support_counts(params))]
+    return [binom(params.n, h) * f for h, f in enumerate(_fixed_support_table(params))]
 
 
 def _validate_profile(params: MdsParams, sizes: Sequence[int],
@@ -132,7 +139,7 @@ def pwe_product(params: MdsParams, sizes: Sequence[int],
                 profile: Sequence[int]) -> int:
     """Partition weight enumerator via f(w) * prod C(n_i,w_i), w = sum w_i."""
     _validate_profile(params, sizes, profile)
-    return fixed_support_counts(params)[sum(profile)] * \
+    return _fixed_support_table(params)[sum(profile)] * \
         math.prod(binom(s, x) for s, x in zip(sizes, profile))
 
 
@@ -190,7 +197,7 @@ def pwgf(params: MdsParams, sizes: Sequence[int]) -> PweTable:
     to q^k.
     """
     _validate_profile(params, sizes, [0] * len(sizes))
-    counts = fixed_support_counts(params)
+    counts = _fixed_support_table(params)
     rows = [[math.comb(s, x) for x in range(s + 1)] for s in sizes]
     terms: dict[tuple[int, ...], int] = {}
     for profile, binoms in zip(iter_product(*[range(s + 1) for s in sizes]),
@@ -213,7 +220,7 @@ def iowe(params: MdsParams, s: int, w: int, h: int) -> int:
         raise ProfileOutOfRangeError(f"s={s} not in [0, {n}]")
     if not 0 <= w <= s or not 0 <= h <= n:
         raise ProfileOutOfRangeError(f"(w, h) = ({w}, {h}) out of range")
-    return fixed_support_counts(params)[h] * binom(s, w) * binom(n - s, h - w)
+    return _fixed_support_table(params)[h] * binom(s, w) * binom(n - s, h - w)
 
 
 def coordinate_weight_sum(params: MdsParams, h: int) -> int:
@@ -223,4 +230,4 @@ def coordinate_weight_sum(params: MdsParams, h: int) -> int:
     """
     if not 0 <= h <= params.n:
         raise ProfileOutOfRangeError(f"h={h} not in [0, {params.n}]")
-    return binom(params.n - 1, h - 1) * fixed_support_counts(params)[h]
+    return binom(params.n - 1, h - 1) * _fixed_support_table(params)[h]

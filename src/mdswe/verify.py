@@ -14,11 +14,15 @@ and then ``errorprob`` (`LONGEST_FIRST`), and the rest in the order asked
 for, so the short suites fill in around the long ones.  The lines still
 print in the order asked for, the same lines a one-at-a-time run prints:
 each suite's lines as soon as it and every suite before it are done.  A
-name asked for twice runs and prints twice.  Each worker starts in
-`_init_worker`, which ignores SIGINT and caps OpenBLAS at one thread
-before the worker's first numpy import: no suite calls BLAS, and the
-pool already runs one worker per CPU.  A run of one suite, or on one
-CPU, stays in the calling process.
+name asked for twice runs and prints twice.  When a suite asked for
+loads numpy (`NUMPY_SUITES`), the parent imports it before the pool
+forks, with OpenBLAS capped at one thread for that import: no suite
+calls BLAS, and the pool already runs one worker per CPU.  So the
+workers fork from a single-threaded parent and share its numpy in
+place of importing their own, and a run of numpy-free suites loads
+numpy in no process.  Each worker starts in `_init_worker`, which
+ignores SIGINT.  A run of one suite, or on one CPU, stays in the
+calling process.
 
 `tests/test_verify_suites.py` runs every check of `SUITES` as one pytest
 case; a unit test does not repeat what a check covers.
@@ -38,8 +42,9 @@ from typing import Callable, Iterable, Optional, TextIO
 from . import binary_avg, duality, errorprob, mds_enum, nested_sum
 from .gf import Field, field_from_order
 from .linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, Partition,
-                          RankDeficientError, brute_force_pwe, brute_force_weights,
-                          code_from_generator, dual, min_distance, rm1_code, rs_code)
+                          RankDeficientError, brute_force_pwe, brute_force_pwes,
+                          brute_force_weights, code_from_generator, dual, min_distance,
+                          rm1_code, rs_code)
 from .mds_enum import MdsParams
 from .montecarlo import BmSphereOracle
 
@@ -106,16 +111,19 @@ def suite_gf(rng: random.Random, seed: int) -> list[CheckResult]:
 
     ok = True
     for q in small:
+        # the product and sum of every pair, by the field's own mul and add
         f = field_from_order(q)
         elems = range(q)
+        mul = [[f.mul(a, b) for b in elems] for a in elems]
+        add = [[f.add(a, b) for b in elems] for a in elems]
         for a in elems:
             for b in elems:
                 for c in elems:
-                    if f.mul(f.mul(a, b), c) != f.mul(a, f.mul(b, c)):
+                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                         ok = False
-                    if f.add(f.add(a, b), c) != f.add(a, f.add(b, c)):
+                    if add[add[a][b]][c] != add[a][add[b][c]]:
                         ok = False
-                    if f.mul(a, f.add(b, c)) != f.add(f.mul(a, b), f.mul(a, c)):
+                    if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
                         ok = False
     out.append(CheckResult("gf:associativity-distributivity", ok))
 
@@ -218,9 +226,10 @@ def suite_oracle(rng: random.Random, seed: int,
     """pwe_direct == pwe_product == brute force, coefficient for coefficient.
 
     Compares three whole tables per partition, `pwe_direct_table`, `pwgf`
-    and `brute_force_pwe`, at every profile.  The first two depend only on
-    the block sizes, so they are computed once per distinct sizes of a
-    code; the brute-force table is counted for every partition.
+    and the brute-force table, at every profile.  The first two depend only
+    on the block sizes, so they are computed once per distinct sizes of a
+    code; the brute-force tables of all a code's partitions come from one
+    `brute_force_pwes` call.
     """
     failures = []
     codes = 0
@@ -230,14 +239,14 @@ def suite_oracle(rng: random.Random, seed: int,
         params = MdsParams(n, k, q)
         codes += 1
         closed = {}   # sizes -> (pwe_direct_table, pwgf counts)
-        for _ in range(partitions_per_code):
-            part = random_partition(n, rng)
+        parts = [random_partition(n, rng) for _ in range(partitions_per_code)]
+        for part, table in zip(parts, brute_force_pwes(code, parts)):
             sizes = part.sizes
             if sizes not in closed:
                 closed[sizes] = (nested_sum.pwe_direct_table(params, sizes),
                                  mds_enum.pwgf(params, sizes).counts)
             direct, prod = closed[sizes]
-            brute = brute_force_pwe(code, part).counts
+            brute = table.counts
             tables += 1
             if direct == prod == brute:   # all three drop zero counts
                 continue
@@ -547,6 +556,10 @@ SUITES: dict[str, Callable[[random.Random, int], list[CheckResult]]] = {
     "errorprob": suite_errorprob,
 }
 
+# The suites that load numpy (the exhaustive tally and the Monte-Carlo
+# oracle); `run_suites` loads it before the pool forks when one is asked for.
+NUMPY_SUITES = frozenset({"codes", "oracle", "duality", "errorprob"})
+
 
 def suite_names(names: list[str]) -> list[str]:
     """The suites `names` asks for, with 'all' expanded; ValueError on an
@@ -588,16 +601,27 @@ def _start_order(names: list[str]) -> list[int]:
 
 
 def _init_worker() -> None:
-    """Set up a pool worker: ignore SIGINT, and cap OpenBLAS at one thread.
-
-    The interrupt reaches the parent alone.  The suites' only matrix
-    products are on integers, which numpy does not hand to BLAS, so
-    OpenBLAS's thread pool would only slow the worker's first numpy
-    import, where the variable is read.  A value already set is kept.
-    """
+    """Set up a pool worker: ignore SIGINT, which reaches the parent alone."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _import_numpy_one_thread() -> None:
+    """Import numpy with OpenBLAS capped at one thread.
+
+    The suites' only matrix products are on integers, which numpy does not
+    hand to BLAS, so OpenBLAS's thread pool would only leave a thread in
+    the process that forks the pool.  The variable is read at this import
+    alone, so it is set for the import only: a value already set is kept,
+    and `os.environ` is left as it was.
+    """
+    preset = "OPENBLAS_NUM_THREADS" in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if not preset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> bool:
@@ -617,11 +641,12 @@ def run_suites(names: list[str], seed: int, stream: Optional[TextIO] = None) -> 
     if workers <= 1:
         return _report((_run_suite(name, seed) for name in names), stream)
     import multiprocessing
-    # Built before the parent loads numpy (the suites load it in the
-    # workers), so the workers fork from a single-threaded process, and
-    # `_init_worker` caps each one's BLAS threads before its first numpy
-    # import.  Leaving the block terminates and joins the workers, also on
-    # an error.
+    # numpy, when a suite asked for loads it, is imported once here with
+    # BLAS capped at one thread, so the workers fork from a single-threaded
+    # process and share the parent's numpy.  Leaving the block terminates
+    # and joins the workers, also on an error.
+    if NUMPY_SUITES.intersection(names):
+        _import_numpy_one_thread()
     with multiprocessing.Pool(workers, initializer=_init_worker) as pool:
         pending: list = [None] * len(names)
         for i in _start_order(names):

@@ -683,36 +683,59 @@ class TestVerifyPool:
         assert "ForkPoolWorker" not in err
         assert "KeyboardInterrupt" in err
 
-    @pytest.mark.parametrize("preset, expect", [(None, "1"), ("3", "3")])
-    def test_worker_init_ignores_sigint_and_caps_blas_threads(self, monkeypatch,
-                                                              preset, expect):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unrestored")   # restored at teardown
-        if preset is None:
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        else:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    def test_worker_init_ignores_sigint(self):
         handler = signal.getsignal(signal.SIGINT)
         try:
             verify._init_worker()
             assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
         finally:
             signal.signal(signal.SIGINT, handler)
-        assert os.environ["OPENBLAS_NUM_THREADS"] == expect
 
-    def test_workers_run_with_one_blas_thread(self, monkeypatch):
-        def suite_env(rng, seed):
-            threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-            return [verify.CheckResult("env:blas-threads", True, threads)]
+    # a pooled run of the oracle and two probes; the barrier holds the first
+    # probe until the second one starts, so each runs in its own worker.  A
+    # probe reports its worker's threads, whether numpy is loaded and the
+    # OpenBLAS variable; the parent reports its threads when the pool is
+    # built, and the variable after the run
+    ONE_THREAD_RUN = "\n".join([
+        "import multiprocessing, os, sys",
+        "from mdswe import verify",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "barrier = multiprocessing.Barrier(2)",
+        "def threads():",
+        "    return len(os.listdir('/proc/self/task'))",
+        "def suite_probe(rng, seed):",
+        "    state = (threads(), 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))",
+        "    barrier.wait(120)",
+        "    return [verify.CheckResult('probe', True, repr(state))]",
+        "verify.SUITES['probe'] = suite_probe",
+        "real = multiprocessing.Pool",
+        "def spy(workers, **kwargs):",
+        "    print('parent', threads(), workers)",
+        "    return real(workers, **kwargs)",
+        "multiprocessing.Pool = spy",
+        "ok = verify.run_suites(['oracle', 'probe', 'probe'], 7)",
+        "print('after', os.environ.get('OPENBLAS_NUM_THREADS'))",
+        "sys.exit(0 if ok else 1)",
+    ])
 
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unrestored")
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        monkeypatch.setitem(verify.SUITES, "env", suite_env)
-        built = self._pools(monkeypatch)
-        stream = io.StringIO()
-        assert verify.run_suites(["env", "env"], 7, stream)
-        assert built == [2]
-        assert stream.getvalue() == "ok   - env:blas-threads  (1)\n" * 2
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_workers_fork_from_one_thread_with_numpy_loaded(self, preset):
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", self.ONE_THREAD_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        probes = [line for line in lines if line.startswith("ok   - probe")]
+        assert lines[-1] == f"after {preset}"
+        if preset is None:
+            # numpy imported under the cap leaves one thread; without it, two
+            assert lines[0] == "parent 1 2"
+            assert probes == ["ok   - probe  ((1, True, None))"] * 2
+        else:
+            assert probes == [f"ok   - probe  ((1, True, {preset!r}))"] * 2
 
     def test_longest_suites_start_first(self):
         names = ["gf", "errorprob", "identities", "oracle", "gf"]

@@ -109,8 +109,16 @@ def test_lazy_imports_load_where_used(capsys, argv):
         (0, capsys.readouterr().out, b"")
 
 
-def test_verify_builds_its_pool_before_numpy_loads():
-    # the workers are forked from a parent that has not loaded numpy
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_suite_loads_numpy_exactly_when_named(suite):
+    statement = f"from mdswe import verify; verify._run_suite({suite!r}, 7)"
+    assert _unloaded_after(statement, ("numpy",)) == (
+        ["numpy"] if suite in verify.NUMPY_SUITES else [])
+
+
+def test_numpy_free_verify_loads_numpy_in_no_process():
+    # the pool is built from a parent without numpy, and neither it nor a
+    # worker loads numpy: each suite's last check reports its worker
     probe = ("import multiprocessing, os, sys\n"
              "os.sched_getaffinity = lambda pid: {0, 1}\n"
              "real = multiprocessing.Pool\n"
@@ -118,12 +126,23 @@ def test_verify_builds_its_pool_before_numpy_loads():
              "    print('numpy' in sys.modules, workers)\n"
              "    return real(workers, **kwargs)\n"
              "multiprocessing.Pool = spy\n"
-             "import mdswe.cli\n"
-             "sys.exit(mdswe.cli.main(['verify', '--suite', 'identities,binary']))\n")
+             "from mdswe import cli, verify\n"
+             "def probed(suite):\n"
+             "    def run(rng, seed):\n"
+             "        return [*suite(rng, seed), verify.CheckResult(\n"
+             "            'probe:numpy-unloaded', 'numpy' not in sys.modules)]\n"
+             "    return run\n"
+             "for name in ('gf', 'identities', 'binary'):\n"
+             "    verify.SUITES[name] = probed(verify.SUITES[name])\n"
+             "code = cli.main(['verify', '--suite', 'gf,identities,binary'])\n"
+             "print('numpy' in sys.modules)\n"
+             "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "False 2"
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False 2", "False")
+    assert lines.count("ok   - probe:numpy-unloaded") == 3
 
 
 @pytest.mark.parametrize("spec", ["rs:8:7:3", "dual:rs:8:7:3"])

@@ -10,7 +10,7 @@ from mdswe import linear_code
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (BudgetExceededError, LengthExceedsFieldError, LinearCode,
                                Partition, RankDeficientError, _batch_inv, _row_reduce,
-                               brute_force_pwe,
+                               brute_force_pwe, brute_force_pwes,
                                brute_force_weights, code_from_generator, dual, min_distance,
                                rm1_code, rs_code, support_histogram)
 from mdswe.mds_enum import MdsParams, PweTable, pwgf
@@ -396,6 +396,7 @@ HISTOGRAM_CODES = [
     pytest.param(lambda: rs_code(field_from_order(16), 15, 3), id="rs-15-3-16"),
     pytest.param(lambda: dual(rs_code(field_from_order(16), 15, 12)), id="dual-15-12-16"),
     pytest.param(_gf16_wide_code, id="gf16-70-2"),
+    pytest.param(_gf4_wide_code, id="gf4-70-5"),
     pytest.param(lambda: code_from_generator(F2, [[1] * 300, [j % 3 // 2 for j in range(300)]]),
                  id="gf2-300-2"),
     pytest.param(_zero_code, id="zero-code"),
@@ -528,6 +529,12 @@ class TestBruteForceProjection:
                       _scattered(n, min(n, 3), n), _scattered(n, min(n, 5), n + 1)]
         for part in partitions:
             assert brute_force_pwe(code, part).counts == python_pwe(code, part), part.sizes
+        # all at once: rows are grouped, not keyed, so 64 singleton blocks
+        # (a key of prod(n_i + 1) = 2^64 values) project like the rest
+        assert [t.counts for t in brute_force_pwes(code, partitions)] == \
+            [python_pwe(code, part) for part in partitions]
+        with pytest.raises(ValueError):
+            brute_force_pwes(code, [*partitions, Partition.contiguous((n + 1,))])
         E = [0] * (n + 1)
         for mask, c in python_histogram(code).items():
             E[mask.bit_count()] += c

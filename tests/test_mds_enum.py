@@ -276,6 +276,18 @@ class TestFixedSupport:
         prm = MdsParams(n, k, q)
         assert fixed_support_counts(prm) == fixed_support_counts_by_sum(prm)
 
+    def test_mutated_list_changes_no_later_result(self):
+        prm = MdsParams(7, 3, 8)
+        before = (fixed_support_counts(prm), weight_distribution(prm), pwgf(prm, (3, 4)),
+                  pwe_product(prm, (3, 4), (2, 3)), iowe(prm, 3, 2, 5),
+                  coordinate_weight_sum(prm, 5))
+        counts = fixed_support_counts(prm)
+        counts[5] = -1
+        counts.append(0)
+        assert (fixed_support_counts(prm), weight_distribution(prm), pwgf(prm, (3, 4)),
+                pwe_product(prm, (3, 4), (2, 3)), iowe(prm, 3, 2, 5),
+                coordinate_weight_sum(prm, 5)) == before
+
 
 class TestCoordinateWeightSum:
     def test_derived_value(self):

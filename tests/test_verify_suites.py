@@ -13,9 +13,12 @@ beyond the enumeration budget; seed 7 is the CLI default.
 The unit tests keep only what no check here covers.
 """
 
+import random
+
 import pytest
 
 from mdswe import verify
+from mdswe.gf import Field
 
 SEEDS = (0, 5, 7)
 
@@ -107,3 +110,18 @@ def test_decoder_details_are_pinned(suite_results):
     details = {result.name: result.detail for result in suite_results("errorprob", 7)}
     assert {name: details[name] for name in DECODER_DETAILS_AT_SEED_7} \
         == DECODER_DETAILS_AT_SEED_7
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_associativity_check_sees_one_wrong_entry(monkeypatch, op):
+    # the check reads tables built by the field's own mul and add, so one
+    # wrong product (or sum) in GF(9) still fails it
+    real = getattr(Field, op)
+
+    def one_wrong(field, a, b):
+        value = real(field, a, b)
+        return (value + 1) % 9 if (field.order, a, b) == (9, 3, 5) else value
+
+    monkeypatch.setattr(Field, op, one_wrong)
+    results = {r.name: r.passed for r in verify.suite_gf(random.Random(7), 7)}
+    assert results["gf:associativity-distributivity"] is False
