@@ -172,30 +172,24 @@ def read_code_shape(spec: str) -> CodeShape:
     return CodeShape(n, n - k if duals % 2 else k, q, None)
 
 
-def _mds_params(args, shape: CodeShape) -> Optional[MdsParams]:
-    """The code's (n, k, q) if it is MDS, else None.
+def _require_mds(args, shape: CodeShape) -> MdsParams:
+    """The code's (n, k, q), or a UsageError if it is not MDS.
 
     A code with a generator is MDS iff its minimum distance, found by
     exhaustive enumeration within --budget, is n - k + 1.  The zero code
     has no MdsParams.
     """
-    if shape.k == 0:
-        return None
-    params = MdsParams(shape.n, shape.k, shape.q)
-    if shape.code is None:
-        return params
-    from .linear_code import min_distance
+    if shape.k > 0:
+        params = MdsParams(shape.n, shape.k, shape.q)
+        if shape.code is None:
+            return params
+        from .linear_code import min_distance
 
-    return params if min_distance(shape.code, budget=args.budget) == params.d else None
-
-
-def _require_mds(args, shape: CodeShape) -> MdsParams:
-    params = _mds_params(args, shape)
-    if params is None:
-        raise UsageError(f"--code: {args.code} is not MDS: the closed forms need "
-                         f"minimum distance n - k + 1 = {shape.n - shape.k + 1}; "
-                         "use brute for any code")
-    return params
+        if min_distance(shape.code, budget=args.budget) == params.d:
+            return params
+    raise UsageError(f"--code: {args.code} is not MDS: the closed forms need "
+                     f"minimum distance n - k + 1 = {shape.n - shape.k + 1}; "
+                     "use brute for any code")
 
 
 def _cmd_pwe(args) -> int:
@@ -219,11 +213,11 @@ def _cmd_brute(args) -> int:
 def _cmd_binary(args) -> int:
     shape = read_code_shape(args.code)
     m = bits_per_symbol(shape.q)
-    params = _mds_params(args, shape)
-    if params is not None:
-        symbol_weights = weight_distribution(params)
+    if shape.code is None and shape.k > 0:   # an rs: spec or a dual of one
+        symbol_weights = weight_distribution(MdsParams(shape.n, shape.k, shape.q))
     else:
-        # a non-MDS code, or the zero code (the dual of an rs:<q>:<n>:<n> spec)
+        # any other code, MDS or not, or the zero code (the dual of an
+        # rs:<q>:<n>:<n> spec)
         from .linear_code import brute_force_weights
 
         code = shape.code if shape.code is not None else parse_code_spec(args.code)
@@ -263,10 +257,7 @@ def _cmd_property_a(args) -> int:
                        "expected": _format_exact(w.expected)}
                       for w in report.witnesses],
     }
-    rows = [{"coordinate": w["coordinate"], "weight": w["weight"],
-             "observed": w["observed"], "expected": w["expected"]}
-            for w in doc["witnesses"]]
-    _emit(doc, rows, args)
+    _emit(doc, doc["witnesses"], args)
     return 0 if report.holds else 1
 
 

@@ -27,11 +27,12 @@ per trial.  The spheres themselves are enumerated only by
 
 The channel sends the zero codeword, and each symbol is in error with
 probability p, independently, with its value uniform on 1..q-1.  A word
-within tau of a nonzero codeword has weight >= w0 = d - tau, so a trial
-with fewer errors is decoded correctly and adds nothing to either
-estimate.  The simulator therefore draws only the heavy trials: their
-number H ~ Binomial(trials, P(W >= w0)) with W ~ Bin(n, p), then for each
-one a weight from Bin(n, p) conditioned on W >= w0, a uniform support of
+with at most tau errors is its own coset leader, so it is decoded to the
+zero word: a trial with at most tau errors adds nothing to either
+estimate, whatever the radius.  The simulator therefore draws only the
+heavy trials, those with more than tau errors: their number
+H ~ Binomial(trials, P(W > tau)) with W ~ Bin(n, p), then for each one a
+weight from Bin(n, p) conditioned on W > tau, a uniform support of
 that size and uniform nonzero values.  That is the i.i.d. channel's law
 given the weight, so the estimates have the law of a full simulation;
 time and memory go with H, not with the number of trials.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linear_code import (DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, LinearCode,
-                          _word_tables, dual, min_distance)
+                          _word_tables, dual)
 from .mds_enum import ParamOutOfRangeError
 
 _BLOCK = 1 << 14  # rows at once: heavy trials drawn and decoded, sphere words tallied
@@ -88,14 +89,17 @@ class BmSimulation:
 
 class BmSphereOracle:
     """Coset-leader decoder of radius tau for one code, plus a channel
-    simulator.
+    simulator, built from the code's parity checks alone.
 
-    Every error pattern of weight <= tau has a syndrome no other such
-    pattern has (the spheres are disjoint for tau = floor((d-1)/2)), so
-    a table indexed by syndrome finds the error pattern, and with it the
-    decoded codeword, of each received word inside a sphere.  A trial is a decoder error iff it is decoded
-    to a nonzero codeword; its symbol-error contribution is that
-    codeword's information weight over k.
+    tau defaults to floor((n-k)/2), which is floor((d-1)/2) for an MDS
+    code.  The error patterns of weight <= tau are built only if they
+    number at most q^(n-k), the syndromes (by pigeonhole, needed for
+    disjoint spheres), and each must have a syndrome no other has: the one
+    overlap check.  The table indexed by syndrome then finds the error
+    pattern, and with it the decoded codeword, of each received word inside
+    a sphere.  A trial is a decoder error iff it is decoded to a nonzero
+    codeword; its symbol-error contribution is that codeword's information
+    weight over k.
     """
 
     def __init__(self, code: LinearCode, tau: Optional[int] = None):
@@ -103,15 +107,19 @@ class BmSphereOracle:
         if q ** (n - k) > DEFAULT_ENUMERATION_BUDGET:
             raise BudgetExceededError(f"q^(n-k) = {q ** (n - k)} syndromes exceed "
                                       f"enumeration budget {DEFAULT_ENUMERATION_BUDGET}")
-        import numpy as np
-
-        d = min_distance(code)
+        if k == 0:
+            raise ValueError(f"the zero code of length {n} has no nonzero codeword "
+                             "to decode to")
         if tau is None:
-            tau = (d - 1) // 2
+            tau = (n - k) // 2
         if tau < 0:
             raise ValueError(f"radius {tau} is negative")
-        if 2 * tau + 1 > d:
-            raise ValueError(f"radius {tau} spheres overlap at distance {d}")
+        volume = sum(math.comb(n, t) * (q - 1) ** t for t in range(min(tau, n) + 1))
+        if volume > q ** (n - k):
+            raise ValueError(f"radius {tau} spheres overlap: {volume} error patterns, "
+                             f"{q ** (n - k)} syndromes")
+        import numpy as np
+
         H = dual(code).generator
         self._columns, self._add, radix = _word_tables(
             code.field, [[h[j] for h in H] for j in range(n)], n - k)
@@ -120,14 +128,14 @@ class BmSphereOracle:
         self.tau = tau
         self.q, self.n, self.k = q, n, k
         self._info_cols = list(code.systematic_columns or range(k))
-        self._min_weight = d - tau
 
         self._patterns = _error_patterns(q, n, tau)
         none = len(self._patterns)   # the entry of a syndrome with no leader
         self._leader = np.full(q ** (n - k), none, dtype=np.min_scalar_type(none))
         self._leader[self._syndromes(self._patterns)] = np.arange(none)
         if np.count_nonzero(self._leader != none) != none:
-            raise AssertionError("decoding spheres overlap")  # would break exactness
+            raise ValueError(f"radius {tau} spheres overlap: two error patterns "
+                             "share a syndrome")
 
     def _syndromes(self, words):
         """The syndrome index of each row of `words`."""
@@ -165,21 +173,21 @@ class BmSphereOracle:
         return [sum(row) for row in rows], [sum(i * c for i, c in enumerate(row)) for row in rows]
 
     def _weight_tail(self, p: float) -> list[float]:
-        """P(W = w) for w = w0..n, W ~ Bin(n, p): the weights that can
-        reach a sphere."""
+        """P(W = w) for w = tau+1..n, W ~ Bin(n, p): the weights that can
+        be decoded wrongly."""
         n = self.n
         return [math.comb(n, w) * p**w * (1.0 - p)**(n - w)
-                for w in range(self._min_weight, n + 1)]
+                for w in range(self.tau + 1, n + 1)]
 
     def _heavy_errors(self, rng, rows: int, p: float):
         """`rows` error words of the i.i.d. symbol channel conditioned on
-        weight >= w0, one per row: the weight from the conditioned
+        weight > tau, one per row: the weight from the conditioned
         binomial, the support the first w positions of a uniform random
         permutation, the values uniform on 1..q-1."""
         import numpy as np
 
         tail = self._weight_tail(p)
-        weight = rng.choice(np.arange(self._min_weight, self.n + 1), size=rows,
+        weight = rng.choice(np.arange(self.tau + 1, self.n + 1), size=rows,
                             p=np.array(tail) / math.fsum(tail))
         support = rng.permuted(np.arange(self.n) < weight[:, None], axis=1)
         words = np.zeros((rows, self.n), dtype=np.min_scalar_type(self.q - 1))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdswe import binary_avg, nested_sum, verify
+from mdswe import binary_avg, linear_code, nested_sum, verify
 from mdswe.cli import main, parse_code_spec, parse_partition_sizes, parse_snr_range
 from mdswe.binary_avg import avg_binary_wgf
 from mdswe.gf import Field
@@ -175,6 +175,21 @@ class TestBinaryCommand:
         expected = avg_binary_wgf(MdsParams(15, 11, 16))
         assert [Fraction(r["exact"]) for r in rows] == expected
         assert len(expected) == 61
+
+    def test_generator_code_is_tallied_once(self, capsys, monkeypatch, tmp_path):
+        # a code with a generator, MDS or not, takes one route: its weights
+        # are tallied, with no minimum-distance check before the tally
+        def checked(*args, **kwargs):
+            raise AssertionError("min_distance called")
+
+        monkeypatch.setattr(linear_code, "min_distance", checked)
+        path = tmp_path / "rs738.json"
+        rows = [list(row) for row in rs_code(Field(2, 3), 7, 3).generator]
+        path.write_text(json.dumps({"field": "gf:2^3", "rows": rows}))
+        code, out, _ = run_cli(capsys, "binary", "--code", f"file:{path}", "--format", "csv")
+        assert code == 0
+        assert ([Fraction(r["exact"]) for r in csv.DictReader(io.StringIO(out))]
+                == avg_binary_wgf(MdsParams(7, 3, 8)))
 
 
 class TestMdsCheck:

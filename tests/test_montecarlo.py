@@ -18,11 +18,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mdswe import montecarlo
+from mdswe import linear_code, montecarlo
+from mdswe.errorprob import _bm_sum, _coefficients
 from mdswe.gf import Field, field_from_order
 from mdswe.linear_code import (DEFAULT_ENUMERATION_BUDGET, LinearCode, code_from_generator, dual,
                                rs_code)
-from mdswe.mds_enum import ParamOutOfRangeError
+from mdswe.mds_enum import MdsParams, ParamOutOfRangeError
 from mdswe.montecarlo import BmSimulation, BmSphereOracle, MonteCarloEstimate
 
 
@@ -95,7 +96,10 @@ def _reference_simulate(table, q, n, k, w0, p, trials, seed):
     (9, 5, 3, None),
     (5, 4, 2, None),
     (8, 7, 3, 1),
-], ids=["rs-7-3-8", "rs-7-5-8", "rs-3-1-4", "rs-5-3-9", "rs-4-2-5", "rs-7-3-8-tau1"])
+    (8, 7, 4, None),
+    (8, 7, 3, 0),
+], ids=["rs-7-3-8", "rs-7-5-8", "rs-3-1-4", "rs-5-3-9", "rs-4-2-5", "rs-7-3-8-tau1",
+        "rs-7-4-8", "rs-7-3-8-tau0"])
 def test_oracle_matches_nested_loop_reference(q, n, k, tau):
     code = rs_code(field_from_order(q), n, k)
     oracle = BmSphereOracle(code, tau)
@@ -104,9 +108,9 @@ def test_oracle_matches_nested_loop_reference(q, n, k, tau):
     table = _reference_tables(code, tau)
     assert oracle.sphere_size() == len(table)
     assert oracle.weight_tally() == _reference_tally(table, q, n)
-    w0 = n - k + 1 - tau
+    # d = 4 on rs-7-4-8, where tau + 1 < d - tau; radius 0 is pure detection
     for p in (0.0, 0.05, 0.3, 1.0):
-        sim, heavy = _reference_simulate(table, q, n, k, w0, p, 50_000, 7)
+        sim, heavy = _reference_simulate(table, q, n, k, tau + 1, p, 50_000, 7)
         assert oracle.simulate(p, 50_000, seed=7) == sim
         if p in (0.0, 1.0):   # no trial is heavy, or every one
             assert heavy == p * 50_000
@@ -121,7 +125,7 @@ def test_wide_digit_fields_decode_like_the_reference():
     assert oracle.weight_tally() == _reference_tally(table, 4099, 2)
     for p in (0.3, 1.0):
         assert oracle.simulate(p, 5_000, seed=2) == _reference_simulate(
-            table, 4099, 2, 1, 2, p, 5_000, 2)[0]
+            table, 4099, 2, 1, 1, p, 5_000, 2)[0]
 
 
 @pytest.mark.parametrize("q, n, k", [(8, 7, 3), (9, 5, 3), (5, 4, 2), (4, 3, 1), (16, 6, 2),
@@ -157,7 +161,7 @@ def test_multiblock_simulation_matches_reference():
 
 
 def test_heavy_errors_follow_the_channel_law():
-    # RS(3,1,4) has w0 = 2: the 54 words of weight 2 or 3 are the heavy
+    # RS(3,1,4) has tau = 1: the 54 words of weight 2 or 3 are the heavy
     # patterns, each drawn with its i.i.d. channel probability over P(W >= 2)
     q, n, p, draws = 4, 3, 0.3, 10**5
     oracle = BmSphereOracle(rs_code(Field(2, 2), 3, 1))
@@ -197,7 +201,7 @@ def _reaches_enumeration(monkeypatch, code):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(montecarlo, "min_distance", reached)
+    monkeypatch.setattr(montecarlo, "_error_patterns", reached)
     monkeypatch.setattr(LinearCode, "codewords", reached)
     try:
         BmSphereOracle(code)
@@ -231,7 +235,7 @@ def test_decoder_memory_is_bounded_by_its_blocks():
         oracle.simulate(0.2, 10**5, seed=7)
         return oracle
 
-    run()   # caches the support histogram and warms numpy's generator
+    run()   # builds the field's tables and warms numpy's generator
     tracemalloc.start()
     try:
         oracle = run()
@@ -246,6 +250,33 @@ def test_decoder_memory_is_bounded_by_its_blocks():
 def test_radius_checked(tau, message):
     with pytest.raises(ValueError, match=message):
         BmSphereOracle(rs_code(Field(2, 3), 7, 3), tau)
+
+
+def test_overlap_found_by_the_leader_table():
+    # the 16 patterns of weight <= 2 fit the 2^4 syndromes, but 11000 is a
+    # codeword, so two of them share a syndrome
+    code = code_from_generator(Field(2, 1), [[1, 1, 0, 0, 0]])
+    with pytest.raises(ValueError, match="overlap: two error patterns share a syndrome"):
+        BmSphereOracle(code)
+
+
+def test_paper_scale_oracle_matches_the_bm_sums(monkeypatch):
+    # (15,11,16) has 2^44 codewords, out of the enumeration budget, and
+    # 16^4 syndromes: the oracle is built from the parity checks alone.
+    # The tolerance is 3 sigma, fixed before the run.
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the code's words were enumerated")
+
+    monkeypatch.setattr(LinearCode, "codewords", enumerated)
+    monkeypatch.setattr(linear_code, "support_histogram", enumerated)
+    oracle = BmSphereOracle(rs_code(Field(2, 4), 15, 11))
+    assert oracle.tau == 2
+    assert np.count_nonzero(oracle._leader != len(oracle._patterns)) == 23_851
+    coeffs = [_coefficients(MdsParams(15, 11, 16), metric) for metric in ("cep", "sep")]
+    for p in (0.1, 0.2):
+        sim = oracle.simulate(p, 10**6, seed=7)
+        cep, sep = (_bm_sum(c, 15, p) for c in coeffs)
+        assert sim.cep.within(cep, 3.0) and sim.sep.within(sep, 3.0)
 
 
 @pytest.fixture(scope="module")
