@@ -109,12 +109,6 @@ def parse_snr_range(text: str) -> list[float]:
         raise UsageError(f"--snr: bad range {text!r}: {exc}")
 
 
-def _format_exact(value) -> str:
-    """An int or Fraction as "num/denom", or "num" when it is an integer."""
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-        else str(value.numerator)
-
-
 def _emit(doc: dict, rows: list[dict], args) -> None:
     """Write the document as canonical JSON or CSV to --out / stdout."""
     if args.format == "json":
@@ -223,7 +217,7 @@ def _cmd_binary(args) -> int:
         code = shape.code if shape.code is not None else parse_code_spec(args.code)
         symbol_weights = brute_force_weights(code, budget=args.budget)
     weights = avg_binary_weights_from_distribution(symbol_weights, m)
-    doc_rows = [{"h_b": h, "exact": _format_exact(w), "float64": float(w)}
+    doc_rows = [{"h_b": h, "exact": str(w), "float64": float(w)}
                 for h, w in enumerate(weights)]
     rows = [{**r, "float64": repr(r["float64"])} for r in doc_rows]
     _emit({"code": args.code, "bits_per_symbol": m, "rows": doc_rows}, rows, args)
@@ -254,7 +248,7 @@ def _cmd_property_a(args) -> int:
         "method": report.method,
         "witnesses": [{"coordinate": w.coordinate, "weight": w.weight,
                        "observed": str(w.observed),
-                       "expected": _format_exact(w.expected)}
+                       "expected": str(w.expected)}
                       for w in report.witnesses],
     }
     _emit(doc, doc["witnesses"], args)

@@ -12,20 +12,18 @@ each support q - 1 times and adds the zero word.  The words are built
 with numpy in chunks, for every field (numpy is imported by the first
 enumeration, so the closed forms never load it), in the one numpy form
 of GF(p^m) words, `_word_tables`, which the Monte-Carlo decoder's
-syndromes (`montecarlo`) are built in too.  The resulting
-histogram of coordinate support masks is cached per code as a mask
-array and a count array, and every partition profile count is derived
-from those arrays, so enumerating many partitions of the same code costs
-one pass over the codeword set.  `brute_force_pwes` projects the
-histogram onto all the partitions it is given at once: the support bits
-are unpacked once per chunk and multiplied once by every partition's
-block indicators side by side; `brute_force_pwe` is its one-partition
-call.
+syndromes (`montecarlo`) are built in too.  Each call tallies the code
+afresh into a histogram of coordinate support masks, a mask array and a
+count array, and every partition profile count is derived from those
+arrays.  Many partitions of one code go through `brute_force_pwes`,
+which tallies once and projects the histogram onto all of them at once:
+the support bits are unpacked once per chunk and multiplied once by
+every partition's block indicators side by side; `brute_force_pwe` is
+its one-partition call.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections import Counter
@@ -163,15 +161,6 @@ class LinearCode:
                             word[j] = field.add(word[j], field.mul(m_i, g))
             yield tuple(word)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LinearCode)
-                and self.field == other.field
-                and self.n == other.n
-                and self.generator == other.generator)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.n, self.generator))
-
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k}, field={self.field!r})"
 
@@ -227,17 +216,12 @@ class SupportHistogram:
 
     `masks` is (M, W) little-endian uint64 with W = ceil(n/64) words per
     mask (bit j of the mask is coordinate j), in increasing order, and
-    `counts` is the (M,) int64 count of each.  The arrays are read-only,
-    because the histogram is cached and shared.
+    `counts` is the (M,) int64 count of each.
     """
 
     n: int
     masks: Any
     counts: Any
-
-    def __post_init__(self):
-        self.masks.flags.writeable = False
-        self.counts.flags.writeable = False
 
     def bit_chunks(self) -> Iterator[tuple[Any, Any]]:
         """The masks' support bits in consecutive row chunks of at most
@@ -315,8 +299,10 @@ def _word_tables(field: Field, vectors, symbols: int):
     return tables, add, radix
 
 
-@functools.lru_cache(maxsize=128)
-def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
+def support_histogram(code: LinearCode, budget: Optional[int] = None) -> SupportHistogram:
+    """The code's coordinate-support masks with their exact codeword counts,
+    tallied afresh on each call (after the budget check)."""
+    _check_budget(code, budget)
     import numpy as np
 
     field = code.field
@@ -369,12 +355,6 @@ def _support_histogram_cached(code: LinearCode) -> SupportHistogram:
                             np.concatenate([[1], counts * (q - 1)]))
 
 
-def support_histogram(code: LinearCode, budget: Optional[int] = None) -> SupportHistogram:
-    """The code's coordinate-support masks with their exact codeword counts."""
-    _check_budget(code, budget)
-    return _support_histogram_cached(code)
-
-
 def brute_force_pwes(code: LinearCode, partitions: Sequence[Partition],
                      budget: Optional[int] = None) -> list[PweTable]:
     """Exact partition weight enumerators of one code, one per partition,
@@ -404,7 +384,10 @@ def brute_force_pwes(code: LinearCode, partitions: Sequence[Partition],
 
 def brute_force_pwe(code: LinearCode, partition: Partition,
                     budget: Optional[int] = None) -> PweTable:
-    """Exact partition weight enumerator by exhaustive codeword tally."""
+    """Exact partition weight enumerator by exhaustive codeword tally.
+
+    Each call tallies the code; for many partitions of one code,
+    `brute_force_pwes` tallies it once."""
     return brute_force_pwes(code, [partition], budget)[0]
 
 

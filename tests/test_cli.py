@@ -276,6 +276,19 @@ class TestSpecDerivedParams:
         assert code == 0
         assert (0, out, "") == run_cli(capsys, *argv, "--code", "rs:16:15:11")
 
+    @pytest.mark.parametrize("command, rc, err", [
+        ("pwe", 0, ""),
+        ("binary", 2, "error: q=1000000000000000003 is not a power of two\n"),
+        ("errprob", 2, "error: q=1000000000000000003 is not a power of two\n"),
+    ])
+    def test_large_prime_order_is_decided_promptly(self, command, rc, err):
+        # q = 10^18 + 3 is prime; trial division up to sqrt(q) would not end
+        argv = {**self.COMMANDS, "pwe": ("pwe", "--partition", "5")}[command]
+        proc = subprocess.run([sys.executable, "-m", "mdswe.cli", *argv, "--code",
+                               "rs:1000000000000000003:5:3"],
+                              capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stderr) == (rc, err)
+
 
 class TestDualPweCommand:
     @pytest.mark.parametrize("sizes", [(3, 4), (7,), (2, 2, 3)])

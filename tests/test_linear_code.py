@@ -369,14 +369,6 @@ def python_pwe(code, partition):
     return dict(counts)
 
 
-@pytest.fixture
-def fresh_histograms():
-    """Tally afresh, and keep no histogram tallied under a patched chunk size."""
-    linear_code._support_histogram_cached.cache_clear()
-    yield
-    linear_code._support_histogram_cached.cache_clear()
-
-
 HISTOGRAM_CODES = [
     *(pytest.param(lambda m=m: rm1_code(m), id=f"rm1-{m}") for m in range(1, 8)),
     pytest.param(lambda: rs_code(Field(3, 1), 2, 1), id="rs-2-1-3"),
@@ -439,6 +431,18 @@ class TestSupportHistogram:
         assert hist.masks.shape == (len(as_dict), max(1, -(-code.n // 64)))
         assert hist.counts.shape == (len(as_dict),)
 
+    def test_each_call_returns_its_own_writable_arrays(self):
+        code = rs_code(F8, 7, 3)
+        first, second = support_histogram(code), support_histogram(code)
+        for a, b in ((first.masks, second.masks), (first.counts, second.counts)):
+            assert a.flags.writeable and not np.shares_memory(a, b)
+            assert np.array_equal(a, b)
+        expected = histogram_dict(second)
+        first.masks[:] = 0
+        first.counts[:] = -1
+        assert histogram_dict(second) == expected
+        assert histogram_dict(support_histogram(code)) == expected
+
     @pytest.mark.parametrize("code", [
         pytest.param(lambda: rs_code(field_from_order(16), 15, 3), id="rs-15-3-16"),
         pytest.param(lambda: rs_code(field_from_order(9), 8, 3), id="rs-8-3-9"),
@@ -446,7 +450,7 @@ class TestSupportHistogram:
         pytest.param(lambda: rm1_code(7), id="rm1-7"),
         pytest.param(_gf4_wide_code, id="gf4-70-5"),
     ])
-    def test_multichunk_tally_matches_python_tally(self, monkeypatch, fresh_histograms, code):
+    def test_multichunk_tally_matches_python_tally(self, monkeypatch, code):
         code = code()
         monkeypatch.setattr(linear_code, "_CHUNK_BYTES", 64 * word_bytes(code))
         # the last row's q^(k-1) words do not fit in one 64-word chunk
@@ -454,8 +458,7 @@ class TestSupportHistogram:
         assert histogram_dict(support_histogram(code)) == python_histogram(code)
 
     @pytest.mark.parametrize("chunk_rows", [None, 1 << 12])
-    def test_chunked_tally_matches_closed_form(self, monkeypatch, fresh_histograms,
-                                               chunk_rows):
+    def test_chunked_tally_matches_closed_form(self, monkeypatch, chunk_rows):
         # q^k = 2^20 codewords, 69,905 of them tallied; with 2^12-word chunks
         # a tally holds 256 words (5 x 16 x 256 words would not fit), so the
         # last 65,536 are tallied in 256 chunks
@@ -472,7 +475,7 @@ class TestSupportHistogram:
         pytest.param(lambda: rs_code(field_from_order(9), 8, 3), id="rs-8-3-9"),
         pytest.param(lambda: rs_code(field_from_order(16), 15, 4), id="rs-15-4-16"),
     ])
-    def test_one_word_per_scalar_class(self, monkeypatch, fresh_histograms, chunk_rows, code):
+    def test_one_word_per_scalar_class(self, monkeypatch, chunk_rows, code):
         # only the words whose last nonzero message symbol is 1 are tallied
         code = code()
         if chunk_rows is not None:
@@ -491,7 +494,7 @@ class TestSupportHistogram:
         # n <= 8: a mask, a sort index and a word row are all 8 bytes
         pytest.param(lambda: rs_code(field_from_order(16), 8, 5), id="rs-8-5-16"),
     ])
-    def test_tally_working_set_stays_within_the_chunk_budget(self, fresh_histograms, code):
+    def test_tally_working_set_stays_within_the_chunk_budget(self, code):
         # tracemalloc counts numpy's buffers: the held words and every
         # temporary of a tally, at the default budget
         code = code()
@@ -515,8 +518,7 @@ class TestBruteForceProjection:
 
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("code", HISTOGRAM_CODES)
-    def test_partitions_match_python_projection(self, monkeypatch, fresh_histograms,
-                                                code, chunked):
+    def test_partitions_match_python_projection(self, monkeypatch, code, chunked):
         code = code()
         n = code.n
         if chunked:   # three masks' support bits per unpacked chunk
